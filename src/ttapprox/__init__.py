@@ -1,7 +1,7 @@
 """Dense tensor-train approximation toolkit.
 
 Four left-to-right TT decomposition sweeps (deterministic SVD, Gaussian
-sketch, power iteration, block Krylov), the tensor algebra they sit on,
+sketch, power iteration, block Krylov), the TT format they produce,
 synthetic data generators with calibrated noise, quality metrics and a
 benchmark harness.
 """
@@ -29,8 +29,7 @@ from .linalg import (
     tail_energy,
     truncated_svd,
 )
-from .metrics import psnr, relative_error
-from .tensor import contract, frobenius_norm, matricize, mode_n_product, reshape
+from .metrics import frobenius_norm, psnr, relative_error
 from .tt import TTTensor, num_params, tt_load, tt_reconstruct, tt_save, validate
 
 __version__ = "0.1.0"
@@ -49,19 +48,15 @@ __all__ = [
     "add_awgn",
     "block_krylov_basis",
     "bound_factors",
-    "contract",
     "economy_qr",
     "emit",
     "frobenius_norm",
     "gaussian_matrix",
     "load_records",
-    "matricize",
-    "mode_n_product",
     "num_params",
     "power_function_tensor",
     "psnr",
     "relative_error",
-    "reshape",
     "run_bench",
     "spectrum_decay_tensor",
     "svd",

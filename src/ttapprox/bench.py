@@ -18,30 +18,16 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import decompose
 from .datagen import add_awgn, power_function_tensor, spectrum_decay_tensor, tensor_load
-from .decompose import SketchConfig, TruncationSpec, tt_rbki, tt_rsi, tt_rsvd, tt_svd
 from .errors import InvalidArgumentError
 from .metrics import psnr, relative_error
 from .tt import tt_reconstruct
-
-_COLUMNS = [
-    "method",
-    "dataset",
-    "ranks",
-    "p",
-    "q",
-    "seed",
-    "snr_db",
-    "rel_err",
-    "psnr",
-    "wall_time_s",
-    "trace_sum_sq",
-]
 
 
 @dataclass
@@ -57,12 +43,119 @@ class BenchRecord:
     psnr: Optional[float]
     wall_time_s: float
     trace_sum_sq: Optional[float]
-    min_wall_time_s: Optional[float] = None
-    error: Optional[str] = None  # in-memory diagnostic, not serialized
+    error: Optional[str] = None  # why the cell failed; None for a good row
+
+
+def _ranks_str(ranks) -> str:
+    return "x".join(str(r) for r in ranks)
+
+
+def _parse_ranks(s: str) -> Tuple[int, ...]:
+    return tuple(int(v) for v in s.split("x"))
+
+
+def _opt_float(v) -> Optional[float]:
+    return None if v is None or v == "" else float(v)
+
+
+def _opt_str(v) -> Optional[str]:
+    return None if v is None or v == "" else str(v)
+
+
+# The record schema, in column order: (field, encode to a JSON scalar,
+# decode from that scalar or from its CSV text).  CSV writes each encoded
+# value as text (see _csv_text); JSON writes it as is.
+_SCHEMA = (
+    ("method", str, str),
+    ("dataset", str, str),
+    ("ranks", _ranks_str, _parse_ranks),
+    ("p", int, int),
+    ("q", int, int),
+    ("seed", int, int),
+    ("snr_db", _opt_float, _opt_float),
+    ("rel_err", _opt_float, _opt_float),
+    ("psnr", _opt_float, _opt_float),
+    ("wall_time_s", float, float),
+    ("trace_sum_sq", _opt_float, _opt_float),
+    ("error", _opt_str, _opt_str),
+)
+
+
+def _int(v, what: str, low: int) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < low:
+        raise InvalidArgumentError(f"{what} must be an integer >= {low}, got {v!r}")
+    return v
+
+
+def _number(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InvalidArgumentError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
+def _bool(v, what: str) -> bool:
+    if not isinstance(v, bool):
+        raise InvalidArgumentError(f"{what} must be true or false, got {v!r}")
+    return v
+
+
+def _str(v, what: str) -> str:
+    if not isinstance(v, str):
+        raise InvalidArgumentError(f"{what} must be a string, got {v!r}")
+    return v
+
+
+def _list(v, what: str) -> list:
+    if not isinstance(v, (list, tuple)) or not v:
+        raise InvalidArgumentError(f"{what} must be a non-empty list, got {v!r}")
+    return list(v)
+
+
+def _dims(v, what: str) -> Tuple[int, ...]:
+    return tuple(_int(d, what, 1) for d in _list(v, what))
+
+
+# dataset kind -> {key: check returning the normalized value}
+_DATASETS = {
+    "spectrum": {
+        "n": lambda v: _int(v, "n", 1),
+        "T": lambda v: _int(v, "T", 1),
+        "D": lambda v: _number(v, "D"),
+    },
+    "powerfn": {"dims": lambda v: _dims(v, "dims"), "h": lambda v: _number(v, "h")},
+    "file": {"path": lambda v: _str(v, "path")},
+}
+
+
+def _check_dataset(spec) -> dict:
+    if not isinstance(spec, dict):
+        raise InvalidArgumentError("dataset must be an object")
+    kind = spec.get("kind")
+    if kind not in _DATASETS:
+        raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
+    keys = _DATASETS[kind]
+    missing = set(keys) - set(spec)
+    if missing:
+        raise InvalidArgumentError(f"{kind} dataset is missing keys: {sorted(missing)}")
+    return {**spec, **{k: check(spec[k]) for k, check in keys.items()}}
+
+
+def _check_rank_entry(entry):
+    if isinstance(entry, (list, tuple)):
+        return _dims(entry, "rank entry")
+    return _int(entry, "rank entry", 1)
+
+
+def _as_list(v) -> list:
+    return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
 @dataclass
 class BenchPlan:
+    """A sweep over one dataset.  Construction validates every field and
+    normalizes scalar q and snr_db to lists, so a bad plan fails before
+    any cell runs."""
+
     dataset: dict
     methods: List[str]
     ranks: list
@@ -70,119 +163,54 @@ class BenchPlan:
     q: List[int] = field(default_factory=lambda: [1])
     seeds: List[int] = field(default_factory=lambda: [0])
     snr_db: Optional[List[Optional[float]]] = None
-    repetitions: int = 1
-    output: Optional[str] = None
     svd_truncate: bool = True
     naive_krylov: bool = False
     include_zeroth_block: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.dataset, dict):
-            raise InvalidArgumentError("dataset must be an object")
-        if not self.methods:
-            raise InvalidArgumentError("method list is empty")
+        self.dataset = _check_dataset(self.dataset)
+        self.methods = _list(self.methods, "methods")
         for m in self.methods:
-            if m not in _METHODS:
+            if not isinstance(m, str) or m not in decompose.METHODS:
                 raise InvalidArgumentError(f"unknown method {m!r}")
-        if not self.ranks:
-            raise InvalidArgumentError("rank sweep is empty")
-        if not self.q:
-            raise InvalidArgumentError("q sweep is empty")
-        if not self.seeds:
-            raise InvalidArgumentError("seed list is empty")
-        if self.p < 0:
-            raise InvalidArgumentError(f"p must be >= 0, got {self.p}")
-        if self.repetitions < 1:
-            raise InvalidArgumentError(f"repetitions must be >= 1, got {self.repetitions}")
+        self.ranks = [_check_rank_entry(r) for r in _list(self.ranks, "ranks")]
+        self.p = _int(self.p, "p", 0)
+        self.q = [_int(v, "q", 1) for v in _list(_as_list(self.q), "q")]
+        self.seeds = [_int(v, "seed", 0) for v in _list(self.seeds, "seeds")]
+        if self.snr_db is not None:
+            self.snr_db = [
+                None if v is None else _number(v, "snr_db")
+                for v in _list(_as_list(self.snr_db), "snr_db")
+            ]
+        for name in ("svd_truncate", "naive_krylov", "include_zeroth_block"):
+            _bool(getattr(self, name), name)
 
     @staticmethod
     def from_dict(d: dict) -> "BenchPlan":
-        known = {
-            "dataset",
-            "methods",
-            "ranks",
-            "p",
-            "q",
-            "seeds",
-            "snr_db",
-            "repetitions",
-            "output",
-            "svd_truncate",
-            "naive_krylov",
-            "include_zeroth_block",
-        }
-        extra = set(d) - known
+        if not isinstance(d, dict):
+            raise InvalidArgumentError("plan must be an object")
+        extra = set(d) - {f.name for f in fields(BenchPlan)}
         if extra:
             raise InvalidArgumentError(f"unknown plan keys: {sorted(extra)}")
         missing = {"dataset", "methods", "ranks", "seeds"} - set(d)
         if missing:
             raise InvalidArgumentError(f"plan is missing keys: {sorted(missing)}")
-        d = dict(d)
-        q = d.get("q", [1])
-        d["q"] = [int(v) for v in (q if isinstance(q, list) else [q])]
-        snr = d.get("snr_db")
-        if snr is not None and not isinstance(snr, list):
-            snr = [snr]
-        d["snr_db"] = (
-            None if snr is None else [None if v is None else float(v) for v in snr]
-        )
         return BenchPlan(**d)
 
 
-def _method_config(ranks, p, q, seed, plan: BenchPlan) -> SketchConfig:
-    return SketchConfig(
-        ranks=ranks,
-        p=p,
-        q=q,
-        seed=seed,
-        naive_krylov=plan.naive_krylov,
-        include_zeroth_block=plan.include_zeroth_block,
-        svd_truncate=plan.svd_truncate,
-    )
-
-
-def _run_svd(t, ranks, p, q, seed, plan):
-    return tt_svd(t, TruncationSpec(ranks=ranks))
-
-
-def _run_rsvd(t, ranks, p, q, seed, plan):
-    return tt_rsvd(t, _method_config(ranks, p, q, seed, plan))
-
-
-def _run_rsi(t, ranks, p, q, seed, plan):
-    return tt_rsi(t, _method_config(ranks, p, q, seed, plan))
-
-
-def _run_rbki(t, ranks, p, q, seed, plan):
-    return tt_rbki(t, _method_config(ranks, p, q, seed, plan))
-
-
-_METHODS = {"svd": _run_svd, "rsvd": _run_rsvd, "rsi": _run_rsi, "rbki": _run_rbki}
-
-
 def _build_dataset(spec: dict):
-    kind = spec.get("kind")
+    kind = spec["kind"]
     if kind == "spectrum":
-        n, T, D = int(spec["n"]), int(spec["T"]), float(spec["D"])
+        n, T, D = spec["n"], spec["T"], spec["D"]
         return spectrum_decay_tensor(n, T, D), f"spectrum(n={n},T={T},D={D:g})"
     if kind == "powerfn":
-        dims = tuple(int(d) for d in spec["dims"])
-        h = float(spec["h"])
-        return (
-            power_function_tensor(dims, h),
-            f"powerfn({'x'.join(map(str, dims))},h={h:g})",
-        )
-    if kind == "file":
-        path = spec["path"]
-        return tensor_load(path), str(path)
-    raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
+        dims, h = spec["dims"], spec["h"]
+        return power_function_tensor(dims, h), f"powerfn({'x'.join(map(str, dims))},h={h:g})"
+    return tensor_load(spec["path"]), spec["path"]
 
 
 def _normalize_ranks(entry, n_modes: int) -> Tuple[int, ...]:
-    if isinstance(entry, (list, tuple)):
-        ranks = tuple(int(r) for r in entry)
-    else:
-        ranks = (int(entry),) * (n_modes - 1)
+    ranks = entry if isinstance(entry, tuple) else (entry,) * (n_modes - 1)
     if len(ranks) != n_modes - 1:
         raise InvalidArgumentError(
             f"rank entry {entry!r} does not fit an order-{n_modes} tensor"
@@ -198,7 +226,6 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     noisy = {}
     records = []
     for method in plan.methods:
-        fn = _METHODS[method]
         for ranks in rank_tuples:
             for q in plan.q:
                 for snr in snr_list:
@@ -210,9 +237,11 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
                             if key not in noisy:
                                 noisy[key] = add_awgn(base, snr, seed)
                             inp = noisy[key]
-                        records.append(
-                            _run_cell(fn, method, inp, base, dataset_id, ranks, plan, q, snr, seed)
+                        cell = BenchRecord(
+                            method, dataset_id, ranks, plan.p, q, seed, snr,
+                            rel_err=None, psnr=None, wall_time_s=0.0, trace_sum_sq=None,
                         )
+                        records.append(_run_cell(cell, inp, base, plan))
     records.sort(
         key=lambda r: (
             r.dataset,
@@ -226,128 +255,64 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     return records
 
 
-def _run_cell(fn, method, inp, base, dataset_id, ranks, plan, q, snr, seed):
+def _run_cell(cell: BenchRecord, inp, base, plan: BenchPlan) -> BenchRecord:
+    """Fill in cell's metrics, or its error when the decomposition fails."""
     t0 = time.perf_counter()
     try:
-        tt, trace = fn(inp, ranks, plan.p, q, seed, plan)
-        wall = time.perf_counter() - t0
-        times = [wall]
-        for _ in range(plan.repetitions - 1):
-            t1 = time.perf_counter()
-            fn(inp, ranks, plan.p, q, seed, plan)
-            times.append(time.perf_counter() - t1)
+        tt, trace = decompose.run_method(
+            cell.method,
+            inp,
+            cell.ranks,
+            p=cell.p,
+            q=cell.q,
+            seed=cell.seed,
+            svd_truncate=plan.svd_truncate,
+            naive_krylov=plan.naive_krylov,
+            include_zeroth_block=plan.include_zeroth_block,
+        )
+        cell.wall_time_s = time.perf_counter() - t0
         rec = tt_reconstruct(tt)
-        return BenchRecord(
-            method=method,
-            dataset=dataset_id,
-            ranks=ranks,
-            p=plan.p,
-            q=q,
-            seed=seed,
-            snr_db=snr,
-            rel_err=relative_error(base, rec),
-            psnr=psnr(base, rec),
-            wall_time_s=times[0],
-            trace_sum_sq=trace.residual_sq_sum,
-            min_wall_time_s=min(times) if plan.repetitions > 1 else None,
-        )
+        cell.rel_err = relative_error(base, rec)
+        cell.psnr = psnr(base, rec)
+        cell.trace_sum_sq = trace.residual_sq_sum
     except (InvalidArgumentError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        wall = time.perf_counter() - t0
-        return BenchRecord(
-            method=method,
-            dataset=dataset_id,
-            ranks=ranks,
-            p=plan.p,
-            q=q,
-            seed=seed,
-            snr_db=snr,
-            rel_err=None,
-            psnr=None,
-            wall_time_s=wall,
-            trace_sum_sq=None,
-            error=str(exc),
-        )
+        cell.wall_time_s = time.perf_counter() - t0
+        cell.rel_err = cell.psnr = cell.trace_sum_sq = None
+        cell.error = str(exc)
+    return cell
 
 
-def _ranks_str(ranks) -> str:
-    return "x".join(str(r) for r in ranks)
+def _csv_text(v) -> str:
+    """CSV text of an encoded value: empty for None, floats with 17
+    significant digits."""
+    if v is None:
+        return ""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
-def _parse_ranks(s: str) -> Tuple[int, ...]:
-    return tuple(int(v) for v in s.split("x"))
-
-
-def _fmt(v) -> str:
-    return "" if v is None else f"{float(v):.17g}"
+def _encode(r: BenchRecord) -> dict:
+    return {name: encode(getattr(r, name)) for name, encode, _ in _SCHEMA}
 
 
 def emit(records: List[BenchRecord], format: str, path):
-    """Write records as CSV or JSON.
+    """Write records as CSV or JSON, one column per _SCHEMA entry.
 
     CSV floats use 17 significant digits; JSON floats use Python's
     lossless shortest repr (json emits Infinity for an infinite PSNR).
-    A min_wall_time_s column is appended only when some record carries
-    repeated-run timings.
+    A failed row leaves its metrics empty and says why in error.
     """
-    cols = list(_COLUMNS)
-    if any(r.min_wall_time_s is not None for r in records):
-        cols.append("min_wall_time_s")
     if format == "csv":
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(cols)
+            w.writerow(name for name, _, _ in _SCHEMA)
             for r in records:
-                w.writerow(_csv_row(r, cols))
+                w.writerow(_csv_text(v) for v in _encode(r).values())
     elif format == "json":
         with open(path, "w") as f:
-            json.dump([_json_obj(r, cols) for r in records], f, indent=2)
+            json.dump([_encode(r) for r in records], f, indent=2)
             f.write("\n")
     else:
         raise InvalidArgumentError(f"unknown format {format!r}")
-
-
-def _csv_row(r: BenchRecord, cols) -> list:
-    row = [
-        r.method,
-        r.dataset,
-        _ranks_str(r.ranks),
-        str(r.p),
-        str(r.q),
-        str(r.seed),
-        _fmt(r.snr_db),
-        _fmt(r.rel_err),
-        _fmt(r.psnr),
-        _fmt(r.wall_time_s),
-        _fmt(r.trace_sum_sq),
-    ]
-    if "min_wall_time_s" in cols:
-        row.append(_fmt(r.min_wall_time_s))
-    return row
-
-
-def _json_obj(r: BenchRecord, cols) -> dict:
-    obj = {
-        "method": r.method,
-        "dataset": r.dataset,
-        "ranks": _ranks_str(r.ranks),
-        "p": r.p,
-        "q": r.q,
-        "seed": r.seed,
-        "snr_db": r.snr_db,
-        "rel_err": r.rel_err,
-        "psnr": r.psnr,
-        "wall_time_s": r.wall_time_s,
-        "trace_sum_sq": r.trace_sum_sq,
-    }
-    if "min_wall_time_s" in cols:
-        obj["min_wall_time_s"] = r.min_wall_time_s
-    return obj
-
-
-def _opt_float(v) -> Optional[float]:
-    if v is None or v == "":
-        return None
-    return float(v)
 
 
 def load_records(path, format: str = "csv") -> List[BenchRecord]:
@@ -355,29 +320,10 @@ def load_records(path, format: str = "csv") -> List[BenchRecord]:
     if format == "csv":
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
-        header, rows = rows[0], rows[1:]
-        objs = [dict(zip(header, row)) for row in rows]
+        objs = [dict(zip(rows[0], row)) for row in rows[1:]]
     elif format == "json":
         with open(path) as f:
             objs = json.load(f)
     else:
         raise InvalidArgumentError(f"unknown format {format!r}")
-    out = []
-    for o in objs:
-        out.append(
-            BenchRecord(
-                method=o["method"],
-                dataset=o["dataset"],
-                ranks=_parse_ranks(o["ranks"]),
-                p=int(o["p"]),
-                q=int(o["q"]),
-                seed=int(o["seed"]),
-                snr_db=_opt_float(o["snr_db"]),
-                rel_err=_opt_float(o["rel_err"]),
-                psnr=_opt_float(o["psnr"]),
-                wall_time_s=float(o["wall_time_s"]),
-                trace_sum_sq=_opt_float(o["trace_sum_sq"]),
-                min_wall_time_s=_opt_float(o.get("min_wall_time_s")),
-            )
-        )
-    return out
+    return [BenchRecord(**{name: decode(o[name]) for name, _, decode in _SCHEMA}) for o in objs]

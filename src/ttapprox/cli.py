@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 I/O or parse failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .bench import BenchPlan, emit, run_bench
 from .datagen import add_awgn, power_function_tensor, spectrum_decay_tensor, tensor_load, tensor_save
-from .decompose import SketchConfig, TruncationSpec, tt_rbki, tt_rsi, tt_rsvd, tt_svd
+from .decompose import METHODS, run_method
 from .errors import InvalidArgumentError, ParseError
 from .metrics import psnr, relative_error
 from .tt import tt_load, tt_reconstruct, tt_save
@@ -42,44 +43,21 @@ def _cmd_noise(args) -> int:
 
 def _cmd_decompose(args) -> int:
     t = tensor_load(args.input)
-    if args.method == "svd":
-        if args.epsilon is None and args.ranks is None:
-            raise InvalidArgumentError("svd needs --epsilon or --ranks")
-        # both given is rejected by TruncationSpec
-        tt, trace = tt_svd(t, TruncationSpec(epsilon=args.epsilon, ranks=args.ranks))
-    else:
-        if args.epsilon is not None:
-            raise InvalidArgumentError("--epsilon applies to --method svd only")
-        if args.ranks is None:
-            raise InvalidArgumentError(f"--method {args.method} needs --ranks")
-        cfg = SketchConfig(
-            ranks=args.ranks,
-            p=args.p,
-            q=args.q,
-            seed=args.seed,
-            naive_krylov=args.naive_krylov,
-            include_zeroth_block=args.include_zeroth_block,
-            svd_truncate=args.svd_truncate,
-        )
-        fn = {"rsvd": tt_rsvd, "rsi": tt_rsi, "rbki": tt_rbki}[args.method]
-        tt, trace = fn(t, cfg)
+    tt, trace = run_method(
+        args.method,
+        t,
+        args.ranks,
+        args.epsilon,
+        p=args.p,
+        q=args.q,
+        seed=args.seed,
+        naive_krylov=args.naive_krylov,
+        include_zeroth_block=args.include_zeroth_block,
+        svd_truncate=args.svd_truncate,
+    )
     tt_save(tt, args.output)
     if args.trace:
-        payload = {
-            "steps": [
-                {
-                    "n": s.n,
-                    "rank": s.rank,
-                    "residual": s.residual,
-                    "elapsed_s": s.elapsed_s,
-                    "sketch_width": s.sketch_width,
-                    "clamped": s.clamped,
-                    "padded_cols": s.padded_cols,
-                }
-                for s in trace.steps
-            ],
-            "residual_sq_sum": trace.residual_sq_sum,
-        }
+        payload = {**dataclasses.asdict(trace), "residual_sq_sum": trace.residual_sq_sum}
         with open(args.trace, "w") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
@@ -135,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     noise.set_defaults(func=_cmd_noise)
 
     dec = sub.add_parser("decompose", help="TT-decompose a .dten tensor")
-    dec.add_argument("--method", choices=["svd", "rsvd", "rsi", "rbki"], required=True)
+    dec.add_argument("--method", choices=list(METHODS), required=True)
     dec.add_argument("--epsilon", type=float)
     dec.add_argument("--ranks", type=_int_csv, metavar="r1,r2,...")
     dec.add_argument("--p", type=int, default=0)

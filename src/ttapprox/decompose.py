@@ -13,6 +13,14 @@ only in how Q is found:
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
 trace; their squares sum to the final squared approximation error.
+
+Every linearization is column-major (first index fastest): element
+(i_1, ..., i_N) of a tensor sits at offset sum_n i_n prod_{m<n} I_m, so
+unfoldings and cores are numpy reshapes with order="F", and the file
+formats store values in the same order.
+
+METHODS names the four sweeps; run_method dispatches on it for the
+bench harness and the CLI.
 """
 
 from __future__ import annotations
@@ -20,12 +28,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import block_krylov_basis, economy_qr, gaussian_matrix, svd
+from .linalg import block_krylov_basis, economy_qr, gaussian_matrix, rank_from_tail, svd
+from .metrics import frobenius_norm
 from .tt import TTTensor
 
 
@@ -83,7 +92,6 @@ class SweepStep:
 @dataclass
 class SweepTrace:
     steps: List[SweepStep] = field(default_factory=list)
-    final_rel_err: Optional[float] = None
 
     @property
     def residual_sq_sum(self) -> float:
@@ -94,6 +102,8 @@ def _as_input(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.ndim < 1:
         raise InvalidArgumentError("input tensor must have order >= 1")
+    if not np.isfinite(t).all():
+        raise FloatingPointError("input tensor has NaN or Inf entries")
     return t
 
 
@@ -116,8 +126,19 @@ def _check_ranks(dims, ranks):
     return ranks
 
 
+class _Basis(NamedTuple):
+    """What one step's basis choice hands back to the scaffold."""
+
+    Q: np.ndarray
+    carry: np.ndarray
+    residual: float
+    sketch_width: Optional[int] = None
+    clamped: bool = False
+    padded_cols: int = 0
+
+
 def _sweep(t: np.ndarray, pick_basis) -> Tuple[TTTensor, SweepTrace]:
-    """Shared scaffold; pick_basis(A, n) -> (Q, carry, step fields)."""
+    """Shared scaffold; pick_basis(A, n) -> _Basis."""
     dims = t.shape
     cores = []
     trace = SweepTrace()
@@ -126,12 +147,13 @@ def _sweep(t: np.ndarray, pick_basis) -> Tuple[TTTensor, SweepTrace]:
     for n in range(t.ndim - 1):
         A = np.reshape(C, (r_prev * dims[n], -1), order="F")
         t0 = time.perf_counter()
-        Q, C, residual, width, clamped, padded = pick_basis(A, n)
+        b = pick_basis(A, n)
         elapsed = time.perf_counter() - t0
-        r_n = Q.shape[1]
-        cores.append(np.reshape(Q, (r_prev, dims[n], r_n), order="F"))
+        C = b.carry
+        r_n = b.Q.shape[1]
+        cores.append(np.reshape(b.Q, (r_prev, dims[n], r_n), order="F"))
         trace.steps.append(
-            SweepStep(n, r_n, residual, elapsed, width, clamped, padded)
+            SweepStep(n, r_n, b.residual, elapsed, b.sketch_width, b.clamped, b.padded_cols)
         )
         r_prev = r_n
     cores.append(np.reshape(C, (r_prev, dims[-1], 1), order="F"))
@@ -153,22 +175,14 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         if t.ndim < 2:
             raise InvalidArgumentError("epsilon mode needs an order >= 2 tensor")
         ranks = None
-        delta = trunc.epsilon * float(np.linalg.norm(t.ravel())) / math.sqrt(t.ndim - 1)
+        delta = trunc.epsilon * frobenius_norm(t) / math.sqrt(t.ndim - 1)
 
     def pick(A, n):
-        U, s, V, k = svd(A)
-        if ranks is not None:
-            r = ranks[n]
-        else:
-            tail_sq = np.concatenate([np.cumsum((s**2)[::-1])[::-1], [0.0]])
-            r = k
-            for cand in range(1, k + 1):
-                if tail_sq[cand] <= delta * delta:
-                    r = cand
-                    break
+        U, s, V, _ = svd(A)
+        r = ranks[n] if ranks is not None else rank_from_tail(s, delta)
         residual = float(np.sqrt(np.sum(s[r:] ** 2)))
         carry = s[:r, None] * V[:, :r].T  # diag(S) V^T
-        return U[:, :r], carry, residual, None, False, 0
+        return _Basis(U[:, :r], carry, residual)
 
     return _sweep(t, pick)
 
@@ -210,7 +224,7 @@ def _randomized_sweep(t, cfg: SketchConfig, build_y) -> Tuple[TTTensor, SweepTra
         # rho^2 = ||A||^2 - ||Q^T A||^2, clamped against cancellation
         res_sq = float(np.sum(A**2)) - float(np.sum(carry**2))
         residual = math.sqrt(max(res_sq, 0.0))
-        return Q, carry, residual, width, clamped, padded
+        return _Basis(Q, carry, residual, width, clamped, padded)
 
     return _sweep(t, pick)
 
@@ -254,6 +268,32 @@ def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
         return A @ U
 
     return _randomized_sweep(t, cfg, build_y)
+
+
+# method name -> name of its sweep in this module.  run_method looks the
+# sweep up when it is called, so the function bound to the module
+# attribute at that moment is the one that runs.
+METHODS = {"svd": "tt_svd", "rsvd": "tt_rsvd", "rsi": "tt_rsi", "rbki": "tt_rbki"}
+
+
+def run_method(method: str, t, ranks=None, epsilon=None, **sketch) -> Tuple[TTTensor, SweepTrace]:
+    """Run the sweep that METHODS names for method.
+
+    "svd" takes exactly one of ranks or epsilon and ignores the sketch
+    keywords; the randomized methods need ranks and take the other
+    SketchConfig fields (p, q, seed, svd_truncate, naive_krylov,
+    include_zeroth_block) as keywords.
+    """
+    if method not in METHODS:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    sweep = globals()[METHODS[method]]
+    if method == "svd":
+        return sweep(t, TruncationSpec(epsilon=epsilon, ranks=ranks))
+    if epsilon is not None:
+        raise InvalidArgumentError("epsilon applies to method svd only")
+    if ranks is None:
+        raise InvalidArgumentError(f"method {method} needs ranks")
+    return sweep(t, SketchConfig(ranks=ranks, **sketch))
 
 
 def bound_factors(r, p, q, N, t: float = 1.0, u: float = 1.0, spectrum=None) -> dict:

@@ -74,14 +74,17 @@ def truncated_svd(A, delta: Optional[float] = None, rank: Optional[int] = None) 
     else:
         if delta < 0:
             raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
-        # tail_sq[r] = sum of squared singular values beyond the first r
-        tail_sq = np.concatenate([np.cumsum((full.s**2)[::-1])[::-1], [0.0]])
-        r = k
-        for cand in range(1, k + 1):
-            if tail_sq[cand] <= delta * delta:
-                r = cand
-                break
+        r = rank_from_tail(full.s, delta)
     return SvdResult(full.U[:, :r], full.s[:r], full.V[:, :r], r)
+
+
+def rank_from_tail(s, delta: float) -> int:
+    """Smallest r >= 1 with sqrt(sum_{i>r} s_i^2) <= delta, for
+    nonincreasing singular values s; len(s) when no r qualifies."""
+    # tail_sq[r] = sum of squared singular values beyond the first r
+    tail_sq = np.concatenate([np.cumsum((s**2)[::-1])[::-1], [0.0]])
+    k = len(s)
+    return next((r for r in range(1, k + 1) if tail_sq[r] <= delta * delta), k)
 
 
 def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator]):

@@ -17,13 +17,18 @@ def _pair(a, ahat):
     return a, ahat
 
 
+def frobenius_norm(t) -> float:
+    """||t||_F, the 2-norm of all entries of a tensor of any order."""
+    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+
+
 def relative_error(a, ahat) -> float:
     """||a - ahat||_F / ||a||_F against the reference a."""
     a, ahat = _pair(a, ahat)
-    ref = float(np.linalg.norm(a.ravel()))
+    ref = frobenius_norm(a)
     if ref == 0.0:
         raise InvalidArgumentError("reference tensor has zero norm")
-    return float(np.linalg.norm((a - ahat).ravel())) / ref
+    return frobenius_norm(a - ahat) / ref
 
 
 def psnr(a, ahat) -> float:

@@ -2,7 +2,7 @@
 and the ".ttc" serialization.
 
 A TT tensor is an ordered list of order-3 cores, core n of shape
-(r_{n-1}, I_n, r_n) with boundary ranks r_0 = r_N = 1.  Decomposition
+(r_{n-1}, I_n, r_n) with r_0 = r_N = 1 at the ends.  Decomposition
 outputs additionally keep cores 1..N-1 left-orthogonal.
 """
 
@@ -24,8 +24,9 @@ class TTTensor:
     """Immutable chain of order-3 TT cores.
 
     The constructor only checks core order (each core must be 3-d);
-    rank-chain consistency is checked by validate / tt_reconstruct so
-    deliberately broken chains can still be inspected.
+    rank-chain consistency is checked by validate, which tt_reconstruct,
+    tt_save and tt_load rely on, so deliberately broken chains can still
+    be inspected.
     """
 
     def __init__(self, cores: Sequence):
@@ -63,25 +64,9 @@ def num_params(tt: TTTensor) -> int:
     return int(sum(c.size for c in tt.cores))
 
 
-def _check_chain(tt: TTTensor):
-    ranks = tt.ranks
-    if ranks[0] != 1:
-        raise InvalidArgumentError(f"core 0 has boundary rank {ranks[0]}, expected 1")
-    if ranks[-1] != 1:
-        raise InvalidArgumentError(
-            f"core {tt.order - 1} has boundary rank {ranks[-1]}, expected 1"
-        )
-    for n in range(tt.order - 1):
-        if tt.cores[n].shape[2] != tt.cores[n + 1].shape[0]:
-            raise InvalidArgumentError(
-                f"core {n} has trailing rank {tt.cores[n].shape[2]} but core "
-                f"{n + 1} expects {tt.cores[n + 1].shape[0]}"
-            )
-
-
 def tt_reconstruct(tt: TTTensor) -> np.ndarray:
     """Contract the chain back into a dense (I_1, ..., I_N) tensor."""
-    _check_chain(tt)
+    validate(tt).raise_for_chain()
     out = tt.cores[0][0]  # (I_1, r_1)
     for core in tt.cores[1:]:
         out = np.tensordot(out, core, axes=(out.ndim - 1, 0))
@@ -101,6 +86,7 @@ class ValidationReport:
     adjacency_ok: bool
     bad_cores: List[int] = field(default_factory=list)
     orth_residuals: List[float] = field(default_factory=list)
+    problems: List[str] = field(default_factory=list)  # broken chain rules, by core
 
     @property
     def left_orthogonal(self) -> bool:
@@ -108,31 +94,43 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return self.boundary_ok and self.adjacency_ok and self.left_orthogonal
+        return not self.problems and self.left_orthogonal
+
+    def raise_for_chain(self, error=InvalidArgumentError):
+        """Raise error naming the first broken rank-chain rule, if any."""
+        if self.problems:
+            raise error(self.problems[0])
 
 
 def validate(tt: TTTensor) -> ValidationReport:
-    """Report rank-chain consistency, boundary ranks and per-core
+    """Report the rank-chain rules (every core nonempty, boundary ranks
+    r_0 = r_N = 1, adjacent ranks equal) and the per-core
     left-orthogonality residuals max|Q^T Q - I| for cores 1..N-1."""
-    ranks = tt.ranks
-    boundary_ok = ranks[0] == 1 and ranks[-1] == 1
-    bad = [
-        n
-        for n in range(tt.order - 1)
-        if tt.cores[n].shape[2] != tt.cores[n + 1].shape[0]
+    cores, ranks, last = tt.cores, tt.ranks, tt.order - 1
+    empty = [f"core {n} has a zero rank or mode size" for n, c in enumerate(cores) if c.size == 0]
+    boundary = [
+        f"core {n} has boundary rank {r}, expected 1"
+        for n, r in ((0, ranks[0]), (last, ranks[-1]))
+        if r != 1
+    ]
+    bad = [n for n in range(last) if cores[n].shape[2] != cores[n + 1].shape[0]]
+    adjacency = [
+        f"core {n} has trailing rank {cores[n].shape[2]} but core {n + 1} expects {cores[n + 1].shape[0]}"
+        for n in bad
     ]
     residuals = []
-    for core in tt.cores[:-1]:
+    for core in cores[:-1]:
         Q = left_unfolding(core)
         G = Q.T @ Q
-        residuals.append(float(np.max(np.abs(G - np.eye(G.shape[0])))))
-    return ValidationReport(boundary_ok, not bad, bad, residuals)
+        # initial covers a core with no columns
+        residuals.append(float(np.max(np.abs(G - np.eye(G.shape[0])), initial=0.0)))
+    return ValidationReport(not boundary, not bad, bad, residuals, empty + boundary + adjacency)
 
 
 def tt_save(tt: TTTensor, path):
     """Write the ".ttc" container: magic, u32 N, (N+1) u64 ranks, N u64
     mode sizes, then the cores as little-endian f64 in column-major order."""
-    _check_chain(tt)
+    validate(tt).raise_for_chain()
     ranks = tt.ranks
     dims = tt.dims
     with open(path, "wb") as f:
@@ -163,15 +161,6 @@ def tt_load(path) -> TTTensor:
     off += (n_cores + 1) * 8
     dims = [int(v) for v in np.frombuffer(data, "<u8", n_cores, off)]
     off += n_cores * 8
-    for n in range(n_cores):
-        if ranks[n] == 0 or ranks[n + 1] == 0 or dims[n] == 0:
-            raise InvalidArgumentError(f"core {n} has a zero rank or mode size")
-    if ranks[0] != 1:
-        raise InvalidArgumentError(f"core 0 has boundary rank {ranks[0]}, expected 1")
-    if ranks[-1] != 1:
-        raise InvalidArgumentError(
-            f"core {n_cores - 1} has boundary rank {ranks[-1]}, expected 1"
-        )
     cores = []
     for n in range(n_cores):
         count = ranks[n] * dims[n] * ranks[n + 1]
@@ -184,4 +173,6 @@ def tt_load(path) -> TTTensor:
         off += count * 8
     if off != len(data):
         raise ParseError("trailing bytes after last core", offset=off)
-    return TTTensor(cores)
+    tt = TTTensor(cores)
+    validate(tt).raise_for_chain(ParseError)
+    return tt

@@ -363,7 +363,7 @@ def test_criterion_13_cli_round_trip(tmp_path):
     csv_path = tmp_path / "out.csv"
     assert cli_main(["bench", "--plan", str(plan_path), "-o", str(csv_path)]) == 0
     header = csv_path.read_text().splitlines()[0]
-    csv_ok = header.count(",") == 10  # 11 columns
+    csv_ok = header.count(",") == 11  # 12 columns, error last
     records = run_bench(BenchPlan.from_dict(plan))
     emit(records, "csv", tmp_path / "again.csv")
     csv_ok = csv_ok and load_records(tmp_path / "again.csv", "csv") == records

@@ -22,11 +22,11 @@ from ttapprox import (
     tt_rsvd,
     tt_svd,
 )
-from ttapprox import bench
+from ttapprox import decompose
 
 SPECTRUM8 = {"kind": "spectrum", "n": 8, "T": 2, "D": 1.0}
 
-HEADER = "method,dataset,ranks,p,q,seed,snr_db,rel_err,psnr,wall_time_s,trace_sum_sq"
+HEADER = "method,dataset,ranks,p,q,seed,snr_db,rel_err,psnr,wall_time_s,trace_sum_sq,error"
 
 
 def small_plan(**over):
@@ -44,11 +44,18 @@ def test_plan_scalar_q_and_snr_normalized():
     )
     assert plan.q == [3]
     assert plan.snr_db == [5.0]
+    # integer values for float fields and seeds up to 2^64 - 1 are accepted
+    plan = BenchPlan.from_dict(
+        dict(dataset={"kind": "powerfn", "dims": [3, 3], "h": 5}, methods=["svd"],
+             ranks=[1], seeds=[2**64 - 1], q=2)
+    )
+    assert plan.dataset["h"] == 5.0 and plan.q == [2] and plan.seeds == [2**64 - 1]
+    assert small_plan(dataset={"kind": "spectrum", "n": 8, "T": 2, "D": 1}).dataset["D"] == 1.0
 
 
 def test_plan_defaults():
     plan = small_plan()
-    assert plan.p == 0 and plan.q == [1] and plan.repetitions == 1
+    assert plan.p == 0 and plan.q == [1]
     assert plan.snr_db is None and plan.svd_truncate is True
 
 
@@ -69,9 +76,21 @@ def test_plan_validation_errors():
     with pytest.raises(InvalidArgumentError):
         small_plan(ranks=[])
     with pytest.raises(InvalidArgumentError):
-        small_plan(repetitions=0)
-    with pytest.raises(InvalidArgumentError):
         small_plan(p=-1)
+    with pytest.raises(InvalidArgumentError, match="missing keys: \\['h'\\]"):
+        small_plan(dataset={"kind": "powerfn", "dims": [4, 4]})
+    with pytest.raises(InvalidArgumentError, match="p must be an integer"):
+        small_plan(p="x")
+    with pytest.raises(InvalidArgumentError, match="methods must be a non-empty list"):
+        small_plan(methods="rsvd")
+    with pytest.raises(InvalidArgumentError, match="q must be an integer >= 1"):
+        small_plan(q=0)
+    with pytest.raises(InvalidArgumentError):
+        small_plan(dataset={"kind": "spectrum", "n": 8, "T": 2, "D": "1"})
+    with pytest.raises(InvalidArgumentError):
+        small_plan(seeds=[-1])
+    with pytest.raises(InvalidArgumentError):
+        small_plan(svd_truncate="yes")
 
 
 def test_rank_entry_must_fit_tensor_order():
@@ -126,22 +145,11 @@ def test_wall_time_measures_decomposition_only(monkeypatch):
     t = spectrum_decay_tensor(8, 2, 1.0)
     canned = tt_svd(t, TruncationSpec(ranks=(2, 2)))
 
-    def noop(inp, ranks, p, q, seed, plan):
-        return canned
-
-    monkeypatch.setitem(bench._METHODS, "noop", noop)
-    records = run_bench(small_plan(methods=["noop"], ranks=[[2, 2]]))
+    # the method table looks the sweep up on the decompose module per call
+    monkeypatch.setattr(decompose, "tt_svd", lambda inp, trunc: canned)
+    records = run_bench(small_plan(methods=["svd"], ranks=[[2, 2]]))
     assert len(records) == 1
     assert 0.0 < records[0].wall_time_s < 0.02
-
-
-def test_repetitions_add_min_wall_time():
-    records = run_bench(small_plan(repetitions=3))
-    (r,) = records
-    assert r.min_wall_time_s is not None
-    assert r.min_wall_time_s <= r.wall_time_s
-    (r1,) = run_bench(small_plan())
-    assert r1.min_wall_time_s is None
 
 
 def test_infeasible_rank_becomes_error_row():
@@ -200,6 +208,7 @@ def gnarly_records():
             psnr=None,
             wall_time_s=1e-7,
             trace_sum_sq=None,
+            error="rank 40 at step 0 exceeds min(8, 64)",
         ),
     ]
 
@@ -212,7 +221,7 @@ def test_csv_header_and_field_count(tmp_path):
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     for row in rows:  # dataset ids contain commas, so parse properly
-        assert len(row) == 11
+        assert len(row) == 12
 
 
 def test_csv_empty_sweep_is_header_only(tmp_path):
@@ -238,6 +247,7 @@ def test_round_trip_preserves_every_field(tmp_path):
             assert a.psnr == b.psnr
             assert a.wall_time_s == b.wall_time_s
             assert a.trace_sum_sq == b.trace_sum_sq
+            assert a.error == b.error
 
 
 def test_json_and_csv_agree(tmp_path):
@@ -256,23 +266,15 @@ def test_error_rows_serialize_with_empty_metrics(tmp_path):
     with open(path, newline="") as f:
         row = list(csv.reader(f))[1]
     assert row[7] == "" and row[8] == "" and row[10] == ""
+    assert row[11] == records[0].error and "40" in row[11]
     back = load_records(path, "csv")
-    assert back[0].rel_err is None and back[0].error is None  # message not persisted
+    assert back[0].rel_err is None and back[0].error == records[0].error
 
     jpath = tmp_path / "o.json"
     emit(records, "json", jpath)
     obj = json.loads(jpath.read_text())[0]
-    assert obj["rel_err"] is None and "error" not in obj
-
-
-def test_min_wall_column_appended_when_present(tmp_path):
-    records = run_bench(small_plan(repetitions=2))
-    path = tmp_path / "o.csv"
-    emit(records, "csv", path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == HEADER + ",min_wall_time_s"
-    back = load_records(path, "csv")
-    assert back[0].min_wall_time_s == records[0].min_wall_time_s
+    assert obj["rel_err"] is None and obj["error"] == records[0].error
+    assert load_records(jpath, "json")[0].error == records[0].error
 
 
 def test_emit_unknown_format(tmp_path):

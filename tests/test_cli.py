@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ttapprox import (
     tt_svd,
 )
 from ttapprox.cli import main
+from ttapprox.decompose import METHODS
 
 
 def run(*argv):
@@ -152,10 +154,24 @@ def test_missing_input_exits_3(tmp_path):
                "-i", tmp_path / "absent.dten", "-o", tmp_path / "o.ttc") == 3
 
 
+def ttc_bytes(ranks, dims):
+    """A .ttc with the given header and all-zero cores."""
+    count = sum(ranks[n] * dims[n] * ranks[n + 1] for n in range(len(dims)))
+    return (
+        b"TTC1"
+        + struct.pack("<I", len(dims))
+        + np.asarray(ranks, dtype="<u8").tobytes()
+        + np.asarray(dims, dtype="<u8").tobytes()
+        + np.zeros(count).astype("<f8").tobytes()
+    )
+
+
 def test_corrupt_container_exits_3(tmp_path):
     bad = tmp_path / "bad.ttc"
-    bad.write_bytes(b"TTC1\x02")
-    assert run("reconstruct", "-i", bad, "-o", tmp_path / "o.dten") == 3
+    # truncated, bad boundary rank, zero rank
+    for blob in (b"TTC1\x02", ttc_bytes((2, 3, 1), (4, 4)), ttc_bytes((1, 0, 1), (4, 4))):
+        bad.write_bytes(blob)
+        assert run("reconstruct", "-i", bad, "-o", tmp_path / "o.dten") == 3
 
 
 def test_invalid_rank_string_exits_2(tmp_path):
@@ -186,8 +202,10 @@ def test_numerical_failure_exits_4(tmp_path):
     t = np.ones((4, 4, 4))
     t[0, 0, 0] = np.nan
     tensor_save(t, src)
-    assert run("decompose", "--method", "svd", "--ranks", "2,2",
-               "-i", src, "-o", tmp_path / "o.ttc") == 4
+    for method in METHODS:  # every method rejects non-finite input
+        assert run("decompose", "--method", method, "--ranks", "2,2",
+                   "-i", src, "-o", tmp_path / "o.ttc") == 4, method
+    assert not (tmp_path / "o.ttc").exists()
 
 
 def test_zero_reference_metrics_exits_2(tmp_path):
@@ -203,12 +221,22 @@ def test_bad_plan_exits(tmp_path):
     syntax = tmp_path / "syntax.json"
     syntax.write_text("{not json")
     assert run("bench", "--plan", syntax, "-o", tmp_path / "o.csv") == 3
-    badkey = tmp_path / "badkey.json"
-    badkey.write_text(json.dumps({
+    good = {
         "dataset": {"kind": "spectrum", "n": 4, "T": 1, "D": 1.0},
-        "methods": ["svd"], "ranks": [2], "seeds": [0], "typo": True,
-    }))
-    assert run("bench", "--plan", badkey, "-o", tmp_path / "o.csv") == 2
+        "methods": ["svd"], "ranks": [2], "seeds": [0],
+    }
+    bad_plans = [
+        {**good, "typo": True},
+        {**good, "dataset": {"kind": "powerfn", "dims": [4, 4]}},  # no h
+        {**good, "p": "x"},
+        {**good, "methods": "rsvd"},
+        {**good, "q": 0},
+    ]
+    for plan in bad_plans:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(plan))
+        assert run("bench", "--plan", path, "-o", tmp_path / "o.csv") == 2, plan
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_unknown_subcommand_exits_2():

@@ -10,7 +10,6 @@ from ttapprox import (
     TruncationSpec,
     bound_factors,
     frobenius_norm,
-    matricize,
     relative_error,
     spectrum_decay_tensor,
     power_function_tensor,
@@ -208,7 +207,7 @@ def test_tt_rbki_deterministic():
 def test_rbki_q1_naive_spans_power_augmented_sketch():
     # depth-1 Krylov with a single naive QR spans A (A^T A) Omega
     t = np.random.default_rng(12).standard_normal((10, 9, 8))
-    A = matricize(t, 1)
+    A = np.reshape(t, (10, 72), order="F")
     Om = gaussian_matrix(A.shape[1], 6, 99)
     U = block_krylov_basis(A, Om, 1, naive=True)
     Qb = economy_qr(A @ U)[0]

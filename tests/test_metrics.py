@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ttapprox import InvalidArgumentError, psnr, relative_error
+from ttapprox import InvalidArgumentError, frobenius_norm, psnr, relative_error
+
+
+def test_frobenius_norm():
+    assert frobenius_norm(np.zeros((3, 3))) == 0.0
+    assert frobenius_norm(np.ones((2, 2))) == 2.0
+    rng = np.random.default_rng(9)
+    t = rng.standard_normal((5, 5, 5))
+    s = np.linalg.svd(np.reshape(t, (5, 25), order="F"), compute_uv=False)
+    assert abs(frobenius_norm(t) - np.sqrt(np.sum(s**2))) <= 1e-10
 
 
 def test_relative_error_single_entry_perturbation():

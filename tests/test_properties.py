@@ -1,0 +1,78 @@
+"""Property tests on edge shapes: order 1, size-1 modes and ranks equal
+to min(rows, cols) at some step.
+
+The residual identity ||A - Ahat||^2 = sum_n rho_n^2 must hold for all
+four sweeps, and both file formats must round-trip exactly.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ttapprox import TTTensor, tensor_load, tensor_save, tt_load, tt_reconstruct, tt_save
+from ttapprox.decompose import METHODS, run_method
+
+EPS = np.finfo(np.float64).eps
+
+dims_st = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple)
+seed_st = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def feasible_ranks(draw, dims):
+    """Ranks r_1..r_{N-1}, each within min(r_{n-1} I_n, I_{n+1}...I_N);
+    the cap itself is drawn about half the time."""
+    ranks, r_prev = [], 1
+    for n in range(len(dims) - 1):
+        cap = min(r_prev * dims[n], int(np.prod(dims[n + 1 :])))
+        r = draw(st.just(cap) | st.integers(1, cap))
+        ranks.append(r)
+        r_prev = r
+    return tuple(ranks)
+
+
+@st.composite
+def sweep_inputs(draw):
+    dims = draw(dims_st)
+    t = np.random.default_rng(draw(seed_st)).standard_normal(dims)
+    return t, draw(feasible_ranks(dims))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    inputs=sweep_inputs(),
+    method=st.sampled_from(sorted(METHODS)),
+    p=st.integers(0, 3),
+    q=st.integers(1, 2),
+    seed=seed_st,
+    svd_truncate=st.booleans(),
+)
+def test_residual_identity_all_methods(inputs, method, p, q, seed, svd_truncate):
+    t, ranks = inputs
+    tt, trace = run_method(method, t, ranks, p=p, q=q, seed=seed, svd_truncate=svd_truncate)
+    assert tt.dims == t.shape
+    err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
+    norm_sq = float(np.sum(t * t))
+    assert abs(err_sq - trace.residual_sq_sum) <= 64 * EPS * norm_sq
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dims=dims_st, seed=seed_st)
+def test_dten_round_trip(tmp_path_factory, dims, seed):
+    t = np.random.default_rng(seed).standard_normal(dims)
+    path = tmp_path_factory.mktemp("dten") / "t.dten"
+    tensor_save(t, path)
+    back = tensor_load(path)
+    assert back.shape == t.shape and np.array_equal(back, t)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), dims=dims_st, seed=seed_st)
+def test_ttc_round_trip(tmp_path_factory, data, dims, seed):
+    chain = (1,) + data.draw(feasible_ranks(dims)) + (1,)
+    rng = np.random.default_rng(seed)
+    tt = TTTensor([rng.standard_normal((chain[n], d, chain[n + 1])) for n, d in enumerate(dims)])
+    path = tmp_path_factory.mktemp("ttc") / "t.ttc"
+    tt_save(tt, path)
+    back = tt_load(path)
+    assert back.ranks == tt.ranks and back == tt

@@ -159,7 +159,7 @@ def test_load_bad_boundary_rank_names_core(tmp_path):
     )
     path = tmp_path / "badrank.ttc"
     path.write_bytes(blob)
-    with pytest.raises(InvalidArgumentError) as exc:
+    with pytest.raises(ParseError) as exc:
         tt_load(path)
     assert "core 0" in str(exc.value)
 
