@@ -25,9 +25,9 @@ from .linalg import (
     block_krylov_basis,
     economy_qr,
     gaussian_matrix,
+    power_blocks,
     svd,
     tail_energy,
-    truncated_svd,
 )
 from .metrics import frobenius_norm, psnr, relative_error
 from .tt import TTTensor, num_params, tt_load, tt_reconstruct, tt_save, validate
@@ -54,6 +54,7 @@ __all__ = [
     "gaussian_matrix",
     "load_records",
     "num_params",
+    "power_blocks",
     "power_function_tensor",
     "psnr",
     "relative_error",
@@ -70,6 +71,5 @@ __all__ = [
     "tt_rsvd",
     "tt_save",
     "tt_svd",
-    "truncated_svd",
     "validate",
 ]

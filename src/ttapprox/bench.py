@@ -3,7 +3,11 @@ dataset, time the decompositions and emit machine-readable records.
 
 Noising is applied once per (snr, seed) pair and shared by every method
 in that cell so comparisons are paired; metrics are always computed
-against the clean tensor.  Wall time covers the decomposition call only.
+against the clean tensor.  Wall time covers the decomposition call only,
+also in rows whose decomposition or metrics fail.
+
+A plan names a dataset, methods, ranks and seeds, and may set p, q,
+snr_db and svd_truncate; every number in it must be finite.
 
 The harness defaults to svd_truncate=True for the randomized methods:
 plain QR-column truncation makes the oversampled/Krylov columns inert
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
@@ -88,8 +93,10 @@ def _int(v, what: str, low: int) -> int:
 
 
 def _number(v, what: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InvalidArgumentError(f"{what} must be a number, got {v!r}")
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    # NaN fails the comparison, and so do +-Inf and ints beyond the float range
+    if not (number and abs(v) <= sys.float_info.max):
+        raise InvalidArgumentError(f"{what} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -164,8 +171,6 @@ class BenchPlan:
     seeds: List[int] = field(default_factory=lambda: [0])
     snr_db: Optional[List[Optional[float]]] = None
     svd_truncate: bool = True
-    naive_krylov: bool = False
-    include_zeroth_block: bool = False
 
     def __post_init__(self):
         self.dataset = _check_dataset(self.dataset)
@@ -182,8 +187,7 @@ class BenchPlan:
                 None if v is None else _number(v, "snr_db")
                 for v in _list(_as_list(self.snr_db), "snr_db")
             ]
-        for name in ("svd_truncate", "naive_krylov", "include_zeroth_block"):
-            _bool(getattr(self, name), name)
+        _bool(self.svd_truncate, "svd_truncate")
 
     @staticmethod
     def from_dict(d: dict) -> "BenchPlan":
@@ -256,27 +260,28 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
 
 
 def _run_cell(cell: BenchRecord, inp, base, plan: BenchPlan) -> BenchRecord:
-    """Fill in cell's metrics, or its error when the decomposition fails."""
+    """Fill in cell's metrics, or its error when the decomposition or the
+    metrics fail."""
     t0 = time.perf_counter()
     try:
-        tt, trace = decompose.run_method(
-            cell.method,
-            inp,
-            cell.ranks,
-            p=cell.p,
-            q=cell.q,
-            seed=cell.seed,
-            svd_truncate=plan.svd_truncate,
-            naive_krylov=plan.naive_krylov,
-            include_zeroth_block=plan.include_zeroth_block,
-        )
-        cell.wall_time_s = time.perf_counter() - t0
+        try:
+            tt, trace = decompose.run_method(
+                cell.method,
+                inp,
+                cell.ranks,
+                p=cell.p,
+                q=cell.q,
+                seed=cell.seed,
+                svd_truncate=plan.svd_truncate,
+            )
+        finally:
+            # the decomposition only, also when it or the metrics fail
+            cell.wall_time_s = time.perf_counter() - t0
         rec = tt_reconstruct(tt)
         cell.rel_err = relative_error(base, rec)
         cell.psnr = psnr(base, rec)
         cell.trace_sum_sq = trace.residual_sq_sum
     except (InvalidArgumentError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        cell.wall_time_s = time.perf_counter() - t0
         cell.rel_err = cell.psnr = cell.trace_sum_sq = None
         cell.error = str(exc)
     return cell

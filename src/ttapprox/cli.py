@@ -51,8 +51,6 @@ def _cmd_decompose(args) -> int:
         p=args.p,
         q=args.q,
         seed=args.seed,
-        naive_krylov=args.naive_krylov,
-        include_zeroth_block=args.include_zeroth_block,
         svd_truncate=args.svd_truncate,
     )
     tt_save(tt, args.output)
@@ -120,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--q", type=int, default=1)
     dec.add_argument("--seed", type=int, default=0)
     dec.add_argument("--svd-truncate", action="store_true")
-    dec.add_argument("--naive-krylov", action="store_true")
-    dec.add_argument("--include-zeroth-block", action="store_true")
     dec.add_argument("-i", "--input", required=True)
     dec.add_argument("-o", "--output", required=True)
     dec.add_argument("--trace", help="write per-step trace JSON here")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Union
 
@@ -25,8 +26,8 @@ def spectrum_decay_tensor(n: int, T: int, D: float) -> np.ndarray:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     if T < 1:
         raise InvalidArgumentError(f"T must be >= 1, got {T}")
-    if D <= 0:
-        raise InvalidArgumentError(f"D must be > 0, got {D}")
+    if not 0 < D < math.inf:
+        raise InvalidArgumentError(f"D must be finite and > 0, got {D}")
     out = np.zeros((n, n, n))
     for j in range(1, n + 1):
         m = min(T, j)
@@ -41,8 +42,8 @@ def power_function_tensor(dims, h: float) -> np.ndarray:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise InvalidArgumentError(f"dims must be positive, got {dims}")
-    if h <= 0:
-        raise InvalidArgumentError(f"h must be > 0, got {h}")
+    if not 0 < h < math.inf:
+        raise InvalidArgumentError(f"h must be finite and > 0, got {h}")
     n_modes = len(dims)
     total = None
     for k, d in enumerate(dims):
@@ -58,6 +59,8 @@ def add_awgn(t, snr_db: float, seed: Union[int, np.random.Generator]) -> np.ndar
     Noise variance is (||t||_F^2 / numel) / 10^(snr_db/10); deterministic
     for a given seed.
     """
+    if not math.isfinite(snr_db):
+        raise InvalidArgumentError(f"snr_db must be finite, got {snr_db}")
     t = np.asarray(t, dtype=np.float64)
     power = float(np.sum(t**2)) / t.size
     if power == 0.0:

@@ -7,8 +7,14 @@ the next step.  They differ only in how Q is found:
 
   tt_svd   truncated SVD of the unfolding (deterministic)
   tt_rsvd  QR of the Gaussian sketch A Omega
-  tt_rsi   QR of the sketch refined by q rounds of power iteration
-  tt_rbki  QR of A U with U a block Krylov basis of depth q
+  tt_rsi   QR of A W_q, the last block of q rounds of subspace iteration
+  tt_rbki  QR of A U with U an orthonormal basis of all q blocks
+
+tt_rsi and tt_rbki share one iteration, linalg.power_blocks:
+W_t = orth(A^T orth(A W_{t-1})), W_0 = Omega, a QR after every product
+with A or A^T.  With svd_truncate the randomized sweeps take the top
+left singular vectors of their sketch instead of its QR; either way
+every core has exactly the requested rank.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
 trace; their squares sum to the final squared approximation error.
@@ -32,7 +38,14 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import block_krylov_basis, economy_qr, gaussian_matrix, rank_from_tail, svd
+from .linalg import (
+    block_krylov_basis,
+    economy_qr,
+    gaussian_matrix,
+    power_blocks,
+    rank_from_tail,
+    svd,
+)
 from .metrics import frobenius_norm
 from .tt import TTTensor
 
@@ -47,8 +60,8 @@ class TruncationSpec:
     def __post_init__(self):
         if (self.epsilon is None) == (self.ranks is None):
             raise InvalidArgumentError("set exactly one of epsilon or ranks")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise InvalidArgumentError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
+            raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.ranks is not None:
             self.ranks = tuple(int(r) for r in self.ranks)
             if any(r < 1 for r in self.ranks):
@@ -63,8 +76,6 @@ class SketchConfig:
     p: int = 0
     q: int = 1
     seed: int = 0
-    naive_krylov: bool = False
-    include_zeroth_block: bool = False
     svd_truncate: bool = False
 
     def __post_init__(self):
@@ -85,7 +96,7 @@ class SweepStep:
     elapsed_s: float
     sketch_width: Optional[int] = None
     clamped: bool = False
-    padded_cols: int = 0
+    padded_cols: int = 0  # always 0; kept for readers of the trace JSON
 
 
 @dataclass
@@ -133,7 +144,6 @@ class _Basis(NamedTuple):
     residual: float
     sketch_width: Optional[int] = None
     clamped: bool = False
-    padded_cols: int = 0
 
 
 def _sweep(t: np.ndarray, pick_basis) -> Tuple[TTTensor, SweepTrace]:
@@ -151,9 +161,7 @@ def _sweep(t: np.ndarray, pick_basis) -> Tuple[TTTensor, SweepTrace]:
         C = b.carry
         r_n = b.Q.shape[1]
         cores.append(np.reshape(b.Q, (r_prev, dims[n], r_n), order="F"))
-        trace.steps.append(
-            SweepStep(n, r_n, b.residual, elapsed, b.sketch_width, b.clamped, b.padded_cols)
-        )
+        trace.steps.append(SweepStep(n, r_n, b.residual, elapsed, b.sketch_width, b.clamped))
         r_prev = r_n
     cores.append(np.reshape(C, (r_prev, dims[-1], 1), order="F"))
     return TTTensor(cores), trace
@@ -182,7 +190,7 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         delta = trunc.epsilon * frobenius_norm(t) / math.sqrt(t.ndim - 1)
 
     def pick(A, n):
-        U, s, _, _ = svd(A)
+        U, s = svd(A)
         r = ranks[n] if ranks is not None else rank_from_tail(s, delta)
         residual = float(np.sqrt(np.sum(s[r:] ** 2)))
         Q = U[:, :r]
@@ -191,20 +199,6 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         return _Basis(Q, Q.T @ A, residual)
 
     return _sweep(t, pick)
-
-
-def _pad_basis(Q, r, rng):
-    """Extend Q with orthonormalized random columns up to width r."""
-    rows = Q.shape[0]
-    added = 0
-    while Q.shape[1] < r:
-        G = gaussian_matrix(rows, r - Q.shape[1], rng)
-        for _ in range(2):  # reorthogonalize against what we have
-            G = G - Q @ (Q.T @ G)
-        Qg = economy_qr(G)[0]
-        Q = np.hstack([Q, Qg[:, : r - Q.shape[1]]])
-        added += Qg.shape[1]
-    return Q, added
 
 
 def _randomized_sweep(t, cfg: SketchConfig, build_y) -> Tuple[TTTensor, SweepTrace]:
@@ -219,18 +213,19 @@ def _randomized_sweep(t, cfg: SketchConfig, build_y) -> Tuple[TTTensor, SweepTra
         clamped = width < r + cfg.p
         Omega = gaussian_matrix(cols, width, rng)
         Y = build_y(A, Omega)
+        # Q has exactly r columns: r <= min(rows, width) (_check_ranks),
+        # so Omega and every power block has >= r columns, the Krylov
+        # stack always keeps its first, orthonormal block, and a QR or
+        # thin SVD of Y has min(rows, Y columns) >= r of them
         if cfg.svd_truncate:
             Q = svd(Y).U[:, :r]
         else:
             Q = economy_qr(Y)[0][:, :r]
-        padded = 0
-        if Q.shape[1] < r:
-            Q, padded = _pad_basis(Q, r, rng)
         carry = Q.T @ A
         # rho^2 = ||A||^2 - ||Q^T A||^2, clamped against cancellation
         res_sq = float(np.sum(A**2)) - float(np.sum(carry**2))
         residual = math.sqrt(max(res_sq, 0.0))
-        return _Basis(Q, carry, residual, width, clamped, padded)
+        return _Basis(Q, carry, residual, width, clamped)
 
     return _sweep(t, pick)
 
@@ -246,16 +241,10 @@ def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
 
 def tt_rsi(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition with q rounds of subspace power
-    iteration, re-orthogonalizing after every half step."""
+    iteration, re-orthonormalizing after every product with A or A^T."""
 
     def build_y(A, Omega):
-        Y = A @ Omega
-        Q = economy_qr(Y)[0]
-        for _ in range(cfg.q):
-            Qh = economy_qr(A.T @ Q)[0]
-            Y = A @ Qh
-            Q = economy_qr(Y)[0]
-        return Y
+        return A @ power_blocks(A, Omega, cfg.q)[-1]
 
     return _randomized_sweep(t, cfg, build_y)
 
@@ -264,14 +253,7 @@ def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition through a depth-q block Krylov basis."""
 
     def build_y(A, Omega):
-        U = block_krylov_basis(
-            A,
-            Omega,
-            cfg.q,
-            naive=cfg.naive_krylov,
-            include_zeroth=cfg.include_zeroth_block,
-        )
-        return A @ U
+        return A @ block_krylov_basis(A, Omega, cfg.q)
 
     return _randomized_sweep(t, cfg, build_y)
 
@@ -287,8 +269,7 @@ def run_method(method: str, t, ranks=None, epsilon=None, **sketch) -> Tuple[TTTe
 
     "svd" takes exactly one of ranks or epsilon and ignores the sketch
     keywords; the randomized methods need ranks and take the other
-    SketchConfig fields (p, q, seed, svd_truncate, naive_krylov,
-    include_zeroth_block) as keywords.
+    SketchConfig fields (p, q, seed, svd_truncate) as keywords.
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")

@@ -1,13 +1,14 @@
 """Matrix kernels used by the decomposition sweeps.
 
-Thin wrappers around LAPACK via numpy plus the two pieces numpy does not
+Thin wrappers around LAPACK via numpy plus the pieces numpy does not
 ship: seeded Gaussian test matrices with a stable column layout, and the
-block Krylov range finder.
+subspace iteration behind the power-iteration and block Krylov range
+finders.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -21,8 +22,6 @@ _KRYLOV_DROP_TOL = 1e-12
 class SvdResult(NamedTuple):
     U: np.ndarray  # m x k, orthonormal columns
     s: np.ndarray  # k nonincreasing nonnegative singular values
-    V: np.ndarray  # n x k, orthonormal columns
-    rank: int
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -42,40 +41,17 @@ def economy_qr(A):
 
 
 def svd(A) -> SvdResult:
-    """Thin SVD A = U diag(s) V^T.
+    """Left factor and singular values of the thin SVD A = U diag(s) V^T.
 
     Each left singular vector is flipped so its largest-magnitude entry
     is nonnegative, which makes repeated runs comparable; subspaces and
     singular values are unaffected.
     """
     A = _as_matrix(A)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
     flip = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])] < 0
     U[:, flip] *= -1.0
-    Vt[flip, :] *= -1.0
-    return SvdResult(U, s, Vt.T, len(s))
-
-
-def truncated_svd(A, delta: Optional[float] = None, rank: Optional[int] = None) -> SvdResult:
-    """SVD truncated either to accuracy delta or to a fixed rank.
-
-    In delta mode the returned rank is the smallest r with
-    sqrt(sum_{i>r} s_i^2) <= delta, never less than 1.
-    """
-    if (delta is None) == (rank is None):
-        raise InvalidArgumentError("exactly one of delta or rank must be given")
-    A = _as_matrix(A)
-    full = svd(A)
-    k = full.rank
-    if rank is not None:
-        if not 1 <= rank <= k:
-            raise InvalidArgumentError(f"rank must be in 1..{k}, got {rank}")
-        r = int(rank)
-    else:
-        if delta < 0:
-            raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
-        r = rank_from_tail(full.s, delta)
-    return SvdResult(full.U[:, :r], full.s[:r], full.V[:, :r], r)
+    return SvdResult(U, s)
 
 
 def rank_from_tail(s, delta: float) -> int:
@@ -103,16 +79,14 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
     return rng.standard_normal(rows * cols).reshape((rows, cols), order="F")
 
 
-def block_krylov_basis(A, Omega, q: int, naive: bool = False, include_zeroth: bool = False):
-    """Orthonormal basis of span([A^T A Omega, ..., (A^T A)^q Omega]).
+def power_blocks(A, Omega, q: int):
+    """Orthonormal bases W_1, ..., W_q of (A^T A)^t Omega, t = 1..q.
 
-    Blocks are built iteratively as B_1 = A^T (A Omega),
-    B_t = A^T (A B_{t-1}); A^T A is never formed.  By default each block
-    is orthonormalized before the next power is taken (the stacked high
-    powers are otherwise hopelessly ill-conditioned) and near-dependent
-    columns of the final stack are dropped.  With naive=True the raw
-    stack gets one QR, nothing more.  include_zeroth prepends Omega
-    itself as a block.
+    Subspace iteration with a QR after every product with A or A^T:
+    Z_t = orth(A W_{t-1}), W_t = orth(A^T Z_t), W_0 = Omega.  A^T A is
+    never formed, and without the QRs the higher powers keep only the
+    leading directions in float64.  tt_rsi uses the last block,
+    block_krylov_basis all of them.
     """
     A = _as_matrix(A)
     Omega = _as_matrix(Omega)
@@ -122,24 +96,26 @@ def block_krylov_basis(A, Omega, q: int, naive: bool = False, include_zeroth: bo
         )
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
-
     blocks = []
-    if include_zeroth:
-        blocks.append(Omega if naive else economy_qr(Omega)[0])
-    B = Omega
+    W = Omega
     for _ in range(q):
-        B = A.T @ (A @ B)
-        if not naive:
-            B = economy_qr(B)[0]
-        blocks.append(B)
+        W = economy_qr(A.T @ economy_qr(A @ W)[0])[0]
+        blocks.append(W)
+    return blocks
 
-    nblocks = q + (1 if include_zeroth else 0)
-    cap = min(A.shape[0], A.shape[1], nblocks * Omega.shape[1])
+
+def block_krylov_basis(A, Omega, q: int):
+    """Orthonormal basis of span([A^T A Omega, ..., (A^T A)^q Omega]).
+
+    The blocks come from power_blocks; their stack gets one QR, columns
+    that carry no new direction are dropped and at most
+    min(m, n, q * width of Omega) columns are kept.
+    """
+    blocks = power_blocks(A, Omega, q)
     Q, R = economy_qr(np.hstack(blocks))
-    if not naive:
-        diag = np.abs(np.diag(R))
-        Q = Q[:, diag > _KRYLOV_DROP_TOL * diag[0]]
-    return Q[:, :cap]
+    diag = np.abs(np.diag(R))
+    Q = Q[:, diag > _KRYLOV_DROP_TOL * diag[0]]
+    return Q[:, : min(*np.shape(A), q * np.shape(Omega)[1])]
 
 
 def tail_energy(A, j: int) -> float:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ttapprox import (
     tt_rsvd,
     tt_svd,
 )
-from ttapprox import decompose
+from ttapprox import bench, decompose
 
 SPECTRUM8 = {"kind": "spectrum", "n": 8, "T": 2, "D": 1.0}
 
@@ -91,6 +92,12 @@ def test_plan_validation_errors():
         small_plan(seeds=[-1])
     with pytest.raises(InvalidArgumentError):
         small_plan(svd_truncate="yes")
+    with pytest.raises(InvalidArgumentError, match="snr_db must be a finite number"):
+        small_plan(snr_db=[5.0, math.nan])
+    with pytest.raises(InvalidArgumentError, match="h must be a finite number"):
+        small_plan(dataset={"kind": "powerfn", "dims": [4, 4], "h": math.inf})
+    with pytest.raises(InvalidArgumentError, match="D must be a finite number"):
+        small_plan(dataset={"kind": "spectrum", "n": 8, "T": 2, "D": 10**400})
 
 
 def test_rank_entry_must_fit_tensor_order():
@@ -141,7 +148,7 @@ def test_svd_rows_identical_across_seeds():
     assert len(records) == 3 and len(errs) == 1
 
 
-def test_wall_time_measures_decomposition_only(monkeypatch):
+def test_wall_time_measures_decomposition_only(monkeypatch, tmp_path):
     t = spectrum_decay_tensor(8, 2, 1.0)
     canned = tt_svd(t, TruncationSpec(ranks=(2, 2)))
 
@@ -149,6 +156,19 @@ def test_wall_time_measures_decomposition_only(monkeypatch):
     monkeypatch.setattr(decompose, "tt_svd", lambda inp, trunc: canned)
     records = run_bench(small_plan(methods=["svd"], ranks=[[2, 2]]))
     assert len(records) == 1
+    assert 0.0 < records[0].wall_time_s < 0.02
+
+    # a slow reconstruction followed by failing metrics (zero reference)
+    # must not leak into the decomposition time
+    def slow_reconstruct(tt):
+        time.sleep(0.3)
+        return tt_reconstruct(tt)
+
+    monkeypatch.setattr(bench, "tt_reconstruct", slow_reconstruct)
+    zero = tmp_path / "zero.dten"
+    tensor_save(np.zeros((8, 8, 8)), zero)
+    records = run_bench(small_plan(dataset={"kind": "file", "path": str(zero)}, ranks=[[2, 2]]))
+    assert len(records) == 1 and "zero norm" in records[0].error
     assert 0.0 < records[0].wall_time_s < 0.02
 
 

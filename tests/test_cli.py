@@ -197,6 +197,18 @@ def test_epsilon_rejected_for_randomized(tmp_path):
                "-i", src, "-o", tmp_path / "o.ttc") == 2  # needs --ranks
 
 
+def test_non_finite_arguments_exit_2(tmp_path):
+    src, dst = tmp_path / "a.dten", tmp_path / "b.dten"
+    tensor_save(np.ones((4, 4, 4)), src)
+    for bad in ("nan", "inf"):
+        assert run("synth", "spectrum", "--n", 4, "--T", 1, "--D", bad, "-o", dst) == 2, bad
+        assert run("synth", "powerfn", "--dims", "4,4", "--h", bad, "-o", dst) == 2, bad
+        assert run("noise", "--snr", bad, "--seed", 0, "-i", src, "-o", dst) == 2, bad
+        assert run("decompose", "--method", "svd", "--epsilon", bad,
+                   "-i", src, "-o", tmp_path / "o.ttc") == 2, bad
+    assert not dst.exists() and not (tmp_path / "o.ttc").exists()
+
+
 def test_numerical_failure_exits_4(tmp_path):
     src = tmp_path / "nan.dten"
     t = np.ones((4, 4, 4))
@@ -231,6 +243,8 @@ def test_bad_plan_exits(tmp_path):
         {**good, "p": "x"},
         {**good, "methods": "rsvd"},
         {**good, "q": 0},
+        {**good, "snr_db": [float("nan")]},
+        {**good, "dataset": {"kind": "powerfn", "dims": [4, 4], "h": float("nan")}},
     ]
     for plan in bad_plans:
         path = tmp_path / "bad.json"

@@ -55,7 +55,10 @@ def test_spectrum_decay_rate():
 
 
 def test_spectrum_argument_errors():
-    for bad in ((0, 1, 1.0), (3, 0, 1.0), (3, 1, 0.0), (3, 1, -1.0)):
+    bad_args = (
+        (0, 1, 1.0), (3, 0, 1.0), (3, 1, 0.0), (3, 1, -1.0), (3, 1, np.nan), (3, 1, np.inf)
+    )
+    for bad in bad_args:
         with pytest.raises(InvalidArgumentError):
             spectrum_decay_tensor(*bad)
 
@@ -112,8 +115,9 @@ def test_powerfn_argument_errors():
         power_function_tensor((), 2.0)
     with pytest.raises(InvalidArgumentError):
         power_function_tensor((3, 0), 2.0)
-    with pytest.raises(InvalidArgumentError):
-        power_function_tensor((3, 3), 0.0)
+    for h in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            power_function_tensor((3, 3), h)
 
 
 # ---------------- add_awgn ----------------
@@ -150,6 +154,12 @@ def test_awgn_generator_argument():
 def test_awgn_zero_signal_rejected():
     with pytest.raises(InvalidArgumentError):
         add_awgn(np.zeros((3, 3)), 10.0, 0)
+
+
+def test_awgn_non_finite_snr_rejected():
+    for snr in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidArgumentError):
+            add_awgn(np.ones((3, 3)), snr, 0)
 
 
 # ---------------- .dten container ----------------

@@ -91,8 +91,9 @@ def test_tt_svd_argument_errors():
         tt_svd(t, TruncationSpec(ranks=(7, 2)))  # 7 > min(4, 16)
     with pytest.raises(InvalidArgumentError):
         tt_svd(t, TruncationSpec(ranks=(2,)))  # wrong length
-    with pytest.raises(InvalidArgumentError):
-        TruncationSpec(epsilon=-0.5)
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            TruncationSpec(epsilon=bad)
     with pytest.raises(InvalidArgumentError):
         TruncationSpec(epsilon=0.1, ranks=(2, 2))
     with pytest.raises(InvalidArgumentError):
@@ -205,11 +206,11 @@ def test_tt_rbki_deterministic():
 
 
 def test_rbki_q1_naive_spans_power_augmented_sketch():
-    # depth-1 Krylov with a single naive QR spans A (A^T A) Omega
+    # depth-1 Krylov spans A (A^T A) Omega, the raw power with one QR
     t = np.random.default_rng(12).standard_normal((10, 9, 8))
     A = np.reshape(t, (10, 72), order="F")
     Om = gaussian_matrix(A.shape[1], 6, 99)
-    U = block_krylov_basis(A, Om, 1, naive=True)
+    U = block_krylov_basis(A, Om, 1)
     Qb = economy_qr(A @ U)[0]
     Qp = economy_qr(A @ (A.T @ (A @ Om)))[0]
     assert np.linalg.norm(Qb @ Qb.T - Qp @ Qp.T) <= 1e-6

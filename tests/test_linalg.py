@@ -6,10 +6,11 @@ from ttapprox import (
     block_krylov_basis,
     economy_qr,
     gaussian_matrix,
+    power_blocks,
     svd,
     tail_energy,
-    truncated_svd,
 )
+from ttapprox.linalg import rank_from_tail
 
 
 def test_qr_column_345():
@@ -54,7 +55,6 @@ def test_qr_rank_deficient_still_orthonormal():
 def test_svd_diagonal():
     r = svd(np.diag([3.0, 2.0, 1.0]))
     assert np.allclose(r.s, [3, 2, 1], atol=1e-15)
-    assert r.rank == 3
 
 
 def test_svd_rank_one():
@@ -78,9 +78,10 @@ def test_svd_gram_oracle():
 def test_svd_reconstruction_and_sign_convention():
     A = np.random.default_rng(4).standard_normal((12, 8))
     r = svd(A)
-    assert np.linalg.norm(r.U @ np.diag(r.s) @ r.V.T - A) <= 1e-9 * np.linalg.norm(A)
+    # U spans the range of A, and the rows of U^T A = diag(s) V^T have norms s
+    assert np.linalg.norm(r.U @ (r.U.T @ A) - A) <= 1e-9 * np.linalg.norm(A)
+    assert np.allclose(np.linalg.norm(r.U.T @ A, axis=1), r.s, rtol=1e-10)
     assert np.max(np.abs(r.U.T @ r.U - np.eye(8))) <= 1e-10
-    assert np.max(np.abs(r.V.T @ r.V - np.eye(8))) <= 1e-10
     # each left vector's largest-magnitude entry is nonnegative
     for j in range(r.U.shape[1]):
         col = r.U[:, j]
@@ -88,9 +89,9 @@ def test_svd_reconstruction_and_sign_convention():
 
 
 def test_truncated_svd_delta_examples():
-    A = np.diag([3.0, 2.0, 1.0])
-    assert truncated_svd(A, delta=1.5).rank == 2  # tail 1 <= 1.5, sqrt(5) > 1.5
-    assert truncated_svd(A, delta=100.0).rank == 1  # floor at rank 1
+    s = np.array([3.0, 2.0, 1.0])
+    assert rank_from_tail(s, 1.5) == 2  # tail 1 <= 1.5, sqrt(5) > 1.5
+    assert rank_from_tail(s, 100.0) == 1  # floor at rank 1
 
 
 def test_truncated_svd_delta_invariant():
@@ -98,32 +99,9 @@ def test_truncated_svd_delta_invariant():
     for _ in range(5):
         A = rng.standard_normal((10, 8))
         delta = rng.uniform(0.5, 3.0)
-        r = truncated_svd(A, delta=delta).rank
+        r = rank_from_tail(np.linalg.svd(A, compute_uv=False), delta)
         assert tail_energy(A, r + 1) <= delta
         assert r == 1 or tail_energy(A, r) > delta
-
-
-def test_truncated_svd_rank_mode_residual():
-    A = np.random.default_rng(6).standard_normal((30, 20))
-    r = truncated_svd(A, rank=5)
-    resid = np.linalg.norm(A - r.U @ np.diag(r.s) @ r.V.T)
-    s_full = np.linalg.svd(A, compute_uv=False)
-    want = np.sqrt(np.sum(s_full[5:] ** 2))
-    assert abs(resid - want) <= 1e-9 * want
-
-
-def test_truncated_svd_argument_errors():
-    A = np.eye(3)
-    with pytest.raises(InvalidArgumentError):
-        truncated_svd(A, rank=4)
-    with pytest.raises(InvalidArgumentError):
-        truncated_svd(A, rank=0)
-    with pytest.raises(InvalidArgumentError):
-        truncated_svd(A)
-    with pytest.raises(InvalidArgumentError):
-        truncated_svd(A, delta=1.0, rank=1)
-    with pytest.raises(InvalidArgumentError):
-        truncated_svd(A, delta=-0.1)
 
 
 def test_gaussian_matrix_deterministic():
@@ -180,14 +158,37 @@ def test_krylov_orthonormal():
         assert np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-10
 
 
+def naive_krylov_basis(A, Omega, q):
+    """Reference: one QR of the raw stacked powers (A^T A)^t Omega."""
+    powers, B = [], Omega
+    for _ in range(q):
+        B = A.T @ (A @ B)
+        powers.append(B)
+    Q = np.linalg.qr(np.hstack(powers))[0]
+    return Q[:, : min(*A.shape, q * Omega.shape[1])]
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_krylov_default_matches_naive_span(q):
     # on well-conditioned inputs per-block stabilization changes nothing
     A = gaussian_matrix(20, 15, 40 + q)
     Om = gaussian_matrix(15, 4, 50 + q)
     U1 = block_krylov_basis(A, Om, q)
-    U2 = block_krylov_basis(A, Om, q, naive=True)
+    U2 = naive_krylov_basis(A, Om, q)
     assert np.linalg.norm(U1 @ U1.T - U2 @ U2.T) <= 1e-6
+
+
+def test_power_blocks_orthonormal_powers():
+    A = gaussian_matrix(20, 15, 80)
+    Om = gaussian_matrix(15, 4, 81)
+    blocks = power_blocks(A, Om, 3)
+    assert len(blocks) == 3
+    B = Om
+    for W in blocks:
+        B = A.T @ (A @ B)
+        P = np.linalg.qr(B)[0]
+        assert np.max(np.abs(W.T @ W - np.eye(4))) <= 1e-12
+        assert np.linalg.norm(W @ W.T - P @ P.T) <= 1e-8
 
 
 def test_krylov_column_cap():
@@ -195,19 +196,6 @@ def test_krylov_column_cap():
     Om = gaussian_matrix(8, 5, 61)
     U = block_krylov_basis(A, Om, 3)
     assert U.shape[1] <= min(A.shape[0], A.shape[1], 3 * 5)
-    Un = block_krylov_basis(A, Om, 3, naive=True)
-    assert Un.shape[1] <= 8
-
-
-def test_krylov_include_zeroth_block():
-    A = gaussian_matrix(20, 15, 70)
-    Om = gaussian_matrix(15, 4, 71)
-    U = block_krylov_basis(A, Om, 1, include_zeroth=True)
-    # basis must now contain span(Omega) as well
-    for j in range(4):
-        w = Om[:, j]
-        assert np.linalg.norm(U @ (U.T @ w) - w) <= 1e-8 * np.linalg.norm(w)
-    assert U.shape[1] <= min(15, 20, 2 * 4)
 
 
 def test_krylov_argument_errors():

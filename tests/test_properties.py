@@ -2,14 +2,24 @@
 to min(rows, cols) at some step.
 
 The residual identity ||A - Ahat||^2 = sum_n rho_n^2 must hold for all
-four sweeps, and both file formats must round-trip exactly.
+four sweeps, the randomized sweeps must return exactly the requested
+ranks also on zero and rank-1 tensors, and both file formats must
+round-trip exactly.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttapprox import TTTensor, tensor_load, tensor_save, tt_load, tt_reconstruct, tt_save
+from ttapprox import (
+    TTTensor,
+    tensor_load,
+    tensor_save,
+    tt_load,
+    tt_reconstruct,
+    tt_save,
+    validate,
+)
 from ttapprox.decompose import METHODS, run_method
 
 EPS = np.finfo(np.float64).eps
@@ -54,6 +64,47 @@ def test_residual_identity_all_methods(inputs, method, p, q, seed, svd_truncate)
     err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
     norm_sq = float(np.sum(t * t))
     assert abs(err_sq - trace.residual_sq_sum) <= 64 * EPS * norm_sq
+
+
+def max_ranks(dims):
+    """The largest feasible ranks: r_n = min(r_{n-1} I_n, I_{n+1}...I_N)."""
+    ranks, r_prev = [], 1
+    for n in range(len(dims) - 1):
+        r_prev = min(r_prev * dims[n], int(np.prod(dims[n + 1 :])))
+        ranks.append(r_prev)
+    return tuple(ranks)
+
+
+@st.composite
+def rank_deficient_tensors(draw):
+    """A zero or a rank-1 tensor: every unfolding has rank <= 1, far below
+    the largest feasible ranks."""
+    dims = draw(dims_st)
+    if draw(st.booleans()):
+        return np.zeros(dims)
+    rng = np.random.default_rng(draw(seed_st))
+    t = np.ones(())
+    for d in dims:
+        t = np.multiply.outer(t, rng.standard_normal(d))
+    return t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    t=rank_deficient_tensors(),
+    method=st.sampled_from(["rsvd", "rsi", "rbki"]),
+    p=st.integers(0, 3),
+    q=st.integers(1, 2),
+    seed=seed_st,
+    svd_truncate=st.booleans(),
+)
+def test_rank_deficient_unfoldings_keep_requested_ranks(t, method, p, q, seed, svd_truncate):
+    ranks = max_ranks(t.shape)
+    tt, trace = run_method(method, t, ranks, p=p, q=q, seed=seed, svd_truncate=svd_truncate)
+    assert tt.ranks == (1,) + ranks + (1,)
+    assert validate(tt).ok
+    err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
+    assert abs(err_sq - trace.residual_sq_sum) <= 64 * EPS * float(np.sum(t * t))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
