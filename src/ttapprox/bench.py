@@ -6,15 +6,10 @@ in that cell so comparisons are paired; metrics are always computed
 against the clean tensor.  Wall time covers the decomposition call only,
 also in rows whose decomposition or metrics fail.
 
-A plan names a dataset, methods, ranks and seeds, and may set p, q,
-snr_db and svd_truncate; every number in it must be finite.
-
-The harness defaults to svd_truncate=True for the randomized methods:
-plain QR-column truncation makes the oversampled/Krylov columns inert
-(the first r columns of an unpivoted QR depend only on the first r
-columns of the input), and the cross-method accuracy comparisons this
-harness exists for require the energy-ordered variant.  Set
-"svd_truncate": false in the plan to sweep the faithful default instead.
+A plan names a dataset, methods, ranks and seeds, and may set p, q and
+snr_db; every number in it must be finite.  Plans written for earlier
+versions may also say "svd_truncate": true, which names the only
+truncation the randomized sweeps have; any other value is an error.
 """
 
 from __future__ import annotations
@@ -100,12 +95,6 @@ def _number(v, what: str) -> float:
     return float(v)
 
 
-def _bool(v, what: str) -> bool:
-    if not isinstance(v, bool):
-        raise InvalidArgumentError(f"{what} must be true or false, got {v!r}")
-    return v
-
-
 def _str(v, what: str) -> str:
     if not isinstance(v, str):
         raise InvalidArgumentError(f"{what} must be a string, got {v!r}")
@@ -144,6 +133,9 @@ def _check_dataset(spec) -> dict:
     missing = set(keys) - set(spec)
     if missing:
         raise InvalidArgumentError(f"{kind} dataset is missing keys: {sorted(missing)}")
+    extra = set(spec) - set(keys) - {"kind"}
+    if extra:
+        raise InvalidArgumentError(f"unknown {kind} dataset keys: {sorted(extra)}")
     return {**spec, **{k: check(spec[k]) for k, check in keys.items()}}
 
 
@@ -170,7 +162,6 @@ class BenchPlan:
     q: List[int] = field(default_factory=lambda: [1])
     seeds: List[int] = field(default_factory=lambda: [0])
     snr_db: Optional[List[Optional[float]]] = None
-    svd_truncate: bool = True
 
     def __post_init__(self):
         self.dataset = _check_dataset(self.dataset)
@@ -187,12 +178,17 @@ class BenchPlan:
                 None if v is None else _number(v, "snr_db")
                 for v in _list(_as_list(self.snr_db), "snr_db")
             ]
-        _bool(self.svd_truncate, "svd_truncate")
 
     @staticmethod
     def from_dict(d: dict) -> "BenchPlan":
         if not isinstance(d, dict):
             raise InvalidArgumentError("plan must be an object")
+        d = dict(d)
+        if d.pop("svd_truncate", True) is not True:
+            raise InvalidArgumentError(
+                "svd_truncate must be true: the randomized methods always keep "
+                "the top left singular vectors of their sketch"
+            )
         extra = set(d) - {f.name for f in fields(BenchPlan)}
         if extra:
             raise InvalidArgumentError(f"unknown plan keys: {sorted(extra)}")
@@ -245,7 +241,7 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
                             method, dataset_id, ranks, plan.p, q, seed, snr,
                             rel_err=None, psnr=None, wall_time_s=0.0, trace_sum_sq=None,
                         )
-                        records.append(_run_cell(cell, inp, base, plan))
+                        records.append(_run_cell(cell, inp, base))
     records.sort(
         key=lambda r: (
             r.dataset,
@@ -259,20 +255,14 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     return records
 
 
-def _run_cell(cell: BenchRecord, inp, base, plan: BenchPlan) -> BenchRecord:
+def _run_cell(cell: BenchRecord, inp, base) -> BenchRecord:
     """Fill in cell's metrics, or its error when the decomposition or the
     metrics fail."""
     t0 = time.perf_counter()
     try:
         try:
             tt, trace = decompose.run_method(
-                cell.method,
-                inp,
-                cell.ranks,
-                p=cell.p,
-                q=cell.q,
-                seed=cell.seed,
-                svd_truncate=plan.svd_truncate,
+                cell.method, inp, cell.ranks, p=cell.p, q=cell.q, seed=cell.seed
             )
         finally:
             # the decomposition only, also when it or the metrics fail

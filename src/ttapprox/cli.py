@@ -44,14 +44,7 @@ def _cmd_noise(args) -> int:
 def _cmd_decompose(args) -> int:
     t = tensor_load(args.input)
     tt, trace = run_method(
-        args.method,
-        t,
-        args.ranks,
-        args.epsilon,
-        p=args.p,
-        q=args.q,
-        seed=args.seed,
-        svd_truncate=args.svd_truncate,
+        args.method, t, args.ranks, args.epsilon, p=args.p, q=args.q, seed=args.seed
     )
     tt_save(tt, args.output)
     if args.trace:
@@ -76,7 +69,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.plan) as f:
+    with open(args.plan, encoding="utf-8") as f:
         plan = BenchPlan.from_dict(json.load(f))
     emit(run_bench(plan), args.format, args.output)
     return 0
@@ -117,7 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--p", type=int, default=0)
     dec.add_argument("--q", type=int, default=1)
     dec.add_argument("--seed", type=int, default=0)
-    dec.add_argument("--svd-truncate", action="store_true")
+    dec.add_argument(
+        "--svd-truncate",
+        action="store_true",
+        help="no effect, accepted for older scripts: the randomized methods "
+        "always keep the top left singular vectors of their sketch",
+    )
     dec.add_argument("-i", "--input", required=True)
     dec.add_argument("-o", "--output", required=True)
     dec.add_argument("--trace", help="write per-step trace JSON here")
@@ -149,7 +147,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 3
     except InvalidArgumentError as exc:

@@ -57,10 +57,12 @@ def add_awgn(t, snr_db: float, seed: Union[int, np.random.Generator]) -> np.ndar
     """Add white Gaussian noise calibrated against measured signal power.
 
     Noise variance is (||t||_F^2 / numel) / 10^(snr_db/10); deterministic
-    for a given seed.
+    for a given seed, which is an integer >= 0 or a Generator.
     """
     if not math.isfinite(snr_db):
         raise InvalidArgumentError(f"snr_db must be finite, got {snr_db}")
+    if not isinstance(seed, np.random.Generator) and seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     t = np.asarray(t, dtype=np.float64)
     power = float(np.sum(t**2)) / t.size
     if power == 0.0:

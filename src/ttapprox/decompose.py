@@ -6,15 +6,18 @@ target width r_n, store Q reshaped as the next core, carry Q^T A into
 the next step.  They differ only in how Q is found:
 
   tt_svd   truncated SVD of the unfolding (deterministic)
-  tt_rsvd  QR of the Gaussian sketch A Omega
-  tt_rsi   QR of A W_q, the last block of q rounds of subspace iteration
-  tt_rbki  QR of A U with U an orthonormal basis of all q blocks
+  tt_rsvd  the Gaussian sketch Y = A Omega
+  tt_rsi   Y = A W_q, W_q the last block of q rounds of subspace iteration
+  tt_rbki  Y = A U with U an orthonormal basis of all q blocks
+
+The randomized sweeps keep the top r left singular vectors of their Y,
+so the oversampling columns and every Krylov block shape the kept basis
+(the first r columns of an unpivoted QR of Y would depend on the first r
+columns of Y alone).  Every core has exactly the requested rank.
 
 tt_rsi and tt_rbki share one iteration, linalg.power_blocks:
 W_t = orth(A^T orth(A W_{t-1})), W_0 = Omega, a QR after every product
-with A or A^T.  With svd_truncate the randomized sweeps take the top
-left singular vectors of their sketch instead of its QR; either way
-every core has exactly the requested rank.
+with A or A^T.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
 trace; their squares sum to the final squared approximation error.
@@ -38,14 +41,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import (
-    block_krylov_basis,
-    economy_qr,
-    gaussian_matrix,
-    power_blocks,
-    rank_from_tail,
-    svd,
-)
+from .linalg import block_krylov_basis, gaussian_matrix, power_blocks, rank_from_tail, svd
 from .metrics import frobenius_norm
 from .tt import TTTensor
 
@@ -76,7 +72,6 @@ class SketchConfig:
     p: int = 0
     q: int = 1
     seed: int = 0
-    svd_truncate: bool = False
 
     def __post_init__(self):
         self.ranks = tuple(int(r) for r in self.ranks)
@@ -86,6 +81,8 @@ class SketchConfig:
             raise InvalidArgumentError(f"p must be >= 0, got {self.p}")
         if self.q < 1:
             raise InvalidArgumentError(f"q must be >= 1, got {self.q}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -154,8 +151,8 @@ def _sweep(t: np.ndarray, pick_basis) -> Tuple[TTTensor, SweepTrace]:
     C = t
     r_prev = 1
     for n in range(t.ndim - 1):
+        t0 = time.perf_counter()  # the unfold may copy, so it is timed too
         A = np.reshape(C, (r_prev * dims[n], -1), order="F")
-        t0 = time.perf_counter()
         b = pick_basis(A, n)
         elapsed = time.perf_counter() - t0
         C = b.carry
@@ -215,12 +212,9 @@ def _randomized_sweep(t, cfg: SketchConfig, build_y) -> Tuple[TTTensor, SweepTra
         Y = build_y(A, Omega)
         # Q has exactly r columns: r <= min(rows, width) (_check_ranks),
         # so Omega and every power block has >= r columns, the Krylov
-        # stack always keeps its first, orthonormal block, and a QR or
-        # thin SVD of Y has min(rows, Y columns) >= r of them
-        if cfg.svd_truncate:
-            Q = svd(Y).U[:, :r]
-        else:
-            Q = economy_qr(Y)[0][:, :r]
+        # stack always keeps its first, orthonormal block, and the thin
+        # SVD of Y has min(rows, Y columns) >= r of them
+        Q = svd(Y).U[:, :r]
         carry = Q.T @ A
         # rho^2 = ||A||^2 - ||Q^T A||^2, clamped against cancellation
         res_sq = float(np.sum(A**2)) - float(np.sum(carry**2))
@@ -269,7 +263,7 @@ def run_method(method: str, t, ranks=None, epsilon=None, **sketch) -> Tuple[TTTe
 
     "svd" takes exactly one of ranks or epsilon and ignores the sketch
     keywords; the randomized methods need ranks and take the other
-    SketchConfig fields (p, q, seed, svd_truncate) as keywords.
+    SketchConfig fields (p, q, seed) as keywords.
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")

@@ -157,10 +157,15 @@ def tt_load(path) -> TTTensor:
     need = (n_cores + 1 + n_cores) * 8
     if len(data) < off + need:
         raise ParseError("truncated rank/dim table", offset=len(data))
-    ranks = [int(v) for v in np.frombuffer(data, "<u8", n_cores + 1, off)]
-    off += (n_cores + 1) * 8
-    dims = [int(v) for v in np.frombuffer(data, "<u8", n_cores, off)]
-    off += n_cores * 8
+    # N + 1 ranks, then N mode sizes.  A zero entry empties its cores
+    # whatever the other sizes, so the length checks below cannot bound
+    # them and numpy would fail to shape, say, a (0, 2**64 - 1, 1) core
+    table = [int(v) for v in np.frombuffer(data, "<u8", 2 * n_cores + 1, off)]
+    if 0 in table:
+        i = table.index(0)
+        raise ParseError(f"zero {'rank' if i <= n_cores else 'mode size'}", offset=off + 8 * i)
+    ranks, dims = table[: n_cores + 1], table[n_cores + 1 :]
+    off += need
     cores = []
     for n in range(n_cores):
         count = ranks[n] * dims[n] * ranks[n + 1]

@@ -57,7 +57,8 @@ def test_plan_scalar_q_and_snr_normalized():
 def test_plan_defaults():
     plan = small_plan()
     assert plan.p == 0 and plan.q == [1]
-    assert plan.snr_db is None and plan.svd_truncate is True
+    assert plan.snr_db is None
+    assert small_plan(svd_truncate=True) == plan  # the key older plans carry
 
 
 def test_plan_rejects_unknown_and_missing_keys():
@@ -90,8 +91,11 @@ def test_plan_validation_errors():
         small_plan(dataset={"kind": "spectrum", "n": 8, "T": 2, "D": "1"})
     with pytest.raises(InvalidArgumentError):
         small_plan(seeds=[-1])
-    with pytest.raises(InvalidArgumentError):
-        small_plan(svd_truncate="yes")
+    for flag in ("yes", False):
+        with pytest.raises(InvalidArgumentError, match="svd_truncate must be true"):
+            small_plan(svd_truncate=flag)
+    with pytest.raises(InvalidArgumentError, match="unknown powerfn dataset keys: \\['zzz'\\]"):
+        small_plan(dataset={"kind": "powerfn", "dims": [4, 4, 4], "h": 2, "zzz": 3})
     with pytest.raises(InvalidArgumentError, match="snr_db must be a finite number"):
         small_plan(snr_db=[5.0, math.nan])
     with pytest.raises(InvalidArgumentError, match="h must be a finite number"):
@@ -133,7 +137,7 @@ def test_noise_is_paired_across_methods():
     records = run_bench(plan)
     base = spectrum_decay_tensor(8, 2, 1.0)
     noisy = add_awgn(base, 5.0, 3)
-    cfg = SketchConfig(ranks=(2, 2), p=1, q=2, seed=3, svd_truncate=True)
+    cfg = SketchConfig(ranks=(2, 2), p=1, q=2, seed=3)
     tt, trace = tt_rsvd(noisy, cfg)
     want = relative_error(base, tt_reconstruct(tt))
     got = [r for r in records if r.method == "rsvd"][0]

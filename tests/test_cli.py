@@ -71,8 +71,7 @@ def test_decompose_randomized_flags_reach_config(tmp_path):
     got = tt_load(out1)
     want, _ = tt_rsvd(t, SketchConfig(ranks=(3, 3), p=2, q=1, seed=5))
     assert all(np.array_equal(a, b) for a, b in zip(got.cores, want.cores))
-    trunc = tt_load(out2)
-    assert not all(np.array_equal(a, b) for a, b in zip(got.cores, trunc.cores))
+    assert out1.read_bytes() == out2.read_bytes()  # --svd-truncate has no effect
 
 
 def test_decompose_is_deterministic_on_disk(tmp_path):
@@ -168,8 +167,16 @@ def ttc_bytes(ranks, dims):
 
 def test_corrupt_container_exits_3(tmp_path):
     bad = tmp_path / "bad.ttc"
-    # truncated, bad boundary rank, zero rank
-    for blob in (b"TTC1\x02", ttc_bytes((2, 3, 1), (4, 4)), ttc_bytes((1, 0, 1), (4, 4))):
+    # truncated, bad boundary rank, zero rank, zero rank beside mode sizes
+    # numpy cannot shape
+    blobs = (
+        b"TTC1\x02",
+        ttc_bytes((2, 3, 1), (4, 4)),
+        ttc_bytes((1, 0, 1), (4, 4)),
+        ttc_bytes((0, 1), (2**64 - 1,)),
+        ttc_bytes((0, 1), (2**62,)),
+    )
+    for blob in blobs:
         bad.write_bytes(blob)
         assert run("reconstruct", "-i", bad, "-o", tmp_path / "o.dten") == 3
 
@@ -209,6 +216,16 @@ def test_non_finite_arguments_exit_2(tmp_path):
     assert not dst.exists() and not (tmp_path / "o.ttc").exists()
 
 
+def test_negative_seed_exits_2(tmp_path):
+    src, dst = tmp_path / "a.dten", tmp_path / "b.dten"
+    tensor_save(np.ones((4, 4, 4)), src)
+    assert run("noise", "--snr", 10.0, "--seed", -3, "-i", src, "-o", dst) == 2
+    for method in ("rsvd", "rsi", "rbki"):
+        assert run("decompose", "--method", method, "--ranks", "2,2", "--seed", -1,
+                   "-i", src, "-o", tmp_path / "o.ttc") == 2, method
+    assert not dst.exists() and not (tmp_path / "o.ttc").exists()
+
+
 def test_numerical_failure_exits_4(tmp_path):
     src = tmp_path / "nan.dten"
     t = np.ones((4, 4, 4))
@@ -233,6 +250,9 @@ def test_bad_plan_exits(tmp_path):
     syntax = tmp_path / "syntax.json"
     syntax.write_text("{not json")
     assert run("bench", "--plan", syntax, "-o", tmp_path / "o.csv") == 3
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    assert run("bench", "--plan", binary, "-o", tmp_path / "o.csv") == 3
     good = {
         "dataset": {"kind": "spectrum", "n": 4, "T": 1, "D": 1.0},
         "methods": ["svd"], "ranks": [2], "seeds": [0],
@@ -245,6 +265,8 @@ def test_bad_plan_exits(tmp_path):
         {**good, "q": 0},
         {**good, "snr_db": [float("nan")]},
         {**good, "dataset": {"kind": "powerfn", "dims": [4, 4], "h": float("nan")}},
+        {**good, "dataset": {"kind": "powerfn", "dims": [4, 4, 4], "h": 2, "zzz": 3}},
+        {**good, "svd_truncate": False},
     ]
     for plan in bad_plans:
         path = tmp_path / "bad.json"

@@ -156,6 +156,11 @@ def test_awgn_zero_signal_rejected():
         add_awgn(np.zeros((3, 3)), 10.0, 0)
 
 
+def test_awgn_negative_seed_rejected():
+    with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
+        add_awgn(np.ones((3, 3)), 10.0, -3)
+
+
 def test_awgn_non_finite_snr_rejected():
     for snr in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidArgumentError):

@@ -186,14 +186,10 @@ def test_tt_rbki_exact_rank_recovery():
 
 
 def test_tt_rbki_tracks_svd_on_power_function_tensor():
-    # energy-ordered truncation; plain QR column order leaves the Krylov
-    # gain on the floor (see test_plain_truncation_ignores_oversampling)
     t = power_function_tensor((20,) * 5, 5.0)
     tt, _ = tt_svd(t, TruncationSpec(ranks=(5, 5, 5, 5)))
     e_svd = rel(t, tt)
-    e_rbki = median_err(
-        tt_rbki, t, range(5), ranks=(5, 5, 5, 5), p=2, q=2, svd_truncate=True
-    )
+    e_rbki = median_err(tt_rbki, t, range(5), ranks=(5, 5, 5, 5), p=2, q=2)
     assert e_rbki <= 1.05 * e_svd
 
 
@@ -234,6 +230,8 @@ def test_randomized_feasibility_errors():
         SketchConfig(ranks=(2, 2), q=0)
     with pytest.raises(InvalidArgumentError):
         SketchConfig(ranks=(0, 2))
+    with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
+        SketchConfig(ranks=(2, 2), seed=-1)
 
 
 # ---------------- shared invariants ----------------
@@ -244,7 +242,6 @@ def test_left_orthogonality_all_algorithms():
     outs = [tt_svd(t, TruncationSpec(ranks=(4, 4)))[0]]
     for fn in ALGS.values():
         outs.append(fn(t, SketchConfig(ranks=(4, 4), p=2, q=2, seed=1))[0])
-        outs.append(fn(t, SketchConfig(ranks=(4, 4), p=2, q=2, seed=1, svd_truncate=True))[0])
     for tt in outs:
         rep = validate(tt)
         assert rep.ok
@@ -298,25 +295,10 @@ def test_monotone_rank_sweep():
 
 
 def test_oversampling_monotone_with_energy_ordered_truncation():
-    # p only helps once the kept columns are energy-ordered; the plain
-    # QR path keeps the first r sketch columns regardless of p
     t = spectrum_decay_tensor(50, 5, 1.0)
-    meds = [
-        median_err(tt_rsvd, t, range(9), ranks=(10, 10), p=p, q=1, svd_truncate=True)
-        for p in (0, 2, 5, 10)
-    ]
+    meds = [median_err(tt_rsvd, t, range(9), ranks=(10, 10), p=p, q=1) for p in (0, 2, 5, 10)]
     for a, b in zip(meds, meds[1:]):
         assert b <= a + 1e-15
-
-
-def test_plain_truncation_ignores_oversampling():
-    # unpivoted QR: the first r columns of Q depend only on the first r
-    # columns of the sketch, so p is inert without svd_truncate
-    t = spectrum_decay_tensor(50, 5, 1.0)
-    for seed in range(3):
-        e0 = rel(t, tt_rsvd(t, SketchConfig(ranks=(10, 10), p=0, q=1, seed=seed))[0])
-        e10 = rel(t, tt_rsvd(t, SketchConfig(ranks=(10, 10), p=10, q=1, seed=seed))[0])
-        assert abs(e0 - e10) <= 1e-12 * e0
 
 
 # ---------------- bound factors ----------------

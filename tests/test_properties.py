@@ -55,11 +55,10 @@ def sweep_inputs(draw):
     p=st.integers(0, 3),
     q=st.integers(1, 2),
     seed=seed_st,
-    svd_truncate=st.booleans(),
 )
-def test_residual_identity_all_methods(inputs, method, p, q, seed, svd_truncate):
+def test_residual_identity_all_methods(inputs, method, p, q, seed):
     t, ranks = inputs
-    tt, trace = run_method(method, t, ranks, p=p, q=q, seed=seed, svd_truncate=svd_truncate)
+    tt, trace = run_method(method, t, ranks, p=p, q=q, seed=seed)
     assert tt.dims == t.shape
     err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
     norm_sq = float(np.sum(t * t))
@@ -96,11 +95,10 @@ def rank_deficient_tensors(draw):
     p=st.integers(0, 3),
     q=st.integers(1, 2),
     seed=seed_st,
-    svd_truncate=st.booleans(),
 )
-def test_rank_deficient_unfoldings_keep_requested_ranks(t, method, p, q, seed, svd_truncate):
+def test_rank_deficient_unfoldings_keep_requested_ranks(t, method, p, q, seed):
     ranks = max_ranks(t.shape)
-    tt, trace = run_method(method, t, ranks, p=p, q=q, seed=seed, svd_truncate=svd_truncate)
+    tt, trace = run_method(method, t, ranks, p=p, q=q, seed=seed)
     assert tt.ranks == (1,) + ranks + (1,)
     assert validate(tt).ok
     err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
