@@ -20,15 +20,7 @@ from .decompose import (
     tt_svd,
 )
 from .errors import InvalidArgumentError, ParseError
-from .linalg import (
-    SvdResult,
-    block_krylov_basis,
-    economy_qr,
-    gaussian_matrix,
-    power_blocks,
-    svd,
-    tail_energy,
-)
+from .linalg import SvdResult, economy_qr, gaussian_matrix, svd, tail_energy
 from .metrics import frobenius_norm, psnr, relative_error
 from .tt import TTTensor, num_params, tt_load, tt_reconstruct, tt_save, validate
 
@@ -46,7 +38,6 @@ __all__ = [
     "TTTensor",
     "TruncationSpec",
     "add_awgn",
-    "block_krylov_basis",
     "bound_factors",
     "economy_qr",
     "emit",
@@ -54,7 +45,6 @@ __all__ = [
     "gaussian_matrix",
     "load_records",
     "num_params",
-    "power_blocks",
     "power_function_tensor",
     "psnr",
     "relative_error",

@@ -104,9 +104,9 @@ def tensor_load(path) -> np.ndarray:
     if len(data) < off + 8 * n_modes:
         raise ParseError("truncated dim table", offset=len(data))
     dims = [int(v) for v in np.frombuffer(data, "<u8", n_modes, off)]
+    if 0 in dims:
+        raise ParseError("zero mode size", offset=off + 8 * dims.index(0))
     off += 8 * n_modes
-    if any(d == 0 for d in dims):
-        raise ParseError("zero mode size", offset=9)
     count = 1
     for d in dims:
         count *= d

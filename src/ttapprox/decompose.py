@@ -6,18 +6,19 @@ target width r_n, store Q reshaped as the next core, carry Q^T A into
 the next step.  They differ only in how Q is found:
 
   tt_svd   truncated SVD of the unfolding (deterministic)
-  tt_rsvd  the Gaussian sketch Y = A Omega
-  tt_rsi   Y = A W_q, W_q the last block of q rounds of subspace iteration
-  tt_rbki  Y = A U with U an orthonormal basis of all q blocks
+  tt_rsvd  top r left singular vectors of the sketch A Omega
+  tt_rsi   top r Ritz vectors of A in span(Z_q)
+  tt_rbki  top r Ritz vectors of A in span([Z_0, ..., Z_q])
 
-The randomized sweeps keep the top r left singular vectors of their Y,
-so the oversampling columns and every Krylov block shape the kept basis
-(the first r columns of an unpivoted QR of Y would depend on the first r
-columns of Y alone).  Every core has exactly the requested rank.
-
-tt_rsi and tt_rbki share one iteration, linalg.power_blocks:
-W_t = orth(A^T orth(A W_{t-1})), W_0 = Omega, a QR after every product
-with A or A^T.
+tt_rsi and tt_rbki share linalg.krylov_blocks, which factors only
+rows x (r + p) blocks: Z_0 = orth(A Omega), Z_t = orth(A (A^T Z_{t-1})).
+tt_rsi takes S = Z_q; tt_rbki gives the stack of all q + 1 blocks one QR,
+drops columns whose R diagonal falls below 1e-12 of the leading one and
+keeps at most min(rows, cols, (q + 1)(r + p)).  Both keep Q = S V_r, V_r
+the top r eigenvectors of B B^T with B = S^T A: the best rank-r basis in
+span(S) (Rayleigh-Ritz), whose carry is V_r^T B.  So one tt_rbki step
+leaves no larger residual than tt_rsvd or tt_rsi with the same Omega, up
+to rounding.  Every core has exactly the requested rank.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
 trace; their squares sum to the final squared approximation error.
@@ -41,9 +42,13 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import block_krylov_basis, gaussian_matrix, power_blocks, rank_from_tail, svd
+from .linalg import economy_qr, gaussian_matrix, krylov_blocks, rank_from_tail, svd
 from .metrics import frobenius_norm
 from .tt import TTTensor
+
+# columns of the stacked Krylov basis whose R diagonal falls below this
+# fraction of the leading one carry no new direction and are dropped
+_KRYLOV_DROP_TOL = 1e-12
 
 
 @dataclass
@@ -198,7 +203,8 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     return _sweep(t, pick)
 
 
-def _randomized_sweep(t, cfg: SketchConfig, build_y) -> Tuple[TTTensor, SweepTrace]:
+def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace]:
+    """Shared randomized scaffold; basis(A, Omega, r) -> (Q, Q^T A)."""
     t = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
@@ -209,47 +215,59 @@ def _randomized_sweep(t, cfg: SketchConfig, build_y) -> Tuple[TTTensor, SweepTra
         width = min(r + cfg.p, cols)
         clamped = width < r + cfg.p
         Omega = gaussian_matrix(cols, width, rng)
-        Y = build_y(A, Omega)
         # Q has exactly r columns: r <= min(rows, width) (_check_ranks),
-        # so Omega and every power block has >= r columns, the Krylov
-        # stack always keeps its first, orthonormal block, and the thin
-        # SVD of Y has min(rows, Y columns) >= r of them
-        Q = svd(Y).U[:, :r]
-        carry = Q.T @ A
+        # and A Omega and every Krylov block have min(rows, width) columns
+        Q, carry = basis(A, Omega, r)
         # rho^2 = ||A||^2 - ||Q^T A||^2, clamped against cancellation
-        res_sq = float(np.sum(A**2)) - float(np.sum(carry**2))
+        res_sq = frobenius_norm(A) ** 2 - frobenius_norm(carry) ** 2
         residual = math.sqrt(max(res_sq, 0.0))
         return _Basis(Q, carry, residual, width, clamped)
 
     return _sweep(t, pick)
 
 
+def _ritz(A, S, r):
+    """The top r Ritz vectors Q = S V_r of A in span(S), S orthonormal,
+    and the carry Q^T A = V_r^T B, from the eigenvectors of B B^T."""
+    B = S.T @ A
+    V = np.linalg.eigh(B @ B.T)[1][:, ::-1][:, :r]
+    return S @ V, V.T @ B
+
+
 def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
-    """Randomized TT decomposition from a plain Gaussian sketch."""
+    """Randomized TT decomposition from a plain Gaussian sketch, keeping
+    the top r left singular vectors of A Omega."""
 
-    def build_y(A, Omega):
-        return A @ Omega
+    def basis(A, Omega, r):
+        Q = svd(A @ Omega).U[:, :r]
+        return Q, Q.T @ A
 
-    return _randomized_sweep(t, cfg, build_y)
+    return _randomized_sweep(t, cfg, basis)
 
 
 def tt_rsi(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition with q rounds of subspace power
-    iteration, re-orthonormalizing after every product with A or A^T."""
+    iteration: Ritz vectors from the last Krylov block alone."""
 
-    def build_y(A, Omega):
-        return A @ power_blocks(A, Omega, cfg.q)[-1]
+    def basis(A, Omega, r):
+        return _ritz(A, krylov_blocks(A, Omega, cfg.q)[-1], r)
 
-    return _randomized_sweep(t, cfg, build_y)
+    return _randomized_sweep(t, cfg, basis)
 
 
 def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
-    """Randomized TT decomposition through a depth-q block Krylov basis."""
+    """Randomized TT decomposition through a depth-q block Krylov basis:
+    Ritz vectors from all q + 1 blocks."""
 
-    def build_y(A, Omega):
-        return A @ block_krylov_basis(A, Omega, cfg.q)
+    def basis(A, Omega, r):
+        blocks = krylov_blocks(A, Omega, cfg.q)
+        S, R = economy_qr(np.hstack(blocks))
+        diag = np.abs(np.diag(R))
+        # the first block is orthonormal, so diag[0] = 1 and it is kept
+        S = S[:, diag > _KRYLOV_DROP_TOL * diag[0]]
+        return _ritz(A, S[:, : min(*A.shape, len(blocks) * Omega.shape[1])], r)
 
-    return _randomized_sweep(t, cfg, build_y)
+    return _randomized_sweep(t, cfg, basis)
 
 
 # method name -> name of its sweep in this module.  run_method looks the

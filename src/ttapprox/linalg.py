@@ -2,8 +2,10 @@
 
 Thin wrappers around LAPACK via numpy plus the pieces numpy does not
 ship: seeded Gaussian test matrices with a stable column layout, and the
-subspace iteration behind the power-iteration and block Krylov range
-finders.
+left Krylov iteration behind the power-iteration and block Krylov range
+finders.  That iteration factors only blocks with as many rows as the
+unfolding, the short side of the wide unfoldings that dominate a sweep;
+the long side is only multiplied.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-# columns of the stacked Krylov basis whose R diagonal falls below this
-# fraction of the leading one carry no new direction and are dropped
-_KRYLOV_DROP_TOL = 1e-12
 
 
 class SvdResult(NamedTuple):
@@ -79,14 +77,15 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
     return rng.standard_normal(rows * cols).reshape((rows, cols), order="F")
 
 
-def power_blocks(A, Omega, q: int):
-    """Orthonormal bases W_1, ..., W_q of (A^T A)^t Omega, t = 1..q.
+def krylov_blocks(A, Omega, q: int):
+    """Orthonormal blocks Z_0, ..., Z_q of the left Krylov space of A.
 
-    Subspace iteration with a QR after every product with A or A^T:
-    Z_t = orth(A W_{t-1}), W_t = orth(A^T Z_t), W_0 = Omega.  A^T A is
-    never formed, and without the QRs the higher powers keep only the
-    leading directions in float64.  tt_rsi uses the last block,
-    block_krylov_basis all of them.
+    Z_0 = orth(A Omega) and Z_t = orth(A (A^T Z_{t-1})): Z_t spans
+    (A A^T)^t A Omega.  Every QR is of an m x w block, m the rows of A and
+    w the width of Omega, so the long side of a wide A is only ever
+    multiplied, never factored.  A A^T is never formed, and without the
+    QRs the higher powers keep only the leading directions in float64.
+    tt_rsi uses the last block, tt_rbki all of them.
     """
     A = _as_matrix(A)
     Omega = _as_matrix(Omega)
@@ -96,26 +95,10 @@ def power_blocks(A, Omega, q: int):
         )
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    blocks = []
-    W = Omega
+    blocks = [economy_qr(A @ Omega)[0]]
     for _ in range(q):
-        W = economy_qr(A.T @ economy_qr(A @ W)[0])[0]
-        blocks.append(W)
+        blocks.append(economy_qr(A @ (A.T @ blocks[-1]))[0])
     return blocks
-
-
-def block_krylov_basis(A, Omega, q: int):
-    """Orthonormal basis of span([A^T A Omega, ..., (A^T A)^q Omega]).
-
-    The blocks come from power_blocks; their stack gets one QR, columns
-    that carry no new direction are dropped and at most
-    min(m, n, q * width of Omega) columns are kept.
-    """
-    blocks = power_blocks(A, Omega, q)
-    Q, R = economy_qr(np.hstack(blocks))
-    diag = np.abs(np.diag(R))
-    Q = Q[:, diag > _KRYLOV_DROP_TOL * diag[0]]
-    return Q[:, : min(*np.shape(A), q * np.shape(Omega)[1])]
 
 
 def tail_energy(A, j: int) -> float:

@@ -18,8 +18,10 @@ def _pair(a, ahat):
 
 
 def frobenius_norm(t) -> float:
-    """||t||_F, the 2-norm of all entries of a tensor of any order."""
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+    """||t||_F, the 2-norm of all entries of a tensor of any order.
+
+    The entries are read in memory order, so no layout is copied."""
+    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel(order="K")))
 
 
 def relative_error(a, ahat) -> float:

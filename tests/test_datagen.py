@@ -219,3 +219,12 @@ def test_dten_unsupported_version(tmp_path):
     with pytest.raises(ParseError) as exc:
         tensor_load(path)
     assert exc.value.offset == 4
+
+
+def test_dten_zero_mode_size_reports_its_offset(tmp_path):
+    path = tmp_path / "t.dten"
+    for dims, offset in (((0, 3, 2), 9), ((3, 0, 2), 17), ((3, 2, 0), 25)):
+        path.write_bytes(b"DTEN" + struct.pack("<BI", 1, 3) + struct.pack("<3Q", *dims))
+        with pytest.raises(ParseError, match="zero mode size") as exc:
+            tensor_load(path)
+        assert exc.value.offset == offset

@@ -20,7 +20,8 @@ from ttapprox import (
     tt_svd,
     validate,
 )
-from ttapprox.linalg import block_krylov_basis, economy_qr, gaussian_matrix
+from ttapprox import decompose
+from ttapprox.linalg import economy_qr, gaussian_matrix
 from ttapprox.tt import left_unfolding
 
 ALGS = {
@@ -202,14 +203,40 @@ def test_tt_rbki_deterministic():
 
 
 def test_rbki_q1_naive_spans_power_augmented_sketch():
-    # depth-1 Krylov spans A (A^T A) Omega, the raw power with one QR
+    # at q = 1 the first core holds the top Ritz vectors of A in
+    # span([A Omega, A A^T A Omega]), the raw powers with one QR
     t = np.random.default_rng(12).standard_normal((10, 9, 8))
     A = np.reshape(t, (10, 72), order="F")
-    Om = gaussian_matrix(A.shape[1], 6, 99)
-    U = block_krylov_basis(A, Om, 1)
-    Qb = economy_qr(A @ U)[0]
-    Qp = economy_qr(A @ (A.T @ (A @ Om)))[0]
-    assert np.linalg.norm(Qb @ Qb.T - Qp @ Qp.T) <= 1e-6
+    tt, _ = tt_rbki(t, SketchConfig(ranks=(3, 3), p=1, q=1, seed=99))
+    Om = gaussian_matrix(A.shape[1], 4, 99)  # the sweep's first draw
+    S = economy_qr(np.hstack([A @ Om, A @ (A.T @ (A @ Om))]))[0]
+    assert S.shape[1] == 8  # fewer than the 10 rows: a proper subspace
+    W = np.linalg.svd(S.T @ A)[0][:, :3]
+    Qr = S @ W
+    Q = np.reshape(tt.cores[0], (10, 3), order="F")
+    assert np.linalg.norm(Q @ Q.T - Qr @ Qr.T) <= 1e-8
+
+
+def test_rbki_krylov_stack_column_cap(monkeypatch):
+    # the stack of q + 1 blocks keeps at most min(rows, cols, (q+1) w)
+    # orthonormal columns, and always all of its first block
+    seen = []
+    ritz = decompose._ritz
+
+    def spy(A, S, r):
+        seen.append((A.shape, S))
+        return ritz(A, S, r)
+
+    monkeypatch.setattr(decompose, "_ritz", spy)
+    t = np.random.default_rng(14).standard_normal((6, 6, 3))
+    tt_rbki(t, SketchConfig(ranks=(3, 3), p=2, q=3, seed=0))
+    widths = [5, 3]  # r + p, clamped to the 3 columns of step 1
+    assert [shape for shape, _ in seen] == [(6, 18), (18, 3)]
+    for (shape, S), w in zip(seen, widths):
+        assert S.shape[1] <= min(*shape, 4 * w)
+        assert S.shape[1] >= min(shape[0], w)
+        assert np.max(np.abs(S.T @ S - np.eye(S.shape[1]))) <= 1e-12
+    assert seen[1][1].shape[1] == 3  # 12 stacked columns, A has rank 3
 
 
 def test_sketch_width_clamped_on_short_trailing_modes():

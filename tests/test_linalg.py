@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from ttapprox import (
-    InvalidArgumentError,
-    block_krylov_basis,
-    economy_qr,
-    gaussian_matrix,
-    power_blocks,
-    svd,
-    tail_energy,
-)
-from ttapprox.linalg import rank_from_tail
+from ttapprox import InvalidArgumentError, economy_qr, gaussian_matrix, svd, tail_energy
+from ttapprox.linalg import krylov_blocks, rank_from_tail
 
 
 def test_qr_column_345():
@@ -130,12 +122,19 @@ def test_gaussian_matrix_column_prefix_stable():
     assert np.array_equal(wide[:, :4], narrow)
 
 
+def span_projector(blocks):
+    Q = np.linalg.qr(np.hstack(blocks))[0]
+    return Q @ Q.T
+
+
 def test_krylov_single_block_reduction():
+    # q = 1: span([Z_0, Z_1]) = span([A Omega, A A^T A Omega])
     A = gaussian_matrix(20, 15, 10)
     Om = gaussian_matrix(15, 4, 11)
-    U = block_krylov_basis(A, Om, 1)
-    Q, _ = economy_qr(A.T @ (A @ Om))
-    assert np.linalg.norm(U @ U.T - Q @ Q.T) <= 1e-8
+    blocks = krylov_blocks(A, Om, 1)
+    assert len(blocks) == 2
+    ref = span_projector([A @ Om, A @ (A.T @ (A @ Om))])
+    assert np.linalg.norm(span_projector(blocks) - ref) <= 1e-8
 
 
 def test_krylov_rank_one_collapse():
@@ -146,64 +145,69 @@ def test_krylov_rank_one_collapse():
     v /= np.linalg.norm(v)
     A = 3.0 * np.outer(u, v)
     Om = gaussian_matrix(15, 4, 13)
-    U = block_krylov_basis(A, Om, 3)
-    assert np.linalg.norm(U @ (U.T @ v) - v) <= 1e-8
+    for Z in krylov_blocks(A, Om, 3):
+        # the leading direction of every block is u, the range of A
+        assert abs(abs(Z[:, 0] @ u) - 1.0) <= 1e-8
+        assert np.linalg.norm(Z @ (Z.T @ u) - u) <= 1e-8
 
 
 def test_krylov_orthonormal():
     for seed in range(3):
         A = gaussian_matrix(18, 12, 20 + seed)
         Om = gaussian_matrix(12, 3, 30 + seed)
-        U = block_krylov_basis(A, Om, 2)
-        assert np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-10
+        for Z in krylov_blocks(A, Om, 2):
+            assert Z.shape == (18, 3)
+            assert np.max(np.abs(Z.T @ Z - np.eye(3))) <= 1e-10
 
 
 def naive_krylov_basis(A, Omega, q):
-    """Reference: one QR of the raw stacked powers (A^T A)^t Omega."""
-    powers, B = [], Omega
+    """Reference: one QR of the raw stacked powers (A A^T)^t A Omega."""
+    powers = [A @ Omega]
     for _ in range(q):
-        B = A.T @ (A @ B)
-        powers.append(B)
+        powers.append(A @ (A.T @ powers[-1]))
     Q = np.linalg.qr(np.hstack(powers))[0]
-    return Q[:, : min(*A.shape, q * Omega.shape[1])]
+    return Q[:, : min(*A.shape, (q + 1) * Omega.shape[1])]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_krylov_default_matches_naive_span(q):
-    # on well-conditioned inputs per-block stabilization changes nothing
-    A = gaussian_matrix(20, 15, 40 + q)
-    Om = gaussian_matrix(15, 4, 50 + q)
-    U1 = block_krylov_basis(A, Om, q)
-    U2 = naive_krylov_basis(A, Om, q)
-    assert np.linalg.norm(U1 @ U1.T - U2 @ U2.T) <= 1e-6
+    # on well-conditioned inputs (the stack has full column rank)
+    # per-block stabilization changes nothing
+    A = gaussian_matrix(40, 30, 40 + q)
+    Om = gaussian_matrix(30, 4, 50 + q)
+    U = naive_krylov_basis(A, Om, q)
+    assert np.linalg.norm(span_projector(krylov_blocks(A, Om, q)) - U @ U.T) <= 1e-6
 
 
-def test_power_blocks_orthonormal_powers():
+def test_krylov_blocks_orthonormal_powers():
     A = gaussian_matrix(20, 15, 80)
     Om = gaussian_matrix(15, 4, 81)
-    blocks = power_blocks(A, Om, 3)
-    assert len(blocks) == 3
-    B = Om
-    for W in blocks:
-        B = A.T @ (A @ B)
+    blocks = krylov_blocks(A, Om, 3)
+    assert len(blocks) == 4
+    B = A @ Om
+    for Z in blocks:
         P = np.linalg.qr(B)[0]
-        assert np.max(np.abs(W.T @ W - np.eye(4))) <= 1e-12
-        assert np.linalg.norm(W @ W.T - P @ P.T) <= 1e-8
+        assert np.max(np.abs(Z.T @ Z - np.eye(4))) <= 1e-12
+        assert np.linalg.norm(Z @ Z.T - P @ P.T) <= 1e-8
+        B = A @ (A.T @ B)
 
 
 def test_krylov_column_cap():
-    A = gaussian_matrix(10, 8, 60)
-    Om = gaussian_matrix(8, 5, 61)
-    U = block_krylov_basis(A, Om, 3)
-    assert U.shape[1] <= min(A.shape[0], A.shape[1], 3 * 5)
+    # every QR is of a rows x width block: an Omega wider than A has rows
+    # gives blocks of exactly rows columns, never the long side
+    A = gaussian_matrix(4, 30, 60)
+    Om = gaussian_matrix(30, 6, 61)
+    for Z in krylov_blocks(A, Om, 3):
+        assert Z.shape == (4, 4)
+        assert np.max(np.abs(Z.T @ Z - np.eye(4))) <= 1e-12
 
 
 def test_krylov_argument_errors():
     A = np.zeros((4, 3))
     with pytest.raises(InvalidArgumentError):
-        block_krylov_basis(A, np.zeros((4, 2)), 1)  # wrong Omega rows
+        krylov_blocks(A, np.zeros((4, 2)), 1)  # wrong Omega rows
     with pytest.raises(InvalidArgumentError):
-        block_krylov_basis(A, np.zeros((3, 2)), 0)
+        krylov_blocks(A, np.zeros((3, 2)), 0)
 
 
 def test_tail_energy_full_spectrum():

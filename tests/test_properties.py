@@ -3,8 +3,9 @@ to min(rows, cols) at some step.
 
 The residual identity ||A - Ahat||^2 = sum_n rho_n^2 must hold for all
 four sweeps, the randomized sweeps must return exactly the requested
-ranks also on zero and rank-1 tensors, and both file formats must
-round-trip exactly.
+ranks also on zero and rank-1 tensors, one tt_rbki step must leave no
+larger residual than tt_rsi or tt_rsvd with the same sketch, and both
+file formats must round-trip exactly.
 """
 
 import numpy as np
@@ -103,6 +104,31 @@ def test_rank_deficient_unfoldings_keep_requested_ranks(t, method, p, q, seed):
     assert validate(tt).ok
     err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
     assert abs(err_sq - trace.residual_sq_sum) <= 64 * EPS * float(np.sum(t * t))
+
+
+@st.composite
+def decaying_matrices(draw):
+    """A wide, square or tall matrix whose columns decay geometrically,
+    with a target rank r <= min(rows, cols)."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(seed_st))
+    decay = draw(st.sampled_from([1.0, 0.7, 0.3, 1e-3]))
+    A = rng.standard_normal((rows, cols)) * decay ** np.arange(cols)
+    return A, draw(st.integers(1, min(rows, cols)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(inputs=decaying_matrices(), p=st.integers(0, 3), q=st.integers(1, 3), seed=seed_st)
+def test_rbki_step_beats_rsi_and_rsvd(inputs, p, q, seed):
+    # the same seed draws the same Omega, and rbki's Ritz step is optimal
+    # over a span that holds both A Omega and (A A^T)^q A Omega
+    A, r = inputs
+    rho_sq = {
+        m: run_method(m, A, (r,), p=p, q=q, seed=seed)[1].residual_sq_sum
+        for m in ("rsvd", "rsi", "rbki")
+    }
+    slack = 64 * EPS * float(np.sum(A * A))
+    assert rho_sq["rbki"] <= min(rho_sq["rsi"], rho_sq["rsvd"]) + slack
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
