@@ -20,7 +20,7 @@ from .decompose import (
     tt_svd,
 )
 from .errors import InvalidArgumentError, ParseError
-from .linalg import SvdResult, economy_qr, gaussian_matrix, svd, tail_energy
+from .linalg import gaussian_matrix
 from .metrics import frobenius_norm, psnr, relative_error
 from .tt import TTTensor, num_params, tt_load, tt_reconstruct, tt_save, validate
 
@@ -32,14 +32,12 @@ __all__ = [
     "InvalidArgumentError",
     "ParseError",
     "SketchConfig",
-    "SvdResult",
     "SweepStep",
     "SweepTrace",
     "TTTensor",
     "TruncationSpec",
     "add_awgn",
     "bound_factors",
-    "economy_qr",
     "emit",
     "frobenius_norm",
     "gaussian_matrix",
@@ -50,8 +48,6 @@ __all__ = [
     "relative_error",
     "run_bench",
     "spectrum_decay_tensor",
-    "svd",
-    "tail_energy",
     "tensor_load",
     "tensor_save",
     "tt_load",

@@ -208,8 +208,11 @@ def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace
     t = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
+    # ||A_n||: the input's norm at step 0, then the previous step's carry
+    norm = frobenius_norm(t)
 
     def pick(A, n):
+        nonlocal norm
         r = ranks[n]
         cols = A.shape[1]
         width = min(r + cfg.p, cols)
@@ -219,8 +222,9 @@ def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace
         # and A Omega and every Krylov block have min(rows, width) columns
         Q, carry = basis(A, Omega, r)
         # rho^2 = ||A||^2 - ||Q^T A||^2, clamped against cancellation
-        res_sq = frobenius_norm(A) ** 2 - frobenius_norm(carry) ** 2
-        residual = math.sqrt(max(res_sq, 0.0))
+        carry_norm = frobenius_norm(carry)
+        residual = math.sqrt(max(norm**2 - carry_norm**2, 0.0))
+        norm = carry_norm
         return _Basis(Q, carry, residual, width, clamped)
 
     return _sweep(t, pick)

@@ -3,9 +3,11 @@
 Thin wrappers around LAPACK via numpy plus the pieces numpy does not
 ship: seeded Gaussian test matrices with a stable column layout, and the
 left Krylov iteration behind the power-iteration and block Krylov range
-finders.  That iteration factors only blocks with as many rows as the
-unfolding, the short side of the wide unfoldings that dominate a sweep;
-the long side is only multiplied.
+finders.  The wide unfoldings that dominate a sweep (20 x 160000 at the
+first step of a 20^5 tensor) are never fully factored on their long
+side: svd takes a wide matrix's left factor from the small triangle of
+an R-only QR, and the Krylov iteration factors only blocks with as many
+rows as the unfolding while the long side is only multiplied.
 """
 
 from __future__ import annotations
@@ -41,12 +43,22 @@ def economy_qr(A):
 def svd(A) -> SvdResult:
     """Left factor and singular values of the thin SVD A = U diag(s) V^T.
 
+    The right factor V is never formed.  A wide A (fewer rows than
+    columns) goes through an R-only Householder QR of its long side,
+    A^T = Q R, so A = R^T Q^T has the left factor and singular values of
+    the small m x m triangle R^T; neither Q nor V is built, and both steps
+    are backward stable.  Tall and square A take LAPACK's thin SVD.
+
     Each left singular vector is flipped so its largest-magnitude entry
     is nonnegative, which makes repeated runs comparable; subspaces and
     singular values are unaffected.
     """
     A = _as_matrix(A)
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    if A.shape[0] < A.shape[1]:
+        R = np.linalg.qr(A.T, mode="r")
+        U, s, _ = np.linalg.svd(R.T)
+    else:
+        U, s, _ = np.linalg.svd(A, full_matrices=False)
     flip = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])] < 0
     U[:, flip] *= -1.0
     return SvdResult(U, s)
@@ -99,14 +111,3 @@ def krylov_blocks(A, Omega, q: int):
     for _ in range(q):
         blocks.append(economy_qr(A @ (A.T @ blocks[-1]))[0])
     return blocks
-
-
-def tail_energy(A, j: int) -> float:
-    """tau_j(A) = sqrt(sum_{i>=j} sigma_i^2), 1-based; 0 beyond min(m,n)."""
-    if j < 1:
-        raise InvalidArgumentError(f"j must be >= 1, got {j}")
-    A = _as_matrix(A)
-    s = np.linalg.svd(A, compute_uv=False)
-    if j > len(s):
-        return 0.0
-    return float(np.sqrt(np.sum(s[j - 1 :] ** 2)))

@@ -28,7 +28,6 @@ from ttapprox import (
     relative_error,
     run_bench,
     spectrum_decay_tensor,
-    tail_energy,
     tensor_load,
     tensor_save,
     tt_rbki,
@@ -39,6 +38,7 @@ from ttapprox import (
     validate,
 )
 from ttapprox.cli import main as cli_main
+from oracles import tail_energy
 
 RANDOMIZED = {"rsvd": tt_rsvd, "rsi": tt_rsi, "rbki": tt_rbki}
 

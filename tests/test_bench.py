@@ -152,6 +152,38 @@ def test_svd_rows_identical_across_seeds():
     assert len(records) == 3 and len(errs) == 1
 
 
+@pytest.mark.parametrize("snr_db", [None, [5.0]])
+def test_svd_runs_once_per_ranks_and_input(monkeypatch, snr_db):
+    # tt_svd ignores q and the sketch seed: one call per rank entry on the
+    # clean tensor, one per (ranks, seed) on noisy input
+    real = decompose.tt_svd
+    calls = []
+
+    def spy(t, trunc):
+        calls.append(trunc.ranks)
+        return real(t, trunc)
+
+    monkeypatch.setattr(decompose, "tt_svd", spy)
+    plan = small_plan(
+        methods=["svd", "rsvd"], ranks=[1, 2], q=[1, 2], seeds=[0, 1, 2], snr_db=snr_db
+    )
+    records = run_bench(plan)
+    inputs = 1 if snr_db is None else 3
+    assert len(calls) == 2 * inputs
+    assert len(records) == 2 * 2 * 2 * 3  # methods x ranks x q x seeds
+    # every svd row of one (ranks, input) carries that input's one result
+    results = {}
+    for r in records:
+        if r.method == "svd":
+            key = (r.ranks, None if snr_db is None else r.seed)
+            results.setdefault(key, set()).add(
+                (r.rel_err, r.psnr, r.trace_sum_sq, r.error, r.wall_time_s)
+            )
+    assert len(results) == len(calls)
+    assert all(len(v) == 1 for v in results.values())
+    assert all(r.wall_time_s > 0.0 for r in records)
+
+
 def test_wall_time_measures_decomposition_only(monkeypatch, tmp_path):
     t = spectrum_decay_tensor(8, 2, 1.0)
     canned = tt_svd(t, TruncationSpec(ranks=(2, 2)))

@@ -4,8 +4,9 @@ to min(rows, cols) at some step.
 The residual identity ||A - Ahat||^2 = sum_n rho_n^2 must hold for all
 four sweeps, the randomized sweeps must return exactly the requested
 ranks also on zero and rank-1 tensors, one tt_rbki step must leave no
-larger residual than tt_rsi or tt_rsvd with the same sketch, and both
-file formats must round-trip exactly.
+larger residual than tt_rsi or tt_rsvd with the same sketch, linalg.svd
+must agree with LAPACK's singular values on wide, zero and
+rank-deficient matrices, and both file formats must round-trip exactly.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from ttapprox import (
     validate,
 )
 from ttapprox.decompose import METHODS, run_method
+from ttapprox.linalg import svd
 
 EPS = np.finfo(np.float64).eps
 
@@ -129,6 +131,33 @@ def test_rbki_step_beats_rsi_and_rsvd(inputs, p, q, seed):
     }
     slack = 64 * EPS * float(np.sum(A * A))
     assert rho_sq["rbki"] <= min(rho_sq["rsi"], rho_sq["rsvd"]) + slack
+
+
+@st.composite
+def svd_matrices(draw):
+    """A wide (rows < cols), a zero or a rank-deficient matrix, at a
+    scale far from 1."""
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(seed_st))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    kind = draw(st.sampled_from(["wide", "zero", "deficient"]))
+    if kind == "wide":
+        return scale * rng.standard_normal((rows, rows + cols))
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+    return scale * rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(A=svd_matrices())
+def test_svd_matches_lapack_singular_values(A):
+    got = svd(A)
+    want = np.linalg.svd(A, compute_uv=False)
+    k = min(A.shape)
+    assert got.U.shape == (A.shape[0], k) and got.s.shape == (k,)
+    assert np.max(np.abs(got.s - want)) <= 64 * EPS * np.linalg.norm(A)
+    assert np.max(np.abs(got.U.T @ got.U - np.eye(k))) <= 64 * EPS
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
