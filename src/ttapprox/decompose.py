@@ -26,7 +26,10 @@ trace; their squares sum to the final squared approximation error.
 Every linearization is column-major (first index fastest): element
 (i_1, ..., i_N) of a tensor sits at offset sum_n i_n prod_{m<n} I_m, so
 unfoldings and cores are numpy reshapes with order="F", and the file
-formats store values in the same order.
+formats store values in the same order.  The carry is written in that
+layout too, as (A^T Q)^T, an F-contiguous r_n x (I_{n+1}...I_N) array,
+so on an F-contiguous input every unfold is a view and no step copies
+the tensor.  Any other input layout pays one copy at step 0.
 
 METHODS names the four sweeps; run_method dispatches on it for the
 bench harness and the CLI.
@@ -198,13 +201,14 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         Q = U[:, :r]
         # Q^T A, not diag(S) V^T: equal in exact arithmetic, but LAPACK's
         # U S V^T misses A by ~1e-14 ||A||, which would floor the error
-        return _Basis(Q, Q.T @ A, residual)
+        return _Basis(Q, (A.T @ Q).T, residual)
 
     return _sweep(t, pick)
 
 
 def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace]:
-    """Shared randomized scaffold; basis(A, Omega, r) -> (Q, Q^T A)."""
+    """Shared randomized scaffold; basis(A, Omega, r) -> (Q, Q^T A), with
+    Q^T A F-contiguous."""
     t = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
@@ -235,7 +239,7 @@ def _ritz(A, S, r):
     and the carry Q^T A = V_r^T B, from the eigenvectors of B B^T."""
     B = S.T @ A
     V = np.linalg.eigh(B @ B.T)[1][:, ::-1][:, :r]
-    return S @ V, V.T @ B
+    return S @ V, (B.T @ V).T
 
 
 def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
@@ -244,7 +248,7 @@ def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
 
     def basis(A, Omega, r):
         Q = svd(A @ Omega).U[:, :r]
-        return Q, Q.T @ A
+        return Q, (A.T @ Q).T
 
     return _randomized_sweep(t, cfg, basis)
 

@@ -65,12 +65,15 @@ def num_params(tt: TTTensor) -> int:
 
 
 def tt_reconstruct(tt: TTTensor) -> np.ndarray:
-    """Contract the chain back into a dense (I_1, ..., I_N) tensor."""
+    """Contract the chain back into a dense, column-major (I_1, ..., I_N)
+    tensor."""
     validate(tt).raise_for_chain()
-    out = tt.cores[0][0]  # (I_1, r_1)
+    out = left_unfolding(tt.cores[0])  # I_1 x r_1
     for core in tt.cores[1:]:
-        out = np.tensordot(out, core, axes=(out.ndim - 1, 0))
-    return out[..., 0]
+        G = np.reshape(core, (core.shape[0], -1), order="F")  # r_{n-1} x I_n r_n
+        # (G^T out^T)^T keeps out F-contiguous, so reshaping it is a view
+        out = np.reshape((G.T @ out.T).T, (-1, core.shape[2]), order="F")
+    return np.reshape(out, tt.dims, order="F")
 
 
 def left_unfolding(core: np.ndarray) -> np.ndarray:
@@ -172,9 +175,8 @@ def tt_load(path) -> TTTensor:
         if len(data) < off + count * 8:
             raise ParseError(f"truncated data for core {n}", offset=len(data))
         flat = np.frombuffer(data, "<f8", count, off)
-        cores.append(
-            np.reshape(flat, (ranks[n], dims[n], ranks[n + 1]), order="F").copy()
-        )
+        core = np.reshape(flat, (ranks[n], dims[n], ranks[n + 1]), order="F")
+        cores.append(core.copy(order="F"))
         off += count * 8
     if off != len(data):
         raise ParseError("trailing bytes after last core", offset=off)

@@ -6,7 +6,8 @@ four sweeps, the randomized sweeps must return exactly the requested
 ranks also on zero and rank-1 tensors, one tt_rbki step must leave no
 larger residual than tt_rsi or tt_rsvd with the same sketch, linalg.svd
 must agree with LAPACK's singular values on wide, zero and
-rank-deficient matrices, and both file formats must round-trip exactly.
+rank-deficient matrices, both file formats must round-trip exactly, and
+the memory layout of the input must not change any result.
 """
 
 import numpy as np
@@ -66,6 +67,33 @@ def test_residual_identity_all_methods(inputs, method, p, q, seed):
     err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
     norm_sq = float(np.sum(t * t))
     assert abs(err_sq - trace.residual_sq_sum) <= 64 * EPS * norm_sq
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    inputs=sweep_inputs(),
+    method=st.sampled_from(sorted(METHODS)),
+    p=st.integers(0, 3),
+    q=st.integers(1, 2),
+    seed=seed_st,
+)
+def test_input_layout_does_not_change_results(inputs, method, p, q, seed):
+    t, ranks = inputs
+    layouts = {
+        "C": np.ascontiguousarray(t),
+        "F": np.asfortranarray(t),
+        # a strided view: every other entry of a doubled last mode
+        "strided": np.repeat(t, 2, axis=-1)[..., ::2],
+    }
+    runs = {k: run_method(method, a, ranks, p=p, q=q, seed=seed) for k, a in layouts.items()}
+    tt_f, trace_f = runs["F"]
+    tol = 1e3 * EPS * np.linalg.norm(t)
+    for tt, trace in runs.values():
+        assert tt.ranks == tt_f.ranks
+        for core, core_f in zip(tt.cores, tt_f.cores):
+            assert np.max(np.abs(core - core_f)) <= tol
+        for step, step_f in zip(trace.steps, trace_f.steps):
+            assert abs(step.residual**2 - step_f.residual**2) <= tol * np.linalg.norm(t)
 
 
 def max_ranks(dims):
