@@ -21,7 +21,7 @@ from .decompose import (
 )
 from .errors import InvalidArgumentError, ParseError
 from .linalg import gaussian_matrix
-from .metrics import frobenius_norm, psnr, relative_error
+from .metrics import error_metrics, frobenius_norm, psnr, relative_error
 from .tt import TTTensor, num_params, tt_load, tt_reconstruct, tt_save, validate
 
 __version__ = "0.1.0"
@@ -39,6 +39,7 @@ __all__ = [
     "add_awgn",
     "bound_factors",
     "emit",
+    "error_metrics",
     "frobenius_norm",
     "gaussian_matrix",
     "load_records",

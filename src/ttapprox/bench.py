@@ -28,7 +28,7 @@ import numpy as np
 from . import decompose
 from .datagen import add_awgn, power_function_tensor, spectrum_decay_tensor, tensor_load
 from .errors import InvalidArgumentError
-from .metrics import psnr, relative_error
+from .metrics import error_metrics
 from .tt import tt_reconstruct
 
 
@@ -282,8 +282,7 @@ def _run_cell(cell: BenchRecord, inp, base) -> BenchRecord:
             # the decomposition only, also when it or the metrics fail
             cell.wall_time_s = time.perf_counter() - t0
         rec = tt_reconstruct(tt)
-        cell.rel_err = relative_error(base, rec)
-        cell.psnr = psnr(base, rec)
+        cell.rel_err, cell.psnr = error_metrics(base, rec)
         cell.trace_sum_sq = trace.residual_sq_sum
     except (InvalidArgumentError, np.linalg.LinAlgError, FloatingPointError) as exc:
         cell.rel_err = cell.psnr = cell.trace_sum_sq = None

@@ -17,7 +17,7 @@ from .bench import BenchPlan, emit, run_bench
 from .datagen import add_awgn, power_function_tensor, spectrum_decay_tensor, tensor_load, tensor_save
 from .decompose import METHODS, run_method
 from .errors import InvalidArgumentError, ParseError
-from .metrics import psnr, relative_error
+from .metrics import error_metrics
 from .tt import tt_load, tt_reconstruct, tt_save
 
 
@@ -63,8 +63,9 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_metrics(args) -> int:
     ref = tensor_load(args.ref)
     approx = tensor_load(args.approx)
-    print(f"rel_err {relative_error(ref, approx):.17g}")
-    print(f"psnr {psnr(ref, approx):.17g}")
+    rel_err, psnr_db = error_metrics(ref, approx)
+    print(f"rel_err {rel_err:.17g}")
+    print(f"psnr {psnr_db:.17g}")
     return 0
 
 

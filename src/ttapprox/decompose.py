@@ -113,13 +113,17 @@ class SweepTrace:
         return float(sum(s.residual**2 for s in self.steps))
 
 
-def _as_input(t) -> np.ndarray:
+def _as_input(t) -> Tuple[np.ndarray, float]:
+    """t as a float64 array, and ||t||_F; NaN or Inf entries raise."""
     t = np.asarray(t, dtype=np.float64)
     if t.ndim < 1:
         raise InvalidArgumentError("input tensor must have order >= 1")
-    if not np.isfinite(t).all():
+    norm = frobenius_norm(t)
+    # a finite norm proves every entry finite; an infinite one may also
+    # come from squares of huge finite entries, so then look at each entry
+    if not math.isfinite(norm) and not np.isfinite(t).all():
         raise FloatingPointError("input tensor has NaN or Inf entries")
-    return t
+    return t, norm
 
 
 def _check_ranks(dims, ranks):
@@ -184,7 +188,7 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     ranks (epsilon=1e-15 on the 20^4 power-function tensor gives about
     1.5e-15).
     """
-    t = _as_input(t)
+    t, norm = _as_input(t)
     if trunc.ranks is not None:
         ranks = _check_ranks(t.shape, trunc.ranks)
         delta = None
@@ -192,7 +196,7 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         if t.ndim < 2:
             raise InvalidArgumentError("epsilon mode needs an order >= 2 tensor")
         ranks = None
-        delta = trunc.epsilon * frobenius_norm(t) / math.sqrt(t.ndim - 1)
+        delta = trunc.epsilon * norm / math.sqrt(t.ndim - 1)
 
     def pick(A, n):
         U, s = svd(A)
@@ -209,11 +213,10 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
 def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace]:
     """Shared randomized scaffold; basis(A, Omega, r) -> (Q, Q^T A), with
     Q^T A F-contiguous."""
-    t = _as_input(t)
+    # norm is ||A_n||: the input's norm at step 0, then the previous carry's
+    t, norm = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
-    # ||A_n||: the input's norm at step 0, then the previous step's carry
-    norm = frobenius_norm(t)
 
     def pick(A, n):
         nonlocal norm

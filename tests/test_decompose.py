@@ -264,6 +264,23 @@ def test_randomized_feasibility_errors():
 # ---------------- shared invariants ----------------
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_input_check_tells_non_finite_from_overflow():
+    # NaN and +-Inf entries are errors in every method; entries so large
+    # that ||t||^2 overflows are finite and pass the check
+    for bad in (np.nan, np.inf, -np.inf):
+        t = np.ones((3, 4, 5))
+        t[2, 1, 3] = bad
+        for method in decompose.METHODS:
+            with pytest.raises(FloatingPointError):
+                decompose.run_method(method, t, ranks=(2, 2))
+        with pytest.raises(FloatingPointError):
+            tt_svd(t, TruncationSpec(epsilon=0.1))
+    huge = np.full((3, 4, 5), 1e200)
+    for method in decompose.METHODS:
+        decompose.run_method(method, huge, ranks=(2, 2))
+
+
 def test_left_orthogonality_all_algorithms():
     t = np.random.default_rng(14).standard_normal((8, 8, 8))
     outs = [tt_svd(t, TruncationSpec(ranks=(4, 4)))[0]]

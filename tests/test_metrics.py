@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ttapprox import InvalidArgumentError, frobenius_norm, psnr, relative_error
+from ttapprox import InvalidArgumentError, error_metrics, frobenius_norm, psnr, relative_error
 
 
 def test_frobenius_norm():
@@ -73,6 +74,7 @@ def test_psnr_sentinels():
     a = np.ones((3, 3))
     assert psnr(a, a.copy()) == math.inf
     assert psnr(a, np.zeros((3, 3))) == -math.inf
+    assert math.isnan(psnr(a, np.full((3, 3), np.nan)))
 
 
 def test_metrics_move_together():
@@ -95,3 +97,21 @@ def test_metrics_argument_errors():
         psnr(np.ones((2, 2)), np.ones((4,)))
     with pytest.raises(InvalidArgumentError):
         relative_error(np.zeros((2, 2)), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, np.ascontiguousarray])
+def test_error_metrics_is_both_metrics_from_one_pass(layout):
+    rng = np.random.default_rng(7)
+    a = layout(rng.standard_normal((64, 128, 128)))  # 2^20 entries
+    ahat = layout(a + 0.01 * rng.standard_normal(a.shape))
+    tracemalloc.start()
+    try:
+        got = error_metrics(a, ahat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of scratch, no temporary the size of the tensor
+    assert peak < a.nbytes / 8
+    assert got == (relative_error(a, ahat), psnr(a, ahat))
+    with pytest.raises(InvalidArgumentError, match="zero norm"):
+        error_metrics(np.zeros((2, 2)), np.ones((2, 2)))

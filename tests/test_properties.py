@@ -6,16 +6,25 @@ four sweeps, the randomized sweeps must return exactly the requested
 ranks also on zero and rank-1 tensors, one tt_rbki step must leave no
 larger residual than tt_rsi or tt_rsvd with the same sketch, linalg.svd
 must agree with LAPACK's singular values on wide, zero and
-rank-deficient matrices, both file formats must round-trip exactly, and
-the memory layout of the input must not change any result.
+rank-deficient matrices, both file formats must round-trip exactly, the
+memory layout of the input must not change any result, and the blocked
+metric pass must agree with the unblocked formulas on sizes around its
+block.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttapprox import (
+    InvalidArgumentError,
     TTTensor,
+    error_metrics,
+    psnr,
+    relative_error,
     tensor_load,
     tensor_save,
     tt_load,
@@ -25,6 +34,7 @@ from ttapprox import (
 )
 from ttapprox.decompose import METHODS, run_method
 from ttapprox.linalg import svd
+from ttapprox.metrics import _BLOCK
 
 EPS = np.finfo(np.float64).eps
 
@@ -208,3 +218,57 @@ def test_ttc_round_trip(tmp_path_factory, data, dims, seed):
     tt_save(tt, path)
     back = tt_load(path)
     assert back.ranks == tt.ranks and back == tt
+
+
+def _two_way_shape(n):
+    """The most nearly square (rows, cols) with rows * cols = n."""
+    rows = max(k for k in range(1, math.isqrt(n) + 1) if n % k == 0)
+    return rows, n // rows
+
+
+def _laid_out(x, layout):
+    """x's values in F, C or strided (every other column of a wider C
+    array) memory layout."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    return np.repeat(x, 2, axis=1)[:, ::2]
+
+
+layout_st = st.sampled_from(["F", "C", "strided"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]),
+    layouts=st.tuples(layout_st, layout_st),
+    log_mag=st.floats(-100, 100),
+    log_err=st.floats(-12, 1),
+    seed=seed_st,
+)
+def test_blocked_metrics_match_unblocked_formulas(n, layouts, log_mag, log_err, seed):
+    rng = np.random.default_rng(seed)
+    shape = _two_way_shape(n)
+    a = 10.0**log_mag * rng.standard_normal(shape)
+    ahat = a + 10.0 ** (log_mag + log_err) * rng.standard_normal(shape)
+    A, H = _laid_out(a, layouts[0]), _laid_out(ahat, layouts[1])
+    # the reference sums the same rounded squares exactly, so only the
+    # pass's summation order can differ from it
+    err_sq = math.fsum(((a - ahat) ** 2).ravel())
+    want_rel = math.sqrt(err_sq) / math.sqrt(math.fsum((a * a).ravel()))
+    want_psnr = 10.0 * math.log10(n * np.max(np.abs(ahat)) ** 2 / err_sq)
+    rel, db = error_metrics(A, H)
+    assert abs(rel - want_rel) <= 4 * EPS * want_rel
+    # 4 ulp of the ratio inside the log, and of the result
+    assert abs(db - want_psnr) <= 4 * EPS * (10.0 / math.log(10.0) + abs(want_psnr))
+    assert (relative_error(A, H), psnr(A, H)) == (rel, db)
+    # the sentinels, also across layouts
+    assert error_metrics(A, _laid_out(a, layouts[1])) == (0.0, math.inf)
+    assert psnr(A, np.zeros(shape)) == -math.inf
+    # a zero reference: psnr is defined, the relative error is not
+    zero = _laid_out(np.zeros(shape), layouts[0])
+    assert math.isfinite(psnr(zero, H))
+    for metric in (relative_error, error_metrics):
+        with pytest.raises(InvalidArgumentError, match="zero norm"):
+            metric(zero, H)
