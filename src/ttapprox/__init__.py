@@ -13,7 +13,6 @@ from .decompose import (
     SweepStep,
     SweepTrace,
     TruncationSpec,
-    bound_factors,
     tt_rbki,
     tt_rsi,
     tt_rsvd,
@@ -22,7 +21,7 @@ from .decompose import (
 from .errors import InvalidArgumentError, ParseError
 from .linalg import gaussian_matrix
 from .metrics import error_metrics, frobenius_norm, psnr, relative_error
-from .tt import TTTensor, num_params, tt_load, tt_reconstruct, tt_save, validate
+from .tt import TTTensor, tt_load, tt_reconstruct, tt_save, validate
 
 __version__ = "0.1.0"
 
@@ -37,13 +36,11 @@ __all__ = [
     "TTTensor",
     "TruncationSpec",
     "add_awgn",
-    "bound_factors",
     "emit",
     "error_metrics",
     "frobenius_norm",
     "gaussian_matrix",
     "load_records",
-    "num_params",
     "power_function_tensor",
     "psnr",
     "relative_error",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import Union
 
 import numpy as np
 
@@ -61,23 +60,22 @@ def power_function_tensor(dims, h: float) -> np.ndarray:
     return (total ** (-1.0 / h)).T
 
 
-def add_awgn(t, snr_db: float, seed: Union[int, np.random.Generator]) -> np.ndarray:
+def add_awgn(t, snr_db: float, seed: int) -> np.ndarray:
     """Add white Gaussian noise calibrated against measured signal power.
 
     Noise variance is (||t||_F^2 / numel) / 10^(snr_db/10); deterministic
-    for a given seed, which is an integer >= 0 or a Generator.
+    for a given seed, an integer >= 0.
     """
     if not math.isfinite(snr_db):
         raise InvalidArgumentError(f"snr_db must be finite, got {snr_db}")
-    if not isinstance(seed, np.random.Generator) and seed < 0:
+    if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     t = np.asarray(t, dtype=np.float64)
     power = float(np.sum(t**2)) / t.size
     if power == 0.0:
         raise InvalidArgumentError("signal power is zero, SNR undefined")
     sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    noise = rng.standard_normal(t.size).reshape(t.shape, order="F")
+    noise = np.random.default_rng(seed).standard_normal(t.size).reshape(t.shape, order="F")
     return np.add(t, sigma * noise, order="F")  # F whatever t's layout
 
 

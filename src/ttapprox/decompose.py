@@ -110,20 +110,46 @@ class SweepTrace:
 
     @property
     def residual_sq_sum(self) -> float:
-        return float(sum(s.residual**2 for s in self.steps))
+        try:
+            return float(sum(s.residual**2 for s in self.steps))
+        except OverflowError:  # a residual above sqrt(float max)
+            return math.inf
 
 
-def _as_input(t) -> Tuple[np.ndarray, float]:
-    """t as a float64 array, and ||t||_F; NaN or Inf entries raise."""
+def _as_input(t) -> Tuple[np.ndarray, float, int]:
+    """t as a float64 array, ||t||_F and a binary exponent e; NaN or Inf
+    entries raise.
+
+    The sweeps square norms and multiply A by A^T, which overflows or
+    underflows unless ||t||_F lies in about [2^-256, 2^256].  Outside it
+    t comes back as t 2^-e (and its norm), e the binary exponent of
+    max|t|, for _scale_back to undo; powers of two scale exactly.  Inside
+    it e = 0 and t is not copied."""
     t = np.asarray(t, dtype=np.float64)
     if t.ndim < 1:
         raise InvalidArgumentError("input tensor must have order >= 1")
-    norm = frobenius_norm(t)
+    with np.errstate(over="ignore"):  # an overflow is handled below
+        norm = frobenius_norm(t)
     # a finite norm proves every entry finite; an infinite one may also
     # come from squares of huge finite entries, so then look at each entry
     if not math.isfinite(norm) and not np.isfinite(t).all():
         raise FloatingPointError("input tensor has NaN or Inf entries")
-    return t, norm
+    if 2.0**-256 <= norm <= 2.0**256:
+        return t, norm, 0
+    e = math.frexp(np.max(np.abs(t), initial=0.0))[1]  # 0 for a zero tensor
+    t = np.ldexp(t, -e)
+    return t, frobenius_norm(t), e
+
+
+def _scale_back(result, e: int) -> Tuple[TTTensor, SweepTrace]:
+    """The sweep of t 2^-e made the sweep of t: the last core and every
+    residual gain the factor 2^e, the other cores are unchanged."""
+    tt, trace = result
+    if e:
+        for step in trace.steps:
+            step.residual = float(np.ldexp(step.residual, e))
+        tt = TTTensor(tt.cores[:-1] + (np.ldexp(tt.cores[-1], e),))
+    return tt, trace
 
 
 def _check_ranks(dims, ranks):
@@ -188,7 +214,7 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     ranks (epsilon=1e-15 on the 20^4 power-function tensor gives about
     1.5e-15).
     """
-    t, norm = _as_input(t)
+    t, norm, e = _as_input(t)
     if trunc.ranks is not None:
         ranks = _check_ranks(t.shape, trunc.ranks)
         delta = None
@@ -207,14 +233,14 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         # U S V^T misses A by ~1e-14 ||A||, which would floor the error
         return _Basis(Q, (A.T @ Q).T, residual)
 
-    return _sweep(t, pick)
+    return _scale_back(_sweep(t, pick), e)
 
 
 def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace]:
     """Shared randomized scaffold; basis(A, Omega, r) -> (Q, Q^T A), with
     Q^T A F-contiguous."""
     # norm is ||A_n||: the input's norm at step 0, then the previous carry's
-    t, norm = _as_input(t)
+    t, norm, e = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
 
@@ -234,7 +260,7 @@ def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace
         norm = carry_norm
         return _Basis(Q, carry, residual, width, clamped)
 
-    return _sweep(t, pick)
+    return _scale_back(_sweep(t, pick), e)
 
 
 def _ritz(A, S, r):
@@ -304,44 +330,3 @@ def run_method(method: str, t, ranks=None, epsilon=None, **sketch) -> Tuple[TTTe
     if ranks is None:
         raise InvalidArgumentError(f"method {method} needs ranks")
     return sweep(t, SketchConfig(ranks=ranks, **sketch))
-
-
-def bound_factors(r, p, q, N, t: float = 1.0, u: float = 1.0, spectrum=None) -> dict:
-    """Closed-form error-bound factors for the randomized sweeps.
-
-    Returns eta_rsvd (plain-sketch factor), eta_rbki (Krylov factor),
-    power_iter_bound (spectrum-aware power-iteration bound, None when no
-    spectrum is given) and the sqrt(N-1) prefactor that turns a per-step
-    factor into a whole-sweep bound.
-    """
-    if r < 0:
-        raise InvalidArgumentError(f"r must be >= 0, got {r}")
-    if q < 1:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    if N < 1:
-        raise InvalidArgumentError(f"N must be >= 1, got {N}")
-    if t < 1 or u < 1:
-        raise InvalidArgumentError("t and u must be >= 1")
-    if p < 1:
-        raise InvalidArgumentError("eta_rsvd requires p >= 1")
-    if p < 2:
-        raise InvalidArgumentError("eta_rbki and power_iter_bound require p >= 2")
-    s = r + p
-    e = math.e
-    eta_rsvd = 1.0 + t * math.sqrt(12.0 * r / p) + u * t * e * math.sqrt(s) / (p + 1)
-    root = 1.0 / (2 * q + 1)
-    eta_rbki = (1.0 + math.sqrt(r / (p - 1)) + e * math.sqrt(s) / p) ** root
-    power_iter_bound = None
-    if spectrum is not None:
-        d = np.asarray(spectrum, dtype=np.float64)
-        head = d[r] ** (2 * q + 1) if r < len(d) else 0.0
-        tail = math.sqrt(float(np.sum(d[r:] ** (2 * (2 * q + 1)))))
-        power_iter_bound = (
-            (1.0 + math.sqrt(r / (p - 1))) * head + (e * math.sqrt(s) / p) * tail
-        ) ** root
-    return {
-        "eta_rsvd": eta_rsvd,
-        "eta_rbki": eta_rbki,
-        "power_iter_bound": power_iter_bound,
-        "prefactor": math.sqrt(N - 1),
-    }

@@ -24,16 +24,8 @@ class SvdResult(NamedTuple):
     s: np.ndarray  # k nonincreasing nonnegative singular values
 
 
-def _as_matrix(A) -> np.ndarray:
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise InvalidArgumentError(f"expected a matrix, got ndim={A.ndim}")
-    return A
-
-
 def economy_qr(A):
     """Economy QR with the R diagonal normalized to be nonnegative."""
-    A = _as_matrix(A)
     Q, R = np.linalg.qr(A, mode="reduced")
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
@@ -53,7 +45,6 @@ def svd(A) -> SvdResult:
     is nonnegative, which makes repeated runs comparable; subspaces and
     singular values are unaffected.
     """
-    A = _as_matrix(A)
     if A.shape[0] < A.shape[1]:
         R = np.linalg.qr(A.T, mode="r")
         U, s, _ = np.linalg.svd(R.T)
@@ -99,14 +90,6 @@ def krylov_blocks(A, Omega, q: int):
     QRs the higher powers keep only the leading directions in float64.
     tt_rsi uses the last block, tt_rbki all of them.
     """
-    A = _as_matrix(A)
-    Omega = _as_matrix(Omega)
-    if Omega.shape[0] != A.shape[1]:
-        raise InvalidArgumentError(
-            f"Omega has {Omega.shape[0]} rows, expected {A.shape[1]}"
-        )
-    if q < 1:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
     blocks = [economy_qr(A @ Omega)[0]]
     for _ in range(q):
         blocks.append(economy_qr(A @ (A.T @ blocks[-1]))[0])

@@ -59,11 +59,6 @@ class TTTensor:
         )
 
 
-def num_params(tt: TTTensor) -> int:
-    """Stored parameter count, sum of r_{n-1} * I_n * r_n."""
-    return int(sum(c.size for c in tt.cores))
-
-
 def tt_reconstruct(tt: TTTensor) -> np.ndarray:
     """Contract the chain back into a dense, column-major (I_1, ..., I_N)
     tensor."""
@@ -87,7 +82,6 @@ def left_unfolding(core: np.ndarray) -> np.ndarray:
 class ValidationReport:
     boundary_ok: bool
     adjacency_ok: bool
-    bad_cores: List[int] = field(default_factory=list)
     orth_residuals: List[float] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)  # broken chain rules, by core
 
@@ -127,7 +121,7 @@ def validate(tt: TTTensor) -> ValidationReport:
         G = Q.T @ Q
         # initial covers a core with no columns
         residuals.append(float(np.max(np.abs(G - np.eye(G.shape[0])), initial=0.0)))
-    return ValidationReport(not boundary, not bad, bad, residuals, empty + boundary + adjacency)
+    return ValidationReport(not boundary, not bad, residuals, empty + boundary + adjacency)
 
 
 def tt_save(tt: TTTensor, path):

@@ -144,13 +144,6 @@ def test_awgn_empirical_snr():
     assert abs(snr - 5.0) <= 0.1
 
 
-def test_awgn_generator_argument():
-    t = np.ones((4, 4))
-    a = add_awgn(t, 10.0, np.random.default_rng(7))
-    b = add_awgn(t, 10.0, 7)
-    assert np.array_equal(a, b)
-
-
 def test_awgn_zero_signal_rejected():
     with pytest.raises(InvalidArgumentError):
         add_awgn(np.zeros((3, 3)), 10.0, 0)

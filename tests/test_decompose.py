@@ -8,7 +8,6 @@ from ttapprox import (
     SketchConfig,
     TTTensor,
     TruncationSpec,
-    bound_factors,
     frobenius_norm,
     relative_error,
     spectrum_decay_tensor,
@@ -264,10 +263,10 @@ def test_randomized_feasibility_errors():
 # ---------------- shared invariants ----------------
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_input_check_tells_non_finite_from_overflow():
     # NaN and +-Inf entries are errors in every method; entries so large
-    # that ||t||^2 overflows are finite and pass the check
+    # that ||t||^2 overflows, or so small that it underflows, are finite,
+    # pass the check and are swept at the requested ranks
     for bad in (np.nan, np.inf, -np.inf):
         t = np.ones((3, 4, 5))
         t[2, 1, 3] = bad
@@ -276,9 +275,38 @@ def test_input_check_tells_non_finite_from_overflow():
                 decompose.run_method(method, t, ranks=(2, 2))
         with pytest.raises(FloatingPointError):
             tt_svd(t, TruncationSpec(epsilon=0.1))
-    huge = np.full((3, 4, 5), 1e200)
-    for method in decompose.METHODS:
-        decompose.run_method(method, huge, ranks=(2, 2))
+    base = np.random.default_rng(13).standard_normal((3, 4, 5))
+    for c in (1e200, 1e-200):
+        for method in decompose.METHODS:
+            tt, trace = decompose.run_method(method, base * c, ranks=(2, 2), p=1, q=2)
+            assert tt.ranks == (1, 2, 2, 1), (c, method)
+            residuals = [s.residual for s in trace.steps]
+            assert all(0 < r < math.inf for r in residuals), (c, method)
+            # squares of residuals near 1e200 lie beyond the float range
+            assert (trace.residual_sq_sum == math.inf) == (c > 1), (c, method)
+
+
+@pytest.mark.parametrize("j", [600, -600, 1000, -1000])
+def test_sweeps_are_exactly_scale_equivariant(j):
+    # a tensor scaled by 2^j, far outside the range whose squares float64
+    # holds, is swept as the unscaled one: the same bits in cores
+    # 0..N-2, and exactly 2^j times its last core and residuals
+    t0 = np.random.default_rng(17).standard_normal((6, 7, 8))
+    t0 = np.ldexp(t0, -math.frexp(np.max(np.abs(t0)))[1])  # max|t0| in [1/2, 1)
+    t = np.ldexp(t0, j)
+    assert np.array_equal(np.ldexp(t, -j), t0)  # no entry left the normal range
+    runs = [lambda x, m=m: decompose.run_method(m, x, ranks=(3, 3), p=2, q=2, seed=5)
+            for m in sorted(decompose.METHODS)]
+    runs.append(lambda x: tt_svd(x, TruncationSpec(epsilon=0.5)))
+    for k, run in enumerate(runs):
+        (tt0, trace0), (tt, trace) = run(t0), run(t)
+        assert tt.ranks == tt0.ranks, k
+        for a, b in zip(tt.cores[:-1], tt0.cores[:-1]):
+            assert np.array_equal(a, b), k
+        assert np.array_equal(tt.cores[-1], np.ldexp(tt0.cores[-1], j)), k
+        assert [s.residual for s in trace.steps] == [
+            float(np.ldexp(s.residual, j)) for s in trace0.steps
+        ], k
 
 
 def test_left_orthogonality_all_algorithms():
@@ -344,48 +372,3 @@ def test_oversampling_monotone_with_energy_ordered_truncation():
     for a, b in zip(meds, meds[1:]):
         assert b <= a + 1e-15
 
-
-# ---------------- bound factors ----------------
-
-
-def test_bound_factors_match_closed_forms():
-    r, p, q, N = 10, 5, 2, 3
-    spectrum = [10.0 ** (-k) for k in range(15)]
-    out = bound_factors(r, p, q, N, t=1.5, u=2.0, spectrum=spectrum)
-    s = r + p
-    e = math.e
-    want_rsvd = 1 + 1.5 * math.sqrt(12 * r / p) + 2.0 * 1.5 * e * math.sqrt(s) / (p + 1)
-    want_rbki = (1 + math.sqrt(r / (p - 1)) + e * math.sqrt(s) / p) ** (1 / (2 * q + 1))
-    d = np.array(spectrum)
-    inner = (1 + math.sqrt(r / (p - 1))) * d[r] ** (2 * q + 1) + (
-        e * math.sqrt(s) / p
-    ) * math.sqrt(np.sum(d[r:] ** (2 * (2 * q + 1))))
-    want_power = inner ** (1 / (2 * q + 1))
-    assert abs(out["eta_rsvd"] - want_rsvd) <= 1e-12 * want_rsvd
-    assert abs(out["eta_rbki"] - want_rbki) <= 1e-12 * want_rbki
-    assert abs(out["power_iter_bound"] - want_power) <= 1e-12 * want_power
-    assert out["prefactor"] == math.sqrt(2)
-
-
-def test_bound_factors_monotone_in_q():
-    vals = [bound_factors(8, 4, q, 4)["eta_rbki"] for q in range(1, 11)]
-    for a, b in zip(vals, vals[1:]):
-        assert b < a
-    assert vals[-1] > 1.0  # decreasing toward 1, never below
-
-
-def test_bound_factors_r_zero_limit():
-    out = bound_factors(0, 5, 2, 3, t=1.0, u=1.0)
-    want = 1 + math.e * math.sqrt(5) / 6
-    assert abs(out["eta_rsvd"] - want) <= 1e-12
-
-
-def test_bound_factors_without_spectrum():
-    assert bound_factors(4, 3, 1, 3)["power_iter_bound"] is None
-
-
-def test_bound_factors_p_too_small():
-    with pytest.raises(InvalidArgumentError, match="eta_rsvd"):
-        bound_factors(4, 0, 1, 3)
-    with pytest.raises(InvalidArgumentError, match="eta_rbki"):
-        bound_factors(4, 1, 1, 3)

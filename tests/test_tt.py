@@ -7,7 +7,6 @@ from ttapprox import (
     TTTensor,
     TruncationSpec,
     frobenius_norm,
-    num_params,
     tt_load,
     tt_reconstruct,
     tt_save,
@@ -28,7 +27,6 @@ def test_properties_and_param_count():
     tt = random_tt((5, 6, 7), (3, 4))
     assert tt.dims == (5, 6, 7)
     assert tt.ranks == (1, 3, 4, 1)
-    assert num_params(tt) == 1 * 5 * 3 + 3 * 6 * 4 + 4 * 7 * 1
 
 
 def test_reconstruct_single_core():
