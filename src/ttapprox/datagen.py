@@ -14,6 +14,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
+from .metrics import scaled_into_range
 
 _MAGIC = b"DTEN"
 _VERSION = 1
@@ -64,17 +65,27 @@ def add_awgn(t, snr_db: float, seed: int) -> np.ndarray:
     """Add white Gaussian noise calibrated against measured signal power.
 
     Noise variance is (||t||_F^2 / numel) / 10^(snr_db/10); deterministic
-    for a given seed, an integer >= 0.
+    for a given seed, an integer >= 0.  A tensor whose norm is out of
+    float64's squaring range has its power measured on t 2^-e
+    (metrics.scaled_into_range), so the noise of t 2^j is exactly 2^j
+    times the noise of t while no entry leaves the normal range.
     """
     if not math.isfinite(snr_db):
         raise InvalidArgumentError(f"snr_db must be finite, got {snr_db}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     t = np.asarray(t, dtype=np.float64)
-    power = float(np.sum(t**2)) / t.size
+    with np.errstate(over="ignore"):  # a sum that overflows is rescaled below
+        sum_sq = float(np.sum(t**2))
+    # out of range, the power is that of t 2^-e and sigma is scaled back by
+    # 2^e: exact, so the noise is the same at every scale
+    scaled, e = scaled_into_range(t, math.sqrt(sum_sq))
+    if e:
+        sum_sq = float(np.sum(scaled**2))
+    power = sum_sq / t.size
     if power == 0.0:
         raise InvalidArgumentError("signal power is zero, SNR undefined")
-    sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
+    sigma = np.ldexp(np.sqrt(power / 10.0 ** (snr_db / 10.0)), e)
     noise = np.random.default_rng(seed).standard_normal(t.size).reshape(t.shape, order="F")
     return np.add(t, sigma * noise, order="F")  # F whatever t's layout
 

@@ -11,7 +11,10 @@ the next step.  They differ only in how Q is found:
   tt_rbki  top r Ritz vectors of A in span([Z_0, ..., Z_q])
 
 tt_rsi and tt_rbki share linalg.krylov_blocks, which factors only
-rows x (r + p) blocks: Z_0 = orth(A Omega), Z_t = orth(A (A^T Z_{t-1})).
+rows x (r + p) blocks: Z_0 = orth(A Omega), Z_t = orth(A A^T Z_{t-1}).
+The power steps go through G = A A^T, formed once, when rows < min(cols,
+4 q (r + p)): then forming G costs fewer flops than the 2q products with
+A^T and A it replaces.  Z_0 and the Ritz step below still read A.
 tt_rsi takes S = Z_q; tt_rbki gives the stack of all q + 1 blocks one QR,
 drops columns whose R diagonal falls below 1e-12 of the leading one and
 keeps at most min(rows, cols, (q + 1)(r + p)).  Both keep Q = S V_r, V_r
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .linalg import economy_qr, gaussian_matrix, krylov_blocks, rank_from_tail, svd
-from .metrics import frobenius_norm
+from .metrics import frobenius_norm, scaled_into_range
 from .tt import TTTensor
 
 # columns of the stacked Krylov basis whose R diagonal falls below this
@@ -120,11 +123,10 @@ def _as_input(t) -> Tuple[np.ndarray, float, int]:
     """t as a float64 array, ||t||_F and a binary exponent e; NaN or Inf
     entries raise.
 
-    The sweeps square norms and multiply A by A^T, which overflows or
-    underflows unless ||t||_F lies in about [2^-256, 2^256].  Outside it
-    t comes back as t 2^-e (and its norm), e the binary exponent of
-    max|t|, for _scale_back to undo; powers of two scale exactly.  Inside
-    it e = 0 and t is not copied."""
+    The sweeps square norms and multiply A by A^T, so a tensor whose norm
+    is out of range comes back as t 2^-e (and its norm), for _scale_back
+    to undo; metrics.scaled_into_range holds the rule.  In range e = 0
+    and t is not copied."""
     t = np.asarray(t, dtype=np.float64)
     if t.ndim < 1:
         raise InvalidArgumentError("input tensor must have order >= 1")
@@ -134,11 +136,8 @@ def _as_input(t) -> Tuple[np.ndarray, float, int]:
     # come from squares of huge finite entries, so then look at each entry
     if not math.isfinite(norm) and not np.isfinite(t).all():
         raise FloatingPointError("input tensor has NaN or Inf entries")
-    if 2.0**-256 <= norm <= 2.0**256:
-        return t, norm, 0
-    e = math.frexp(np.max(np.abs(t), initial=0.0))[1]  # 0 for a zero tensor
-    t = np.ldexp(t, -e)
-    return t, frobenius_norm(t), e
+    t, e = scaled_into_range(t, norm)
+    return t, frobenius_norm(t) if e else norm, e
 
 
 def _scale_back(result, e: int) -> Tuple[TTTensor, SweepTrace]:

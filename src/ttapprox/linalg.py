@@ -7,7 +7,8 @@ finders.  The wide unfoldings that dominate a sweep (20 x 160000 at the
 first step of a 20^5 tensor) are never fully factored on their long
 side: svd takes a wide matrix's left factor from the small triangle of
 an R-only QR, and the Krylov iteration factors only blocks with as many
-rows as the unfolding while the long side is only multiplied.
+rows as the unfolding while the long side is only multiplied, once into
+the small Gram matrix A A^T where that is cheaper.
 """
 
 from __future__ import annotations
@@ -83,14 +84,26 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
 def krylov_blocks(A, Omega, q: int):
     """Orthonormal blocks Z_0, ..., Z_q of the left Krylov space of A.
 
-    Z_0 = orth(A Omega) and Z_t = orth(A (A^T Z_{t-1})): Z_t spans
+    Z_0 = orth(A Omega) and Z_t = orth(A A^T Z_{t-1}): Z_t spans
     (A A^T)^t A Omega.  Every QR is of an m x w block, m the rows of A and
-    w the width of Omega, so the long side of a wide A is only ever
-    multiplied, never factored.  A A^T is never formed, and without the
-    QRs the higher powers keep only the leading directions in float64.
-    tt_rsi uses the last block, tt_rbki all of them.
+    w the width of Omega, so the long side of a wide A is never factored.
+    The power steps multiply by the Gram matrix G = A A^T, formed once,
+    when that is cheaper than multiplying by A^T and A in every step:
+    forming G reads A once for about m^2 n flops (n the columns of A),
+    the q products A (A^T Z) cost about 4 q m n w.  So a short, wide A
+    (m < min(n, 4 q w)) takes G, any other A the two products.  Z_0 reads
+    A itself either way, and without the QRs the higher powers would keep
+    only the leading directions in float64.  tt_rsi uses the last block,
+    tt_rbki all of them.
     """
+    rows, cols = A.shape
     blocks = [economy_qr(A @ Omega)[0]]
-    for _ in range(q):
-        blocks.append(economy_qr(A @ (A.T @ blocks[-1]))[0])
+    # cost model: rows^2 cols flops for G against 4 q rows cols w
+    if rows < min(cols, 4 * q * Omega.shape[1]):
+        G = A @ A.T
+        for _ in range(q):
+            blocks.append(economy_qr(G @ blocks[-1])[0])
+    else:
+        for _ in range(q):
+            blocks.append(economy_qr(A @ (A.T @ blocks[-1]))[0])
     return blocks

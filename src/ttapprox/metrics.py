@@ -41,6 +41,21 @@ def frobenius_norm(t) -> float:
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel(order="K")))
 
 
+def scaled_into_range(t, norm: float) -> Tuple[np.ndarray, int]:
+    """(t 2^-e, e) for an array t of Frobenius norm norm.
+
+    Squares of t's entries and the Gram products A A^T of its unfoldings
+    overflow or underflow in float64 unless norm lies in about
+    [2^-256, 2^256].  Inside that range e = 0 and t comes back itself,
+    not copied; outside it e is the binary exponent of max|t|, so
+    max|t 2^-e| lies in [1/2, 1).  A power of two scales exactly, so a
+    result computed from t 2^-e is scaled back by 2^e without rounding."""
+    if 2.0**-256 <= norm <= 2.0**256:
+        return t, 0
+    e = math.frexp(np.max(np.abs(t), initial=0.0))[1]  # 0 for a zero tensor
+    return np.ldexp(t, -e), e
+
+
 class _Sums(NamedTuple):
     size: int
     ref_sq: float  # ||a||_F^2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 
@@ -20,7 +21,7 @@ from ttapprox import (
     tt_rsvd,
     tt_svd,
 )
-from ttapprox.cli import main
+from ttapprox.cli import build_parser, main
 from ttapprox.decompose import METHODS
 
 
@@ -279,3 +280,30 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    out = tmp_path / "t.dten"
+    assert run("synth", "powerfn", "--dims", "3,4", "--h", 2.0, "-o", out) == 0
+    n_built = len(built)
+    assert n_built > 1  # the top-level parser and its subcommands
+    assert run("synth", "spectrum", "--n", 3, "--T", 1, "--D", 1.0, "-o", out) == 0
+    assert len(built) == n_built
+    # the shared parser still rejects bad arguments with usage and exit 2,
+    # and parses the next command afterwards
+    with pytest.raises(SystemExit) as exc:
+        run("decompose", "--method", "nope", "-i", out, "-o", tmp_path / "o.ttc")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ttapprox decompose") and "invalid choice" in err
+    assert run("synth", "powerfn", "--dims", "3,4", "--h", 2.0, "-o", out) == 0
+    assert len(built) == n_built

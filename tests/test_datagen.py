@@ -144,6 +144,30 @@ def test_awgn_empirical_snr():
     assert abs(snr - 5.0) <= 0.1
 
 
+@pytest.mark.parametrize("j", [600, -600])
+def test_awgn_is_exactly_scale_equivariant(j):
+    # far outside the range whose squares float64 holds (entries near
+    # 1e+-180), the noise is 2^j times the noise of the unscaled tensor
+    rng = np.random.default_rng(21)
+    for t in (rng.standard_normal((6, 7, 8)), np.ones((4, 5)), power_function_tensor((9, 8, 7), 2.0)):
+        for snr in (-3.0, 5.0, 20.0):
+            got = add_awgn(np.ldexp(t, j), snr, 7)
+            assert np.array_equal(got, np.ldexp(add_awgn(t, snr, 7), j))
+            assert got.flags.f_contiguous
+
+
+def test_awgn_in_range_keeps_its_formula():
+    # in range the noise is sigma * N(0, 1) in column-major order, with
+    # sigma^2 = sum(t^2) / numel / 10^(snr / 10) summed by np.sum, bit for bit
+    rng = np.random.default_rng(22)
+    for t in (rng.standard_normal((6, 7, 8)), np.ascontiguousarray(power_function_tensor((9, 8, 7), 2.0)),
+              1e-70 * np.ones((3, 4)), 1e70 * rng.standard_normal((5, 3))):
+        for snr in (-3.0, 5.0, 20.0):
+            sigma = np.sqrt(float(np.sum(t**2)) / t.size / 10.0 ** (snr / 10.0))
+            noise = np.random.default_rng(3).standard_normal(t.size).reshape(t.shape, order="F")
+            assert np.array_equal(add_awgn(t, snr, 3), np.add(t, sigma * noise, order="F"))
+
+
 def test_awgn_zero_signal_rejected():
     with pytest.raises(InvalidArgumentError):
         add_awgn(np.zeros((3, 3)), 10.0, 0)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +376,34 @@ def test_oversampling_monotone_with_energy_ordered_truncation():
     for a, b in zip(meds, meds[1:]):
         assert b <= a + 1e-15
 
+
+
+# prints one line per randomized sweep of power-function 12^5: the
+# parameters and a hash of every core's bytes
+_CORE_HASHES = """
+import hashlib
+from ttapprox import power_function_tensor
+from ttapprox.decompose import run_method
+t = power_function_tensor((12,) * 5, 5.0)
+for method in ("rsvd", "rsi", "rbki"):
+    for r in (4, 8):
+        for q in (1, 2):
+            tt, _ = run_method(method, t, (r,) * 4, p=2, q=q, seed=3)
+            h = hashlib.sha256(b"".join(c.tobytes(order="F") for c in tt.cores))
+            print(method, r, q, h.hexdigest())
+"""
+
+
+def test_randomized_cores_do_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count once, at load time, so each count
+    # runs in its own interpreter
+    src = str(Path(decompose.__file__).resolve().parents[1])
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _CORE_HASHES], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out[threads] = proc.stdout.splitlines()
+    assert len(out["1"]) == 12
+    assert out["1"] == out["2"]

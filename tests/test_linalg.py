@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import tail_energy
 from ttapprox import gaussian_matrix
@@ -132,14 +134,23 @@ def span_projector(blocks):
     return Q @ Q.T
 
 
+def takes_gram(A, Omega, q):
+    """Whether krylov_blocks steps through G = A A^T (a short, wide A)."""
+    rows, cols = A.shape
+    return rows < min(cols, 4 * q * Omega.shape[1])
+
+
 def test_krylov_single_block_reduction():
-    # q = 1: span([Z_0, Z_1]) = span([A Omega, A A^T A Omega])
-    A = gaussian_matrix(20, 15, 10)
-    Om = gaussian_matrix(15, 4, 11)
-    blocks = krylov_blocks(A, Om, 1)
-    assert len(blocks) == 2
-    ref = span_projector([A @ Om, A @ (A.T @ (A @ Om))])
-    assert np.linalg.norm(span_projector(blocks) - ref) <= 1e-8
+    # q = 1: span([Z_0, Z_1]) = span([A Omega, A A^T A Omega]), through the
+    # two products (tall A) and through the Gram matrix (wide A)
+    for shape, gram in [((20, 15), False), ((12, 40), True)]:
+        A = gaussian_matrix(*shape, 10)
+        Om = gaussian_matrix(shape[1], 4, 11)
+        assert takes_gram(A, Om, 1) == gram
+        blocks = krylov_blocks(A, Om, 1)
+        assert len(blocks) == 2
+        ref = span_projector([A @ Om, A @ (A.T @ (A @ Om))])
+        assert np.linalg.norm(span_projector(blocks) - ref) <= 1e-8, shape
 
 
 def test_krylov_rank_one_collapse():
@@ -177,11 +188,14 @@ def naive_krylov_basis(A, Omega, q):
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_krylov_default_matches_naive_span(q):
     # on well-conditioned inputs (the stack has full column rank)
-    # per-block stabilization changes nothing
-    A = gaussian_matrix(40, 30, 40 + q)
-    Om = gaussian_matrix(30, 4, 50 + q)
-    U = naive_krylov_basis(A, Om, q)
-    assert np.linalg.norm(span_projector(krylov_blocks(A, Om, q)) - U @ U.T) <= 1e-6
+    # per-block stabilization changes nothing, on either branch
+    for shape, w, gram in [((40, 30), 4, False), ((24, 80), 7, True)]:
+        A = gaussian_matrix(*shape, 40 + q)
+        Om = gaussian_matrix(shape[1], w, 50 + q)
+        assert takes_gram(A, Om, q) == gram
+        U = naive_krylov_basis(A, Om, q)
+        P = span_projector(krylov_blocks(A, Om, q))
+        assert np.linalg.norm(P - U @ U.T) <= 1e-6, shape
 
 
 def test_krylov_blocks_orthonormal_powers():
@@ -205,6 +219,55 @@ def test_krylov_column_cap():
     for Z in krylov_blocks(A, Om, 3):
         assert Z.shape == (4, 4)
         assert np.max(np.abs(Z.T @ Z - np.eye(4))) <= 1e-12
+
+
+def reference_krylov_blocks(A, Omega, q):
+    """The iteration through the two products A (A^T Z) at every shape."""
+    blocks = [np.linalg.qr(A @ Omega)[0]]
+    for _ in range(q):
+        blocks.append(np.linalg.qr(A @ (A.T @ blocks[-1]))[0])
+    return blocks
+
+
+@st.composite
+def krylov_inputs(draw):
+    """(A, Omega, q): rows on both sides of the Gram test, also just below,
+    at and just above 4 q w; A zero, rank 1 or with singular values graded
+    geometrically from ||A|| down to as little as 1e-14 ||A||."""
+    q, w = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    rows = draw(st.sampled_from([4 * q * w - 1, 4 * q * w, 4 * q * w + 1]) | st.integers(1, 30))
+    cols = draw(st.integers(rows + 1, rows + 60) | st.integers(1, rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["graded", "zero", "rank1"]))
+    k = min(rows, cols)
+    s = np.zeros(k)
+    if kind == "graded":
+        s = 10.0 ** (-draw(st.floats(0, 14)) * np.arange(k) / max(k - 1, 1))
+    elif kind == "rank1":
+        s[0] = 1.0
+    U = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((cols, k)))[0]
+    A = (U * s) @ V.T * 10.0 ** draw(st.integers(-3, 3))
+    return A, rng.standard_normal((cols, w)), q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inputs=krylov_inputs())
+def test_krylov_branches_span_the_products_iteration(inputs):
+    # both branches give orthonormal blocks whose span holds the part of
+    # A that the iteration through A (A^T Z) holds, up to the directions
+    # float64 cannot resolve: those have sigma^2 below about eps ||A||^2,
+    # so they weigh at most about sqrt(eps) ||A||
+    A, Om, q = inputs
+    blocks = krylov_blocks(A, Om, q)
+    ref = reference_krylov_blocks(A, Om, q)
+    norm = np.linalg.norm(A, 2)
+    assert len(blocks) == q + 1
+    for Z, R in zip(blocks, ref):
+        assert Z.shape == R.shape == (A.shape[0], min(A.shape[0], Om.shape[1]))
+        assert np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) <= 1e-12
+        held = Z @ (Z.T @ A) - R @ (R.T @ A)
+        assert np.linalg.norm(held, 2) <= 16 * np.sqrt(np.finfo(float).eps) * norm
 
 
 def test_tail_energy_full_spectrum():
