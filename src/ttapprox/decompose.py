@@ -12,9 +12,11 @@ the next step.  They differ only in how Q is found:
 
 tt_rsi and tt_rbki share linalg.krylov_blocks, which factors only
 rows x (r + p) blocks: Z_0 = orth(A Omega), Z_t = orth(A A^T Z_{t-1}).
-The power steps go through G = A A^T, formed once, when rows < min(cols,
-4 q (r + p)): then forming G costs fewer flops than the 2q products with
-A^T and A it replaces.  Z_0 and the Ritz step below still read A.
+On a wide unfolding the power steps go through G = A A^T, formed once,
+instead of the 2q products with A^T and A, unless A's energy beyond its
+top r + p singular directions is below 1e-10 ||A||_F^2, where G's
+rounding would reach the residual.  Z_0 and the Ritz step below still
+read A.
 tt_rsi takes S = Z_q; tt_rbki gives the stack of all q + 1 blocks one QR,
 drops columns whose R diagonal falls below 1e-12 of the leading one and
 keeps at most min(rows, cols, (q + 1)(r + p)).  Both keep Q = S V_r, V_r

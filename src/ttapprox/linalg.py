@@ -8,7 +8,8 @@ first step of a 20^5 tensor) are never fully factored on their long
 side: svd takes a wide matrix's left factor from the small triangle of
 an R-only QR, and the Krylov iteration factors only blocks with as many
 rows as the unfolding while the long side is only multiplied, once into
-the small Gram matrix A A^T where that is cheaper.
+the small Gram matrix A A^T where float64 resolves all the sketch needs
+from it.
 """
 
 from __future__ import annotations
@@ -81,29 +82,50 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
     return rng.standard_normal(rows * cols).reshape((rows, cols), order="F")
 
 
+# krylov_blocks steps through G = A A^T only while the energy of A beyond
+# its top w singular directions is at least this fraction of ||A||_F^2:
+# G rounds to about eps ||A||_F^2 in every direction, so that energy, a
+# floor under the residual of every rank r <= w, stays far above what G
+# loses
+_GRAM_TAIL = 1e-10
+
+
+def _power_step_gram(A, w: int):
+    """G = A A^T when krylov_blocks takes its power steps through it, else
+    None: A is wide, and unless w >= rows (every block then spans the
+    whole row space) the energy of A beyond its top w singular directions
+    is at least _GRAM_TAIL ||A||_F^2."""
+    rows, cols = A.shape
+    if rows >= cols:
+        return None
+    G = A @ A.T
+    if w < rows:
+        lam = np.linalg.eigvalsh(G)  # ascending
+        if np.sum(lam[: rows - w]) < _GRAM_TAIL * np.sum(lam):
+            return None
+    return G
+
+
 def krylov_blocks(A, Omega, q: int):
     """Orthonormal blocks Z_0, ..., Z_q of the left Krylov space of A.
 
     Z_0 = orth(A Omega) and Z_t = orth(A A^T Z_{t-1}): Z_t spans
     (A A^T)^t A Omega.  Every QR is of an m x w block, m the rows of A and
     w the width of Omega, so the long side of a wide A is never factored.
-    The power steps multiply by the Gram matrix G = A A^T, formed once,
-    when that is cheaper than multiplying by A^T and A in every step:
-    forming G reads A once for about m^2 n flops (n the columns of A),
-    the q products A (A^T Z) cost about 4 q m n w.  So a short, wide A
-    (m < min(n, 4 q w)) takes G, any other A the two products.  Z_0 reads
-    A itself either way, and without the QRs the higher powers would keep
-    only the leading directions in float64.  tt_rsi uses the last block,
-    tt_rbki all of them.
+    A wide A (m < n) takes the power steps through G = A A^T, formed once
+    in one pass over A, instead of reading A twice per step in A (A^T Z).
+    G rounds to about eps ||A||_F^2 in every direction, the products to
+    about eps ||A|| sigma_i along the i-th: G does not resolve directions
+    below about sqrt(eps) ||A||, and through it tt_rsi's residual floors
+    at about 1e-9 ||A||.  So a tall A, and a wide A whose energy beyond
+    its top w singular directions is below 1e-10 ||A||_F^2, keep the
+    products.  Z_0 reads A itself either way, and without the QRs the
+    higher powers would keep only the leading directions in float64.
+    tt_rsi uses the last block, tt_rbki all of them.
     """
-    rows, cols = A.shape
     blocks = [economy_qr(A @ Omega)[0]]
-    # cost model: rows^2 cols flops for G against 4 q rows cols w
-    if rows < min(cols, 4 * q * Omega.shape[1]):
-        G = A @ A.T
-        for _ in range(q):
-            blocks.append(economy_qr(G @ blocks[-1])[0])
-    else:
-        for _ in range(q):
-            blocks.append(economy_qr(A @ (A.T @ blocks[-1]))[0])
+    G = _power_step_gram(A, Omega.shape[1])
+    for _ in range(q):
+        Z = blocks[-1]
+        blocks.append(economy_qr(G @ Z if G is not None else A @ (A.T @ Z))[0])
     return blocks

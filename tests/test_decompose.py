@@ -394,9 +394,20 @@ for method in ("rsvd", "rsi", "rbki"):
 """
 
 
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in _blas_name(), reason="OPENBLAS_NUM_THREADS sets no other BLAS")
 def test_randomized_cores_do_not_depend_on_blas_threads():
-    # OpenBLAS reads its thread count once, at load time, so each count
-    # runs in its own interpreter
+    # pins behaviour of this one shape, not a property of the sweeps: on
+    # a 5 dB noisy spectrum 100^3 and on powerfn 10^6 the randomized cores
+    # do differ between 1 and 2 threads, and whether 12^5 is spared rests
+    # on OpenBLAS's per-size threading.  OpenBLAS reads its thread count
+    # once, at load time, so each count runs in its own interpreter
     src = str(Path(decompose.__file__).resolve().parents[1])
     out = {}
     for threads in ("1", "2"):

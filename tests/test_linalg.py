@@ -1,11 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import tail_energy
-from ttapprox import gaussian_matrix
-from ttapprox.linalg import economy_qr, krylov_blocks, rank_from_tail, svd
+from ttapprox import decompose, gaussian_matrix, tt_reconstruct
+from ttapprox.linalg import _power_step_gram, economy_qr, krylov_blocks, rank_from_tail, svd
 
 
 def test_qr_column_345():
@@ -134,10 +136,9 @@ def span_projector(blocks):
     return Q @ Q.T
 
 
-def takes_gram(A, Omega, q):
-    """Whether krylov_blocks steps through G = A A^T (a short, wide A)."""
-    rows, cols = A.shape
-    return rows < min(cols, 4 * q * Omega.shape[1])
+def takes_gram(A, Omega):
+    """Whether krylov_blocks takes its power steps through G = A A^T."""
+    return _power_step_gram(A, Omega.shape[1]) is not None
 
 
 def test_krylov_single_block_reduction():
@@ -146,7 +147,7 @@ def test_krylov_single_block_reduction():
     for shape, gram in [((20, 15), False), ((12, 40), True)]:
         A = gaussian_matrix(*shape, 10)
         Om = gaussian_matrix(shape[1], 4, 11)
-        assert takes_gram(A, Om, 1) == gram
+        assert takes_gram(A, Om) == gram
         blocks = krylov_blocks(A, Om, 1)
         assert len(blocks) == 2
         ref = span_projector([A @ Om, A @ (A.T @ (A @ Om))])
@@ -192,7 +193,7 @@ def test_krylov_default_matches_naive_span(q):
     for shape, w, gram in [((40, 30), 4, False), ((24, 80), 7, True)]:
         A = gaussian_matrix(*shape, 40 + q)
         Om = gaussian_matrix(shape[1], w, 50 + q)
-        assert takes_gram(A, Om, q) == gram
+        assert takes_gram(A, Om) == gram
         U = naive_krylov_basis(A, Om, q)
         P = span_projector(krylov_blocks(A, Om, q))
         assert np.linalg.norm(P - U @ U.T) <= 1e-6, shape
@@ -223,51 +224,105 @@ def test_krylov_column_cap():
 
 def reference_krylov_blocks(A, Omega, q):
     """The iteration through the two products A (A^T Z) at every shape."""
-    blocks = [np.linalg.qr(A @ Omega)[0]]
+    blocks = [economy_qr(A @ Omega)[0]]
     for _ in range(q):
-        blocks.append(np.linalg.qr(A @ (A.T @ blocks[-1]))[0])
+        blocks.append(economy_qr(A @ (A.T @ blocks[-1]))[0])
     return blocks
+
+
+def spectrum_matrix(s, rows, cols, rng):
+    """rows x cols matrix with singular values s and random singular vectors."""
+    U = np.linalg.qr(rng.standard_normal((rows, len(s))))[0]
+    V = np.linalg.qr(rng.standard_normal((cols, len(s))))[0]
+    return (U * s) @ V.T
 
 
 @st.composite
 def krylov_inputs(draw):
-    """(A, Omega, q): rows on both sides of the Gram test, also just below,
-    at and just above 4 q w; A zero, rank 1 or with singular values graded
-    geometrically from ||A|| down to as little as 1e-14 ||A||."""
-    q, w = draw(st.integers(1, 3)), draw(st.integers(1, 6))
-    rows = draw(st.sampled_from([4 * q * w - 1, 4 * q * w, 4 * q * w + 1]) | st.integers(1, 30))
-    cols = draw(st.integers(rows + 1, rows + 60) | st.integers(1, rows))
+    """(A, Omega, q, p): A wide or tall, zero, rank 1, with singular values
+    graded geometrically from ||A|| down to as little as 1e-30 ||A||, or
+    with a flat tail of 1e-3 to 1e-8 ||A|| under 1 to 3 leading values,
+    which puts the energy beyond the top w singular directions on both
+    sides of the Gram test's 1e-10 ||A||_F^2; Omega has w = r + p columns."""
+    q, w = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.integers(rows + 1, 3000) | st.integers(1, rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["graded", "zero", "rank1"]))
+    kind = draw(st.sampled_from(["graded", "flat", "zero", "rank1"]))
     k = min(rows, cols)
     s = np.zeros(k)
     if kind == "graded":
-        s = 10.0 ** (-draw(st.floats(0, 14)) * np.arange(k) / max(k - 1, 1))
+        s = 10.0 ** (-draw(st.floats(0, 30)) * np.arange(k) / max(k - 1, 1))
+    elif kind == "flat":
+        s[:] = 10.0 ** -draw(st.floats(3, 8))
+        s[: draw(st.integers(1, 3))] = 1.0
     elif kind == "rank1":
         s[0] = 1.0
-    U = np.linalg.qr(rng.standard_normal((rows, k)))[0]
-    V = np.linalg.qr(rng.standard_normal((cols, k)))[0]
-    A = (U * s) @ V.T * 10.0 ** draw(st.integers(-3, 3))
-    return A, rng.standard_normal((cols, w)), q
+    A = spectrum_matrix(s, rows, cols, rng) * 10.0 ** draw(st.integers(-3, 3))
+    return A, rng.standard_normal((cols, w)), q, draw(st.integers(0, min(2, w - 1)))
+
+
+# criterion 5's allowance for float64 rounding (tests/test_acceptance.py)
+# for the single sweep step of an order-2 tensor
+ROUNDING_TAU = 6 * np.finfo(float).eps
+
+
+def rel_errs(A, r, q, p, seed, kb):
+    """rel_err of tt_rsi and tt_rbki on the matrix A at rank r, with
+    krylov_blocks replaced by kb."""
+    errs = []
+    with mock.patch.object(decompose, "krylov_blocks", kb):
+        for method in ("rsi", "rbki"):
+            tt, _ = decompose.run_method(method, A, (r,), p=p, q=q, seed=seed)
+            errs.append(np.linalg.norm(A - tt_reconstruct(tt)) / np.linalg.norm(A))
+    return errs
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(inputs=krylov_inputs())
 def test_krylov_branches_span_the_products_iteration(inputs):
-    # both branches give orthonormal blocks whose span holds the part of
-    # A that the iteration through A (A^T Z) holds, up to the directions
-    # float64 cannot resolve: those have sigma^2 below about eps ||A||^2,
-    # so they weigh at most about sqrt(eps) ||A||
-    A, Om, q = inputs
+    # both branches give orthonormal blocks.  The products branch is the
+    # reference iteration itself; through G each block holds the energy
+    # the reference block holds up to G's rounding of about eps ||A||_F^2
+    # per direction, and tt_rsi and tt_rbki stay within criterion 5's
+    # bound of their error through the products: the Gram test keeps G
+    # away from the graded spectra where it would lose directions
+    A, Om, q, p = inputs
     blocks = krylov_blocks(A, Om, q)
     ref = reference_krylov_blocks(A, Om, q)
-    norm = np.linalg.norm(A, 2)
+    norm_sq = np.linalg.norm(A) ** 2
     assert len(blocks) == q + 1
     for Z, R in zip(blocks, ref):
         assert Z.shape == R.shape == (A.shape[0], min(A.shape[0], Om.shape[1]))
         assert np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) <= 1e-12
-        held = Z @ (Z.T @ A) - R @ (R.T @ A)
-        assert np.linalg.norm(held, 2) <= 16 * np.sqrt(np.finfo(float).eps) * norm
+        if not takes_gram(A, Om):
+            assert np.array_equal(Z, R)
+        held = np.linalg.norm(Z.T @ A) ** 2 - np.linalg.norm(R.T @ A) ** 2
+        assert abs(held) <= 16 * Z.shape[1] * np.finfo(float).eps * norm_sq
+    r = Om.shape[1] - p
+    if norm_sq > 0 and r <= min(A.shape):
+        got, want = rel_errs(A, r, q, p, 0, krylov_blocks), rel_errs(A, r, q, p, 0, reference_krylov_blocks)
+        assert all(g <= 1.1 * w + ROUNDING_TAU for g, w in zip(got, want)), (got, want)
+
+
+def test_gram_test_keeps_rsi_and_rbki_accuracy_on_graded_spectra():
+    # a 20 x 4000 matrix with singular values graded from 1 to 1e-14: at
+    # ranks 1 and 3 the power steps go through G; at ranks 11-17 the
+    # residual lies below 1e-8 ||A||, where G would floor tt_rsi's error
+    # at about 1e-9 ||A|| (up to about 3600 times the error through the
+    # products), and they do not
+    rng = np.random.default_rng(30)
+    s = 10.0 ** (-14 * np.arange(20) / 19)
+    A = spectrum_matrix(s, 20, 4000, rng)
+    took = {}
+    for r in range(1, 18, 2):
+        took[r] = takes_gram(A, np.empty((4000, r + 2)))
+        for q in (1, 2):
+            got = rel_errs(A, r, q, 2, 5, krylov_blocks)
+            want = rel_errs(A, r, q, 2, 5, reference_krylov_blocks)
+            assert all(g <= 1.1 * w + ROUNDING_TAU for g, w in zip(got, want)), (r, q, got, want)
+    assert [r for r in took if took[r]] == [1, 3]
+    assert s[11] < 1e-8 and s[17] < 1e-12
 
 
 def test_tail_energy_full_spectrum():
