@@ -10,20 +10,29 @@ the next step.  They differ only in how Q is found:
   tt_rsi   top r Ritz vectors of A in span(Z_q)
   tt_rbki  top r Ritz vectors of A in span([Z_0, ..., Z_q])
 
-tt_rsi and tt_rbki share linalg.krylov_blocks, which factors only
-rows x (r + p) blocks: Z_0 = orth(A Omega), Z_t = orth(A A^T Z_{t-1}).
-On a wide unfolding the power steps go through G = A A^T, formed once,
-instead of the 2q products with A^T and A, unless A's energy beyond its
-top r + p singular directions is below 1e-10 ||A||_F^2, where G's
+tt_rsi takes S = Z_q from linalg.krylov_blocks, the power iteration
+Z_0 = orth(A Omega), Z_t = orth(A A^T Z_{t-1}).  tt_rbki takes S from
+linalg.krylov_basis, which builds the Krylov space from the same Z_0
+block by block: each power step multiplies only the newest block,
+projects the product against the basis so far twice (block classical
+Gram-Schmidt with one re-orthogonalization) and keeps the remainder's
+directions from its thin SVD.  A direction below 1e-12 of the product's
+largest column norm is rounding and is dropped; if a kept one is below
+1e-8 (about sqrt(eps)), the block is projected once more.  The basis
+stops at min(rows, cols, (q + 1)(r + p)) columns or at a block with no
+direction left, and no block is factored twice.  Both factor only
+rows x (r + p) blocks.  On a wide unfolding the power steps go through
+G = A A^T, formed once, instead of the 2q products with A^T and A, where
+that costs fewer flops (rows < 4 q (r + p)), unless A's energy beyond
+its top r + p singular directions is below 1e-10 ||A||_F^2, where G's
 rounding would reach the residual.  Z_0 and the Ritz step below still
 read A.
-tt_rsi takes S = Z_q; tt_rbki gives the stack of all q + 1 blocks one QR,
-drops columns whose R diagonal falls below 1e-12 of the leading one and
-keeps at most min(rows, cols, (q + 1)(r + p)).  Both keep Q = S V_r, V_r
-the top r eigenvectors of B B^T with B = S^T A: the best rank-r basis in
-span(S) (Rayleigh-Ritz), whose carry is V_r^T B.  So one tt_rbki step
-leaves no larger residual than tt_rsvd or tt_rsi with the same Omega, up
-to rounding.  Every core has exactly the requested rank.
+
+Both keep Q = S V_r, V_r the top r eigenvectors of B B^T with
+B = S^T A: the best rank-r basis in span(S) (Rayleigh-Ritz), whose carry
+is V_r^T B.  So one tt_rbki step leaves no larger residual than tt_rsvd
+or tt_rsi with the same Omega, up to rounding.  Every core has exactly
+the requested rank.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
 trace; their squares sum to the final squared approximation error.
@@ -50,13 +59,9 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import economy_qr, gaussian_matrix, krylov_blocks, rank_from_tail, svd
+from .linalg import gaussian_matrix, krylov_basis, krylov_blocks, rank_from_tail, svd
 from .metrics import frobenius_norm, scaled_into_range
 from .tt import TTTensor
-
-# columns of the stacked Krylov basis whose R diagonal falls below this
-# fraction of the leading one carry no new direction and are dropped
-_KRYLOV_DROP_TOL = 1e-12
 
 
 @dataclass
@@ -298,12 +303,7 @@ def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     Ritz vectors from all q + 1 blocks."""
 
     def basis(A, Omega, r):
-        blocks = krylov_blocks(A, Omega, cfg.q)
-        S, R = economy_qr(np.hstack(blocks))
-        diag = np.abs(np.diag(R))
-        # the first block is orthonormal, so diag[0] = 1 and it is kept
-        S = S[:, diag > _KRYLOV_DROP_TOL * diag[0]]
-        return _ritz(A, S[:, : min(*A.shape, len(blocks) * Omega.shape[1])], r)
+        return _ritz(A, krylov_basis(A, Omega, cfg.q), r)
 
     return _randomized_sweep(t, cfg, basis)
 

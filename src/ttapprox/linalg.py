@@ -1,15 +1,17 @@
 """Matrix kernels used by the decomposition sweeps.
 
 Thin wrappers around LAPACK via numpy plus the pieces numpy does not
-ship: seeded Gaussian test matrices with a stable column layout, and the
-left Krylov iteration behind the power-iteration and block Krylov range
-finders.  The wide unfoldings that dominate a sweep (20 x 160000 at the
+ship: seeded Gaussian test matrices with a stable column layout, the
+left power iteration behind tt_rsi and the block Krylov basis behind
+tt_rbki.  The wide unfoldings that dominate a sweep (20 x 160000 at the
 first step of a 20^5 tensor) are never fully factored on their long
 side: svd takes a wide matrix's left factor from the small triangle of
-an R-only QR, and the Krylov iteration factors only blocks with as many
+an R-only QR, and the Krylov routines factor only blocks with as many
 rows as the unfolding while the long side is only multiplied, once into
-the small Gram matrix A A^T where float64 resolves all the sketch needs
-from it.
+the small Gram matrix A A^T where that costs fewer flops and float64
+resolves all the sketch needs from it.  The block Krylov basis is built
+block by block, by block classical Gram-Schmidt with one
+re-orthogonalization, so no block is factored twice.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
     return rng.standard_normal(rows * cols).reshape((rows, cols), order="F")
 
 
-# krylov_blocks steps through G = A A^T only while the energy of A beyond
+# the power steps go through G = A A^T only while the energy of A beyond
 # its top w singular directions is at least this fraction of ||A||_F^2:
 # G rounds to about eps ||A||_F^2 in every direction, so that energy, a
 # floor under the residual of every rank r <= w, stays far above what G
@@ -90,13 +92,15 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
 _GRAM_TAIL = 1e-10
 
 
-def _power_step_gram(A, w: int):
-    """G = A A^T when krylov_blocks takes its power steps through it, else
-    None: A is wide, and unless w >= rows (every block then spans the
-    whole row space) the energy of A beyond its top w singular directions
-    is at least _GRAM_TAIL ||A||_F^2."""
+def _power_step_gram(A, w: int, q: int):
+    """G = A A^T when the q power steps on blocks of width w take it, else
+    None.  A must be wide and cheaper to multiply through G: forming G
+    costs about rows^2 cols flops against 4 q rows cols w for the products
+    A (A^T Z), so rows < 4 q w.  And unless w >= rows (every block then
+    spans the whole row space) the energy of A beyond its top w singular
+    directions must be at least _GRAM_TAIL ||A||_F^2."""
     rows, cols = A.shape
-    if rows >= cols:
+    if rows >= cols or rows >= 4 * q * w:
         return None
     G = A @ A.T
     if w < rows:
@@ -106,26 +110,83 @@ def _power_step_gram(A, w: int):
     return G
 
 
+def _power_step(A, G, Z):
+    """A A^T Z, through G when _power_step_gram formed it."""
+    return G @ Z if G is not None else A @ (A.T @ Z)
+
+
 def krylov_blocks(A, Omega, q: int):
-    """Orthonormal blocks Z_0, ..., Z_q of the left Krylov space of A.
+    """Orthonormal blocks Z_0, ..., Z_q of the power iteration, tt_rsi's
+    range finder.
 
     Z_0 = orth(A Omega) and Z_t = orth(A A^T Z_{t-1}): Z_t spans
     (A A^T)^t A Omega.  Every QR is of an m x w block, m the rows of A and
     w the width of Omega, so the long side of a wide A is never factored.
     A wide A (m < n) takes the power steps through G = A A^T, formed once
-    in one pass over A, instead of reading A twice per step in A (A^T Z).
-    G rounds to about eps ||A||_F^2 in every direction, the products to
-    about eps ||A|| sigma_i along the i-th: G does not resolve directions
-    below about sqrt(eps) ||A||, and through it tt_rsi's residual floors
-    at about 1e-9 ||A||.  So a tall A, and a wide A whose energy beyond
-    its top w singular directions is below 1e-10 ||A||_F^2, keep the
-    products.  Z_0 reads A itself either way, and without the QRs the
-    higher powers would keep only the leading directions in float64.
-    tt_rsi uses the last block, tt_rbki all of them.
+    in one pass over A, instead of reading A twice per step in A (A^T Z),
+    when that costs fewer flops (m < 4 q w).  G rounds to about
+    eps ||A||_F^2 in every direction, the products to about eps ||A||
+    sigma_i along the i-th: G does not resolve directions below about
+    sqrt(eps) ||A||, and through it tt_rsi's residual floors at about
+    1e-9 ||A||.  So a tall A, and a wide A whose energy beyond its top w
+    singular directions is below 1e-10 ||A||_F^2, keep the products.
+    Z_0 reads A itself either way, and without the QRs the higher powers
+    would keep only the leading directions in float64.
     """
     blocks = [economy_qr(A @ Omega)[0]]
-    G = _power_step_gram(A, Omega.shape[1])
+    G = _power_step_gram(A, Omega.shape[1], q)
     for _ in range(q):
-        Z = blocks[-1]
-        blocks.append(economy_qr(G @ Z if G is not None else A @ (A.T @ Z))[0])
+        blocks.append(economy_qr(_power_step(A, G, blocks[-1]))[0])
     return blocks
+
+
+# a Krylov block's remainder after projection against the basis so far:
+# a direction below _KRYLOV_DROP_TOL times the block's largest column norm
+# before projection carries no new direction and is dropped; one below
+# _KRYLOV_REPROJECT (about sqrt(eps)) times it is projected once more
+_KRYLOV_DROP_TOL = 1e-12
+_KRYLOV_REPROJECT = 1e-8
+
+
+def krylov_basis(A, Omega, q: int):
+    """Orthonormal basis of the depth-q block Krylov space
+    span([A Omega, (A A^T) A Omega, ..., (A A^T)^q A Omega]), tt_rbki's
+    range finder, built block by block.
+
+    Z_0 = orth(A Omega).  Each power step multiplies only the newest
+    block, Y = A A^T Z_{t-1} (through G = A A^T on the same test as
+    krylov_blocks), and projects Y against the basis so far twice: block
+    classical Gram-Schmidt with one re-orthogonalization, which leaves
+    the remainder orthogonal to the basis to about eps ||Y||.  The new
+    block is the remainder's left singular vectors.  One whose singular
+    value is below 1e-12 of Y's largest column norm is rounding, not a
+    new direction, and is dropped; the SVD drops it as a direction,
+    where dropping a column would also lose the later columns' share of
+    it.  If a kept one is below 1e-8, about sqrt(eps), of that norm, the
+    projection left it off the basis by up to about eps / 1e-8, so the
+    block is projected once more.  The basis stops at
+    min(rows, cols, (q + 1) w) columns, w the width of Omega, or at a
+    block with no direction left.  Every factorization is of an m x w
+    block, m the rows of A, and none is repeated: the stack of all blocks
+    is never factored.
+    """
+    rows, cols = A.shape
+    cap = min(rows, cols, (q + 1) * Omega.shape[1])
+    Z = S = economy_qr(A @ Omega)[0][:, :cap]
+    G = _power_step_gram(A, Omega.shape[1], q) if S.shape[1] < cap else None
+    for _ in range(q):
+        if S.shape[1] >= cap:
+            break
+        Y = _power_step(A, G, Z)
+        scale = np.max(np.linalg.norm(Y, axis=0))
+        for _ in range(2):
+            Y -= S @ (S.T @ Y)
+        U, d, _ = np.linalg.svd(Y, full_matrices=False)
+        kept = min(np.count_nonzero(d > _KRYLOV_DROP_TOL * scale), cap - S.shape[1])
+        if not kept:
+            break
+        Z = U[:, :kept]
+        if d[kept - 1] < _KRYLOV_REPROJECT * scale:
+            Z = economy_qr(Z - S @ (S.T @ Z))[0]
+        S = np.hstack([S, Z])
+    return S

@@ -9,7 +9,10 @@ layout is walked in that order, so an F- or C-contiguous pair is read in
 place; a pair whose layouts differ is walked in column-major order, and
 np.ravel copies whichever tensor is not F-contiguous.  Each block is
 summed by numpy's pairwise sum, not by BLAS, so the metrics do not
-depend on the BLAS thread count.
+depend on the BLAS thread count.  A reference whose norm lies outside
+the range scaled_into_range keeps its squares in is walked a second
+time, with both tensors scaled by the same power of two, which leaves
+the two ratios exact; in range there is one pass and no copy.
 """
 
 from __future__ import annotations
@@ -64,8 +67,18 @@ class _Sums(NamedTuple):
 
 
 def _sums(a, ahat) -> _Sums:
-    """The one blocked pass behind every metric."""
+    """The sums behind every metric, from one blocked pass over a and ahat
+    or, when ||a|| is out of range, over a 2^-e and ahat 2^-e: the sums
+    then overflow or underflow, while relative_error and psnr are ratios
+    that the exact scaling leaves bit-identical."""
     a, ahat = _pair(a, ahat)
+    with np.errstate(over="ignore"):  # an overflow is handled below
+        s = _blocked_pass(a, ahat)
+    scaled, e = scaled_into_range(a, math.sqrt(s.ref_sq))
+    return _blocked_pass(scaled, np.ldexp(ahat, -e)) if e else s
+
+
+def _blocked_pass(a, ahat) -> _Sums:
     # one walk order for both: memory order when they share a layout (so
     # both ravels of a C- or F-contiguous pair are views), else column-major
     order = "K" if a.strides == ahat.strides else "F"

@@ -11,3 +11,16 @@ def tail_energy(A, j: int) -> float:
     if j > len(s):
         return 0.0
     return float(np.sqrt(np.sum(s[j - 1 :] ** 2)))
+
+
+def stack_krylov_basis(A, Omega, q):
+    """tt_rbki's basis from one QR of the stacked blocks of
+    linalg.krylov_blocks: columns whose R diagonal falls below 1e-12 of
+    the leading one are dropped, and at most min(rows, cols, (q + 1) w)
+    are kept."""
+    from ttapprox.linalg import krylov_blocks
+
+    S, R = np.linalg.qr(np.hstack(krylov_blocks(A, Omega, q)))
+    diag = np.abs(np.diag(R))
+    S = S[:, diag > 1e-12 * diag[0]]
+    return S[:, : min(*A.shape, (q + 1) * Omega.shape[1])]

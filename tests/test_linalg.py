@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -5,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import tail_energy
-from ttapprox import decompose, gaussian_matrix, tt_reconstruct
-from ttapprox.linalg import _power_step_gram, economy_qr, krylov_blocks, rank_from_tail, svd
+from oracles import stack_krylov_basis, tail_energy
+from ttapprox import decompose, gaussian_matrix, linalg, tt_reconstruct
+from ttapprox.linalg import (
+    _power_step_gram,
+    economy_qr,
+    krylov_basis,
+    krylov_blocks,
+    rank_from_tail,
+    svd,
+)
 
 
 def test_qr_column_345():
@@ -136,9 +144,9 @@ def span_projector(blocks):
     return Q @ Q.T
 
 
-def takes_gram(A, Omega):
-    """Whether krylov_blocks takes its power steps through G = A A^T."""
-    return _power_step_gram(A, Omega.shape[1]) is not None
+def takes_gram(A, Omega, q):
+    """Whether q power steps on blocks as wide as Omega go through G = A A^T."""
+    return _power_step_gram(A, Omega.shape[1], q) is not None
 
 
 def test_krylov_single_block_reduction():
@@ -147,7 +155,7 @@ def test_krylov_single_block_reduction():
     for shape, gram in [((20, 15), False), ((12, 40), True)]:
         A = gaussian_matrix(*shape, 10)
         Om = gaussian_matrix(shape[1], 4, 11)
-        assert takes_gram(A, Om) == gram
+        assert takes_gram(A, Om, 1) == gram
         blocks = krylov_blocks(A, Om, 1)
         assert len(blocks) == 2
         ref = span_projector([A @ Om, A @ (A.T @ (A @ Om))])
@@ -193,7 +201,7 @@ def test_krylov_default_matches_naive_span(q):
     for shape, w, gram in [((40, 30), 4, False), ((24, 80), 7, True)]:
         A = gaussian_matrix(*shape, 40 + q)
         Om = gaussian_matrix(shape[1], w, 50 + q)
-        assert takes_gram(A, Om) == gram
+        assert takes_gram(A, Om, q) == gram
         U = naive_krylov_basis(A, Om, q)
         P = span_projector(krylov_blocks(A, Om, q))
         assert np.linalg.norm(P - U @ U.T) <= 1e-6, shape
@@ -239,26 +247,36 @@ def spectrum_matrix(s, rows, cols, rng):
 
 @st.composite
 def krylov_inputs(draw):
-    """(A, Omega, q, p): A wide or tall, zero, rank 1, with singular values
-    graded geometrically from ||A|| down to as little as 1e-30 ||A||, or
-    with a flat tail of 1e-3 to 1e-8 ||A|| under 1 to 3 leading values,
-    which puts the energy beyond the top w singular directions on both
-    sides of the Gram test's 1e-10 ||A||_F^2; Omega has w = r + p columns."""
+    """(A, Omega, q, p): A wide or tall with singular values graded
+    geometrically from ||A|| down to as little as 1e-30 ||A||; with a flat
+    tail of 1e-3 to 1e-8 ||A|| under 1 to 3 leading values, which puts the
+    energy beyond the top w singular directions on both sides of the Gram
+    test's 1e-10 ||A||_F^2; in plateaus of 1 to 4 equal values, each
+    10 to 10^4 times below the last; graded under Gaussian noise of
+    1e-1 to 1e-6 ||A||; rank deficient, rank 1 or zero.  Omega has
+    w = r + p columns."""
     q, w = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     rows = draw(st.integers(1, 30))
     cols = draw(st.integers(rows + 1, 3000) | st.integers(1, rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["graded", "flat", "zero", "rank1"]))
+    kind = draw(st.sampled_from(["graded", "flat", "plateau", "noisy", "deficient", "zero", "rank1"]))
     k = min(rows, cols)
     s = np.zeros(k)
-    if kind == "graded":
+    if kind in ("graded", "noisy", "deficient"):
         s = 10.0 ** (-draw(st.floats(0, 30)) * np.arange(k) / max(k - 1, 1))
     elif kind == "flat":
         s[:] = 10.0 ** -draw(st.floats(3, 8))
         s[: draw(st.integers(1, 3))] = 1.0
+    elif kind == "plateau":
+        s = 10.0 ** (-draw(st.floats(1, 4)) * (np.arange(k) // draw(st.integers(1, 4))))
     elif kind == "rank1":
         s[0] = 1.0
-    A = spectrum_matrix(s, rows, cols, rng) * 10.0 ** draw(st.integers(-3, 3))
+    if kind == "deficient":
+        s[draw(st.integers(1, max(1, k - 1))) :] = 0.0
+    A = spectrum_matrix(s, rows, cols, rng)
+    if kind == "noisy":
+        A += rng.standard_normal((rows, cols)) * 10.0 ** -draw(st.floats(1, 6)) / np.sqrt(max(rows, cols))
+    A *= 10.0 ** draw(st.integers(-3, 3))
     return A, rng.standard_normal((cols, w)), q, draw(st.integers(0, min(2, w - 1)))
 
 
@@ -267,15 +285,18 @@ def krylov_inputs(draw):
 ROUNDING_TAU = 6 * np.finfo(float).eps
 
 
-def rel_errs(A, r, q, p, seed, kb):
-    """rel_err of tt_rsi and tt_rbki on the matrix A at rank r, with
-    krylov_blocks replaced by kb."""
-    errs = []
-    with mock.patch.object(decompose, "krylov_blocks", kb):
-        for method in ("rsi", "rbki"):
-            tt, _ = decompose.run_method(method, A, (r,), p=p, q=q, seed=seed)
-            errs.append(np.linalg.norm(A - tt_reconstruct(tt)) / np.linalg.norm(A))
-    return errs
+def rel_err(method, A, r, q, p, seed=0):
+    """rel_err of one sweep of the matrix A at rank r."""
+    tt, _ = decompose.run_method(method, A, (r,), p=p, q=q, seed=seed)
+    return np.linalg.norm(A - tt_reconstruct(tt)) / np.linalg.norm(A)
+
+
+def rel_errs(A, r, q, p, seed, gram):
+    """rel_err of tt_rsi and tt_rbki; with gram False every power step
+    goes through the products A (A^T Z)."""
+    no_gram = mock.patch.object(linalg, "_power_step_gram", return_value=None)
+    with contextlib.nullcontext() if gram else no_gram:
+        return [rel_err(method, A, r, q, p, seed) for method in ("rsi", "rbki")]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -295,34 +316,110 @@ def test_krylov_branches_span_the_products_iteration(inputs):
     for Z, R in zip(blocks, ref):
         assert Z.shape == R.shape == (A.shape[0], min(A.shape[0], Om.shape[1]))
         assert np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) <= 1e-12
-        if not takes_gram(A, Om):
+        if not takes_gram(A, Om, q):
             assert np.array_equal(Z, R)
         held = np.linalg.norm(Z.T @ A) ** 2 - np.linalg.norm(R.T @ A) ** 2
         assert abs(held) <= 16 * Z.shape[1] * np.finfo(float).eps * norm_sq
     r = Om.shape[1] - p
     if norm_sq > 0 and r <= min(A.shape):
-        got, want = rel_errs(A, r, q, p, 0, krylov_blocks), rel_errs(A, r, q, p, 0, reference_krylov_blocks)
+        got, want = rel_errs(A, r, q, p, 0, True), rel_errs(A, r, q, p, 0, False)
         assert all(g <= 1.1 * w + ROUNDING_TAU for g, w in zip(got, want)), (got, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inputs=krylov_inputs())
+def test_krylov_basis_holds_the_krylov_space(inputs):
+    # the block-by-block basis is orthonormal, keeps between
+    # min(rows, cols, w) and min(rows, cols, (q + 1) w) columns and holds
+    # every raw power (A A^T)^t A Omega but for what the 1e-12 drop rule
+    # lets go; and tt_rbki through it stays within criterion 5's bound of
+    # tt_rbki through one QR of the stacked blocks
+    A, Om, q, p = inputs
+    w = Om.shape[1]
+    S = krylov_basis(A, Om, q)
+    assert min(*A.shape, w) <= S.shape[1] <= min(*A.shape, (q + 1) * w)
+    assert np.max(np.abs(S.T @ S - np.eye(S.shape[1]))) <= 1e-13
+    K = A @ Om
+    scale = np.linalg.norm(K)
+    for t in range(q + 1):
+        assert np.linalg.norm(K - S @ (S.T @ K)) <= 1e-9 * scale, t
+        K = A @ (A.T @ K)
+        scale *= np.linalg.norm(A, 2) ** 2
+    r = w - p
+    if np.any(A) and r <= min(A.shape):
+        got = rel_err("rbki", A, r, q, p)
+        with mock.patch.object(decompose, "krylov_basis", stack_krylov_basis):
+            want = rel_err("rbki", A, r, q, p)
+        assert got <= 1.1 * want + ROUNDING_TAU, (got, want)
+
+
+def test_krylov_basis_on_zero_rank_one_and_rank_deficient_input():
+    # Z_0 is kept whole; a block that adds no direction ends the basis
+    rng = np.random.default_rng(31)
+    Om = rng.standard_normal((40, 4))
+    assert np.array_equal(krylov_basis(np.zeros((12, 40)), Om, 3), economy_qr(np.zeros((12, 4)))[0])
+    u, v = rng.standard_normal(12), rng.standard_normal(40)
+    S = krylov_basis(np.outer(u, v), Om, 3)
+    assert S.shape == (12, 4)
+    assert np.linalg.norm(u - S @ (S.T @ u)) <= 1e-14 * np.linalg.norm(u)
+    # rank 6: Z_0 holds 4 directions of the range, Z_1 the other 2
+    A = spectrum_matrix(np.arange(6, 0, -1.0), 12, 40, rng)
+    S = krylov_basis(A, Om, 3)
+    assert S.shape == (12, 6)
+    assert np.linalg.norm(A - S @ (S.T @ A)) <= 1e-13 * np.linalg.norm(A)
+
+
+def test_krylov_basis_drops_directions_not_columns():
+    # Omega's first column is A's top right singular vector, so the first
+    # column of every power step adds nothing: a QR that dropped that
+    # column would lose the later columns' share of its noise direction
+    # (1e-3 of the raw powers here); the SVD of the remainder drops only
+    # the direction
+    rng = np.random.default_rng(33)
+    U = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    V = np.linalg.qr(rng.standard_normal((40, 12)))[0]
+    A = (U * 2.0 ** -np.arange(12)) @ V.T
+    Om = np.column_stack([V[:, 0], rng.standard_normal((40, 2))])
+    S = krylov_basis(A, Om, 2)
+    assert S.shape == (12, 7)  # 3 + 2 + 2 directions
+    K = A @ Om
+    for _ in range(3):
+        assert np.linalg.norm(K - S @ (S.T @ K)) <= 1e-14 * np.linalg.norm(K)
+        K = A @ (A.T @ K)
 
 
 def test_gram_test_keeps_rsi_and_rbki_accuracy_on_graded_spectra():
     # a 20 x 4000 matrix with singular values graded from 1 to 1e-14: at
-    # ranks 1 and 3 the power steps go through G; at ranks 11-17 the
-    # residual lies below 1e-8 ||A||, where G would floor tt_rsi's error
-    # at about 1e-9 ||A|| (up to about 3600 times the error through the
-    # products), and they do not
+    # q 2 and 3 the power steps cost fewer flops through G at every rank
+    # (20 < 4 q (r + 2)), and at ranks 1 and 3 they go through it; at
+    # ranks 11-17 the residual lies below 1e-8 ||A||, where G would floor
+    # tt_rsi's error at about 1e-9 ||A|| (up to about 3600 times the
+    # error through the products), and they do not
     rng = np.random.default_rng(30)
     s = 10.0 ** (-14 * np.arange(20) / 19)
     A = spectrum_matrix(s, 20, 4000, rng)
-    took = {}
-    for r in range(1, 18, 2):
-        took[r] = takes_gram(A, np.empty((4000, r + 2)))
-        for q in (1, 2):
-            got = rel_errs(A, r, q, 2, 5, krylov_blocks)
-            want = rel_errs(A, r, q, 2, 5, reference_krylov_blocks)
+    for q in (2, 3):
+        took = []
+        for r in range(1, 18, 2):
+            if takes_gram(A, np.empty((4000, r + 2)), q):
+                took.append(r)
+            got, want = rel_errs(A, r, q, 2, 5, True), rel_errs(A, r, q, 2, 5, False)
             assert all(g <= 1.1 * w + ROUNDING_TAU for g, w in zip(got, want)), (r, q, got, want)
-    assert [r for r in took if took[r]] == [1, 3]
+        assert took == [1, 3], q
     assert s[11] < 1e-8 and s[17] < 1e-12
+
+
+def test_gram_steps_only_where_they_cost_fewer_flops():
+    # G = A A^T costs rows^2 cols flops, the q steps' products 4 q rows
+    # cols w: the power steps of tt_rsi and tt_rbki take G only while
+    # rows < 4 q w (and the energy test passes; these inputs pass it)
+    rng = np.random.default_rng(32)
+    for rows, cols, w, q, gram in [(20, 3000, 10, 2, True), (100, 2000, 22, 2, True),
+                                   (160, 2000, 10, 2, False), (80, 400, 6, 2, False),
+                                   (48, 1728, 6, 2, False), (100, 2000, 12, 2, False),
+                                   (100, 2000, 12, 3, True), (20, 400, 5, 1, False)]:
+        A = rng.standard_normal((rows, cols))
+        assert takes_gram(A, np.empty((cols, w)), q) == gram, (rows, w, q)
 
 
 def test_tail_energy_full_spectrum():

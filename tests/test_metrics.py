@@ -115,3 +115,14 @@ def test_error_metrics_is_both_metrics_from_one_pass(layout):
     assert got == (relative_error(a, ahat), psnr(a, ahat))
     with pytest.raises(InvalidArgumentError, match="zero norm"):
         error_metrics(np.zeros((2, 2)), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("j", [600, -600])
+def test_error_metrics_are_exactly_scale_invariant(j):
+    # at 2^600 the squares overflow and at 2^-600 they underflow; the pass
+    # is redone on both tensors scaled by one power of two, which leaves
+    # both ratios bit-identical
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((6, 7, 8))
+    ahat = a + 1e-3 * rng.standard_normal(a.shape)
+    assert error_metrics(np.ldexp(a, j), np.ldexp(ahat, j)) == error_metrics(a, ahat)
