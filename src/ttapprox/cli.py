@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 invalid arguments, 3 I/O or parse failure,
-4 numerical failure.
+Exit codes: 0 success, 2 invalid arguments (a tensor too big to index
+among them) or out of memory, 3 I/O or parse failure, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -165,6 +166,9 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

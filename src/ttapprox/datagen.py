@@ -20,6 +20,14 @@ _MAGIC = b"DTEN"
 _VERSION = 1
 
 
+def _check_indexable(dims) -> None:
+    """Raise unless a float64 array of shape dims has fewer bytes than
+    numpy can index, so a huge request is an argument error, not
+    numpy's ValueError."""
+    if 8 * math.prod(dims) > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(f"a {'x'.join(map(str, dims))} float64 tensor is too big to index")
+
+
 def spectrum_decay_tensor(n: int, T: int, D: float) -> np.ndarray:
     """n x n x n tensor of diagonal frontal slices with a rank-T plateau.
 
@@ -34,6 +42,7 @@ def spectrum_decay_tensor(n: int, T: int, D: float) -> np.ndarray:
         raise InvalidArgumentError(f"T must be >= 1, got {T}")
     if not 0 < D < math.inf:
         raise InvalidArgumentError(f"D must be finite and > 0, got {D}")
+    _check_indexable((n, n, n))
     out = np.zeros((n, n, n), order="F")
     for j in range(1, n + 1):
         m = min(T, j)
@@ -50,6 +59,7 @@ def power_function_tensor(dims, h: float) -> np.ndarray:
         raise InvalidArgumentError(f"dims must be positive, got {dims}")
     if not 0 < h < math.inf:
         raise InvalidArgumentError(f"h must be finite and > 0, got {h}")
+    _check_indexable(dims)
     n_modes = len(dims)
     total = None
     # mode k sits on axis N-1-k, so the C-ordered sum is the transpose of

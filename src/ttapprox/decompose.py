@@ -10,23 +10,16 @@ the next step.  They differ only in how Q is found:
   tt_rsi   top r Ritz vectors of A in span(Z_q)
   tt_rbki  top r Ritz vectors of A in span([Z_0, ..., Z_q])
 
-tt_rsi takes S = Z_q from linalg.krylov_blocks, the power iteration
-Z_0 = orth(A Omega), Z_t = orth(A A^T Z_{t-1}).  tt_rbki takes S from
-linalg.krylov_basis, which builds the Krylov space from the same Z_0
-block by block: each power step multiplies only the newest block,
-projects the product against the basis so far twice (block classical
-Gram-Schmidt with one re-orthogonalization) and keeps the remainder's
-directions from its thin SVD.  A direction below 1e-12 of the product's
-largest column norm is rounding and is dropped; if a kept one is below
-1e-8 (about sqrt(eps)), the block is projected once more.  The basis
-stops at min(rows, cols, (q + 1)(r + p)) columns or at a block with no
-direction left, and no block is factored twice.  Both factor only
-rows x (r + p) blocks.  On a wide unfolding the power steps go through
-G = A A^T, formed once, instead of the 2q products with A^T and A, where
-that costs fewer flops (rows < 4 q (r + p)), unless A's energy beyond
-its top r + p singular directions is below 1e-10 ||A||_F^2, where G's
-rounding would reach the residual.  Z_0 and the Ritz step below still
-read A.
+The randomized sweeps share their first step: each draws one Gaussian
+Omega (r + p columns, fewer on a short trailing side) and takes the
+sketch's left singular vectors Z_0 = svd(A Omega).U, min(rows, r + p)
+columns, before any range finder runs.  tt_rsvd keeps the first r
+columns of Z_0.  tt_rsi takes S = Z_q from linalg.krylov_blocks, the
+power iteration Z_t = orth(A A^T Z_{t-1}) from Z_0; tt_rbki takes S from
+linalg.krylov_basis, which builds span([Z_0, ..., Z_q]) block by block
+(its docstring gives the drop and re-projection rules).  Both factor
+only rows x (r + p) blocks, and linalg._power_step_gram decides whether
+their power steps go through G = A A^T.
 
 Both keep Q = S V_r, V_r the top r eigenvectors of B B^T with
 B = S^T A: the best rank-r basis in span(S) (Rayleigh-Ritz), whose carry
@@ -243,8 +236,9 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
 
 
 def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace]:
-    """Shared randomized scaffold; basis(A, Omega, r) -> (Q, Q^T A), with
-    Q^T A F-contiguous."""
+    """Shared randomized scaffold; basis(A, Z0, r) -> (Q, Q^T A), with
+    Q^T A F-contiguous and Z0 = svd(A Omega).U the step's sketch basis.
+    Omega is drawn and applied here and nowhere else."""
     # norm is ||A_n||: the input's norm at step 0, then the previous carry's
     t, norm, e = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
@@ -256,10 +250,10 @@ def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace
         cols = A.shape[1]
         width = min(r + cfg.p, cols)
         clamped = width < r + cfg.p
-        Omega = gaussian_matrix(cols, width, rng)
+        Z0 = svd(A @ gaussian_matrix(cols, width, rng)).U
         # Q has exactly r columns: r <= min(rows, width) (_check_ranks),
-        # and A Omega and every Krylov block have min(rows, width) columns
-        Q, carry = basis(A, Omega, r)
+        # and Z0 and every Krylov block have min(rows, width) columns
+        Q, carry = basis(A, Z0, r)
         # rho^2 = ||A||^2 - ||Q^T A||^2, clamped against cancellation
         carry_norm = frobenius_norm(carry)
         residual = math.sqrt(max(norm**2 - carry_norm**2, 0.0))
@@ -281,8 +275,8 @@ def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition from a plain Gaussian sketch, keeping
     the top r left singular vectors of A Omega."""
 
-    def basis(A, Omega, r):
-        Q = svd(A @ Omega).U[:, :r]
+    def basis(A, Z0, r):
+        Q = Z0[:, :r]
         return Q, (A.T @ Q).T
 
     return _randomized_sweep(t, cfg, basis)
@@ -292,8 +286,8 @@ def tt_rsi(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition with q rounds of subspace power
     iteration: Ritz vectors from the last Krylov block alone."""
 
-    def basis(A, Omega, r):
-        return _ritz(A, krylov_blocks(A, Omega, cfg.q)[-1], r)
+    def basis(A, Z0, r):
+        return _ritz(A, krylov_blocks(A, Z0, cfg.q)[-1], r)
 
     return _randomized_sweep(t, cfg, basis)
 
@@ -302,8 +296,8 @@ def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition through a depth-q block Krylov basis:
     Ritz vectors from all q + 1 blocks."""
 
-    def basis(A, Omega, r):
-        return _ritz(A, krylov_basis(A, Omega, cfg.q), r)
+    def basis(A, Z0, r):
+        return _ritz(A, krylov_basis(A, Z0, cfg.q), r)
 
     return _randomized_sweep(t, cfg, basis)
 

@@ -6,12 +6,10 @@ left power iteration behind tt_rsi and the block Krylov basis behind
 tt_rbki.  The wide unfoldings that dominate a sweep (20 x 160000 at the
 first step of a 20^5 tensor) are never fully factored on their long
 side: svd takes a wide matrix's left factor from the small triangle of
-an R-only QR, and the Krylov routines factor only blocks with as many
-rows as the unfolding while the long side is only multiplied, once into
-the small Gram matrix A A^T where that costs fewer flops and float64
-resolves all the sketch needs from it.  The block Krylov basis is built
-block by block, by block classical Gram-Schmidt with one
-re-orthogonalization, so no block is factored twice.
+an R-only QR, and the Krylov routines start from the sweep's sketch
+basis Z_0 and factor only blocks with as many rows as the unfolding,
+while the long side is only multiplied (_power_step_gram decides when
+through A A^T).
 """
 
 from __future__ import annotations
@@ -26,14 +24,6 @@ from .errors import InvalidArgumentError
 class SvdResult(NamedTuple):
     U: np.ndarray  # m x k, orthonormal columns
     s: np.ndarray  # k nonincreasing nonnegative singular values
-
-
-def economy_qr(A):
-    """Economy QR with the R diagonal normalized to be nonnegative."""
-    Q, R = np.linalg.qr(A, mode="reduced")
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return Q * signs, signs[:, None] * R
 
 
 def svd(A) -> SvdResult:
@@ -84,21 +74,33 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
     return rng.standard_normal(rows * cols).reshape((rows, cols), order="F")
 
 
-# the power steps go through G = A A^T only while the energy of A beyond
-# its top w singular directions is at least this fraction of ||A||_F^2:
-# G rounds to about eps ||A||_F^2 in every direction, so that energy, a
-# floor under the residual of every rank r <= w, stays far above what G
-# loses
+# the least energy of A beyond its top w singular directions, as a
+# fraction of ||A||_F^2, with which the power steps go through G = A A^T
 _GRAM_TAIL = 1e-10
 
 
 def _power_step_gram(A, w: int, q: int):
     """G = A A^T when the q power steps on blocks of width w take it, else
-    None.  A must be wide and cheaper to multiply through G: forming G
-    costs about rows^2 cols flops against 4 q rows cols w for the products
-    A (A^T Z), so rows < 4 q w.  And unless w >= rows (every block then
-    spans the whole row space) the energy of A beyond its top w singular
-    directions must be at least _GRAM_TAIL ||A||_F^2."""
+    None.
+
+    Through G the power steps read the long side of A once, in one pass
+    that forms G, where the products A (A^T Z) read it twice per step.
+    G is taken when both hold:
+
+    - A is wide and cheaper to multiply through G: forming G costs about
+      rows^2 cols flops against 4 q rows cols w for the products, so
+      rows < 4 q w.
+    - w >= rows (every block then spans the whole row space), or the
+      energy of A beyond its top w singular directions is at least
+      _GRAM_TAIL ||A||_F^2.  G rounds to about eps ||A||_F^2 in every
+      direction, the products to about eps ||A|| sigma_i along the i-th,
+      so G does not resolve directions below about sqrt(eps) ||A||, and
+      through it tt_rsi's residual would floor at about 1e-9 ||A||.  That
+      energy is a floor under the residual of every rank r <= w, so while
+      it stays far above what G loses, G costs the sweep nothing.
+
+    The sketch basis Z_0 and the Ritz step read A itself either way.
+    """
     rows, cols = A.shape
     if rows >= cols or rows >= 4 * q * w:
         return None
@@ -115,28 +117,21 @@ def _power_step(A, G, Z):
     return G @ Z if G is not None else A @ (A.T @ Z)
 
 
-def krylov_blocks(A, Omega, q: int):
+def krylov_blocks(A, Z0, q: int):
     """Orthonormal blocks Z_0, ..., Z_q of the power iteration, tt_rsi's
     range finder.
 
-    Z_0 = orth(A Omega) and Z_t = orth(A A^T Z_{t-1}): Z_t spans
-    (A A^T)^t A Omega.  Every QR is of an m x w block, m the rows of A and
-    w the width of Omega, so the long side of a wide A is never factored.
-    A wide A (m < n) takes the power steps through G = A A^T, formed once
-    in one pass over A, instead of reading A twice per step in A (A^T Z),
-    when that costs fewer flops (m < 4 q w).  G rounds to about
-    eps ||A||_F^2 in every direction, the products to about eps ||A||
-    sigma_i along the i-th: G does not resolve directions below about
-    sqrt(eps) ||A||, and through it tt_rsi's residual floors at about
-    1e-9 ||A||.  So a tall A, and a wide A whose energy beyond its top w
-    singular directions is below 1e-10 ||A||_F^2, keep the products.
-    Z_0 reads A itself either way, and without the QRs the higher powers
+    Z0 is the sweep's orthonormal sketch basis, spanning A Omega, and
+    Z_t = orth(A A^T Z_{t-1}) spans (A A^T)^t A Omega.  Every QR is of an
+    m x w block, m the rows of A and w the width of Z0, so the long side
+    of a wide A is never factored; _power_step_gram decides whether the
+    power steps go through G = A A^T.  Without the QRs the higher powers
     would keep only the leading directions in float64.
     """
-    blocks = [economy_qr(A @ Omega)[0]]
-    G = _power_step_gram(A, Omega.shape[1], q)
+    blocks = [Z0]
+    G = _power_step_gram(A, Z0.shape[1], q)
     for _ in range(q):
-        blocks.append(economy_qr(_power_step(A, G, blocks[-1]))[0])
+        blocks.append(np.linalg.qr(_power_step(A, G, blocks[-1]))[0])
     return blocks
 
 
@@ -148,14 +143,15 @@ _KRYLOV_DROP_TOL = 1e-12
 _KRYLOV_REPROJECT = 1e-8
 
 
-def krylov_basis(A, Omega, q: int):
+def krylov_basis(A, Z0, q: int):
     """Orthonormal basis of the depth-q block Krylov space
     span([A Omega, (A A^T) A Omega, ..., (A A^T)^q A Omega]), tt_rbki's
     range finder, built block by block.
 
-    Z_0 = orth(A Omega).  Each power step multiplies only the newest
-    block, Y = A A^T Z_{t-1} (through G = A A^T on the same test as
-    krylov_blocks), and projects Y against the basis so far twice: block
+    Z0 is the sweep's orthonormal sketch basis, spanning A Omega, and is
+    kept whole.  Each power step multiplies only the newest block,
+    Y = A A^T Z_{t-1} (through G = A A^T where _power_step_gram takes
+    it), and projects Y against the basis so far twice: block
     classical Gram-Schmidt with one re-orthogonalization, which leaves
     the remainder orthogonal to the basis to about eps ||Y||.  The new
     block is the remainder's left singular vectors.  One whose singular
@@ -165,15 +161,15 @@ def krylov_basis(A, Omega, q: int):
     it.  If a kept one is below 1e-8, about sqrt(eps), of that norm, the
     projection left it off the basis by up to about eps / 1e-8, so the
     block is projected once more.  The basis stops at
-    min(rows, cols, (q + 1) w) columns, w the width of Omega, or at a
+    min(rows, cols, (q + 1) w) columns, w the width of Z0, or at a
     block with no direction left.  Every factorization is of an m x w
     block, m the rows of A, and none is repeated: the stack of all blocks
     is never factored.
     """
     rows, cols = A.shape
-    cap = min(rows, cols, (q + 1) * Omega.shape[1])
-    Z = S = economy_qr(A @ Omega)[0][:, :cap]
-    G = _power_step_gram(A, Omega.shape[1], q) if S.shape[1] < cap else None
+    cap = min(rows, cols, (q + 1) * Z0.shape[1])
+    Z = S = Z0[:, :cap]
+    G = _power_step_gram(A, Z0.shape[1], q) if S.shape[1] < cap else None
     for _ in range(q):
         if S.shape[1] >= cap:
             break
@@ -187,6 +183,6 @@ def krylov_basis(A, Omega, q: int):
             break
         Z = U[:, :kept]
         if d[kept - 1] < _KRYLOV_REPROJECT * scale:
-            Z = economy_qr(Z - S @ (S.T @ Z))[0]
+            Z = np.linalg.qr(Z - S @ (S.T @ Z))[0]
         S = np.hstack([S, Z])
     return S

@@ -17,7 +17,8 @@ def stack_krylov_basis(A, Omega, q):
     """tt_rbki's basis from one QR of the stacked blocks of
     linalg.krylov_blocks: columns whose R diagonal falls below 1e-12 of
     the leading one are dropped, and at most min(rows, cols, (q + 1) w)
-    are kept."""
+    are kept.  Omega is what the sweep passes in krylov_basis's place:
+    its sketch basis Z_0 = svd(A Omega).U, w columns wide."""
     from ttapprox.linalg import krylov_blocks
 
     S, R = np.linalg.qr(np.hstack(krylov_blocks(A, Omega, q)))

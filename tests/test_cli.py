@@ -19,8 +19,10 @@ from ttapprox import (
     tt_load,
     tt_reconstruct,
     tt_rsvd,
+    tt_save,
     tt_svd,
 )
+from ttapprox import cli
 from ttapprox.cli import build_parser, main
 from ttapprox.decompose import METHODS
 
@@ -274,6 +276,48 @@ def test_bad_plan_exits(tmp_path):
         path.write_text(json.dumps(plan))
         assert run("bench", "--plan", path, "-o", tmp_path / "o.csv") == 2, plan
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_synth_too_big_to_index_exits_2(tmp_path, capsys):
+    # 10^21 entries: refused before anything is allocated
+    out = tmp_path / "x.dten"
+    assert run("synth", "spectrum", "--n", 10**7, "--T", 2, "--D", 1.0, "-o", out) == 2
+    assert "too big to index" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_dataset_too_big_to_index_exits_2(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "dataset": {"kind": "spectrum", "n": 10**7, "T": 2, "D": 1.0},
+        "methods": ["rsvd"], "ranks": [2], "seeds": [0],
+    }))
+    assert run("bench", "--plan", plan, "-o", tmp_path / "o.csv") == 2
+    assert "too big to index" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def no_memory(*args):
+    """Fails as an allocation that does not fit would, so the tests that
+    patch it in allocate nothing big."""
+    raise MemoryError("Unable to allocate 74.5 GiB")
+
+
+def test_synth_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "spectrum_decay_tensor", no_memory)
+    out = tmp_path / "x.dten"
+    assert run("synth", "spectrum", "--n", 4, "--T", 2, "--D", 1.0, "-o", out) == 2
+    assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    src, out = tmp_path / "a.ttc", tmp_path / "a.dten"
+    tt_save(tt_svd(np.ones((3, 3, 3)), TruncationSpec(ranks=(1, 1)))[0], src)
+    monkeypatch.setattr(cli, "tt_reconstruct", no_memory)
+    assert run("reconstruct", "-i", src, "-o", out) == 2
+    assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2():

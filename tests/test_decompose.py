@@ -24,7 +24,7 @@ from ttapprox import (
     validate,
 )
 from ttapprox import decompose
-from ttapprox.linalg import economy_qr, gaussian_matrix
+from ttapprox.linalg import gaussian_matrix, svd
 from ttapprox.tt import left_unfolding
 
 ALGS = {
@@ -212,12 +212,49 @@ def test_rbki_q1_naive_spans_power_augmented_sketch():
     A = np.reshape(t, (10, 72), order="F")
     tt, _ = tt_rbki(t, SketchConfig(ranks=(3, 3), p=1, q=1, seed=99))
     Om = gaussian_matrix(A.shape[1], 4, 99)  # the sweep's first draw
-    S = economy_qr(np.hstack([A @ Om, A @ (A.T @ (A @ Om))]))[0]
+    S = np.linalg.qr(np.hstack([A @ Om, A @ (A.T @ (A @ Om))]))[0]
     assert S.shape[1] == 8  # fewer than the 10 rows: a proper subspace
     W = np.linalg.svd(S.T @ A)[0][:, :3]
     Qr = S @ W
     Q = np.reshape(tt.cores[0], (10, 3), order="F")
     assert np.linalg.norm(Q @ Q.T - Qr @ Qr.T) <= 1e-8
+
+
+def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
+    # each step draws Omega once and hands Z_0 = svd(A Omega).U to the
+    # range finder: rsi and rbki start from the same Omega and Z_0, and
+    # tt_rsvd's core is Z_0's first r columns
+    t = np.random.default_rng(15).standard_normal((7, 6, 5))
+    cfg = SketchConfig(ranks=(4, 3), p=2, q=2, seed=4)
+    draws, starts = [], {"rsi": [], "rbki": []}
+    draw = decompose.gaussian_matrix
+
+    def spy_draw(*args):
+        draws[-1].append(draw(*args))
+        return draws[-1][-1]
+
+    def spy_range_finder(method, finder):
+        def spy(A, Z0, q):
+            starts[method].append((A.copy(), Z0.copy()))
+            return finder(A, Z0, q)
+        return spy
+
+    monkeypatch.setattr(decompose, "gaussian_matrix", spy_draw)
+    monkeypatch.setattr(decompose, "krylov_blocks", spy_range_finder("rsi", decompose.krylov_blocks))
+    monkeypatch.setattr(decompose, "krylov_basis", spy_range_finder("rbki", decompose.krylov_basis))
+    sweeps = {}
+    for method, sweep in ALGS.items():
+        draws.append([])
+        sweeps[method] = sweep(t, cfg)[0]
+    assert [len(d) for d in draws] == [2, 2, 2]  # one draw per step
+    for n in range(2):
+        assert np.array_equal(draws[0][n], draws[1][n]) and np.array_equal(draws[0][n], draws[2][n])
+        for method in ("rsi", "rbki"):
+            A, Z0 = starts[method][n]
+            assert np.array_equal(Z0, svd(A @ draws[0][n]).U)
+    assert np.array_equal(starts["rsi"][0][1], starts["rbki"][0][1])
+    Z0 = starts["rsi"][0][1]
+    assert np.array_equal(np.reshape(sweeps["rsvd"].cores[0], (7, 4), order="F"), Z0[:, :4])
 
 
 def test_rbki_krylov_stack_column_cap(monkeypatch):
