@@ -27,7 +27,7 @@ import numpy as np
 
 from . import decompose
 from .datagen import add_awgn, power_function_tensor, spectrum_decay_tensor, tensor_load
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _int
 from .metrics import error_metrics
 from .tt import tt_reconstruct
 
@@ -81,12 +81,6 @@ _SCHEMA = (
     ("trace_sum_sq", _opt_float, _opt_float),
     ("error", _opt_str, _opt_str),
 )
-
-
-def _int(v, what: str, low: int) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < low:
-        raise InvalidArgumentError(f"{what} must be an integer >= {low}, got {v!r}")
-    return v
 
 
 def _number(v, what: str) -> float:

@@ -3,6 +3,10 @@
 Every tensor this module returns is column-major (F-contiguous), the
 layout the sweeps unfold and the ".dten" payload is stored in, so none
 of them is copied on its way into a decomposition.
+
+add_awgn measures the signal power with the package's one sum of
+squares (metrics), so the noise of a given seed does not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import struct
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError
-from .metrics import scaled_into_range
+from .errors import InvalidArgumentError, ParseError, _int
+from .metrics import _sum_sq
 
 _MAGIC = b"DTEN"
 _VERSION = 1
@@ -75,23 +79,19 @@ def add_awgn(t, snr_db: float, seed: int) -> np.ndarray:
     """Add white Gaussian noise calibrated against measured signal power.
 
     Noise variance is (||t||_F^2 / numel) / 10^(snr_db/10); deterministic
-    for a given seed, an integer >= 0.  A tensor whose norm is out of
-    float64's squaring range has its power measured on t 2^-e
-    (metrics.scaled_into_range), so the noise of t 2^j is exactly 2^j
-    times the noise of t while no entry leaves the normal range.
+    for a given seed, an integer >= 0.  The power comes from the
+    package's one sum of squares (metrics._sum_sq), so it does not depend
+    on the BLAS thread count, and a tensor out of float64's squaring range
+    has it measured on t 2^-e: the noise of t 2^j is exactly 2^j times
+    the noise of t while no entry leaves the normal range.
     """
     if not math.isfinite(snr_db):
         raise InvalidArgumentError(f"snr_db must be finite, got {snr_db}")
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    seed = _int(seed, "seed", 0)
     t = np.asarray(t, dtype=np.float64)
-    with np.errstate(over="ignore"):  # a sum that overflows is rescaled below
-        sum_sq = float(np.sum(t**2))
-    # out of range, the power is that of t 2^-e and sigma is scaled back by
-    # 2^e: exact, so the noise is the same at every scale
-    scaled, e = scaled_into_range(t, math.sqrt(sum_sq))
-    if e:
-        sum_sq = float(np.sum(scaled**2))
+    # sigma of t 2^-e scaled back by 2^e: exact, so the noise is the same
+    # at every scale
+    _, sum_sq, e = _sum_sq(t)
     power = sum_sq / t.size
     if power == 0.0:
         raise InvalidArgumentError("signal power is zero, SNR undefined")

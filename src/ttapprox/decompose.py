@@ -28,7 +28,13 @@ or tt_rsi with the same Omega, up to rounding.  Every core has exactly
 the requested rank.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
-trace; their squares sum to the final squared approximation error.
+trace; their squares sum to the final squared approximation error.  The
+norms behind them come from metrics' one sum of squares, which calls no
+BLAS, so the same cores give the same residuals at any BLAS thread
+count.  Two gaps remain: on some shapes OpenBLAS splits a GEMM whose
+inner dimension is an unfolding's long side across threads, and then
+the randomized cores differ; and tt_svd's singular values pass through
+LAPACK's threaded QR in linalg.svd.
 
 Every linearization is column-major (first index fastest): element
 (i_1, ..., i_N) of a tensor sits at offset sum_n i_n prod_{m<n} I_m, so
@@ -51,9 +57,9 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _int
 from .linalg import gaussian_matrix, krylov_basis, krylov_blocks, rank_from_tail, svd
-from .metrics import frobenius_norm, scaled_into_range
+from .metrics import _sum_sq, frobenius_norm
 from .tt import TTTensor
 
 
@@ -70,9 +76,7 @@ class TruncationSpec:
         if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
             raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.ranks is not None:
-            self.ranks = tuple(int(r) for r in self.ranks)
-            if any(r < 1 for r in self.ranks):
-                raise InvalidArgumentError(f"ranks must be positive, got {self.ranks}")
+            self.ranks = tuple(_int(r, "rank", 1) for r in self.ranks)
 
 
 @dataclass
@@ -85,15 +89,10 @@ class SketchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.ranks = tuple(int(r) for r in self.ranks)
-        if any(r < 1 for r in self.ranks):
-            raise InvalidArgumentError(f"ranks must be positive, got {self.ranks}")
-        if self.p < 0:
-            raise InvalidArgumentError(f"p must be >= 0, got {self.p}")
-        if self.q < 1:
-            raise InvalidArgumentError(f"q must be >= 1, got {self.q}")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
+        self.ranks = tuple(_int(r, "rank", 1) for r in self.ranks)
+        self.p = _int(self.p, "p", 0)
+        self.q = _int(self.q, "q", 1)
+        self.seed = _int(self.seed, "seed", 0)
 
 
 @dataclass
@@ -125,19 +124,15 @@ def _as_input(t) -> Tuple[np.ndarray, float, int]:
 
     The sweeps square norms and multiply A by A^T, so a tensor whose norm
     is out of range comes back as t 2^-e (and its norm), for _scale_back
-    to undo; metrics.scaled_into_range holds the rule.  In range e = 0
-    and t is not copied."""
+    to undo; metrics._sum_sq holds the rule.  In range e = 0 and t is
+    not copied."""
     t = np.asarray(t, dtype=np.float64)
     if t.ndim < 1:
         raise InvalidArgumentError("input tensor must have order >= 1")
-    with np.errstate(over="ignore"):  # an overflow is handled below
-        norm = frobenius_norm(t)
-    # a finite norm proves every entry finite; an infinite one may also
-    # come from squares of huge finite entries, so then look at each entry
-    if not math.isfinite(norm) and not np.isfinite(t).all():
+    t, sum_sq, e = _sum_sq(t)
+    if not math.isfinite(sum_sq):
         raise FloatingPointError("input tensor has NaN or Inf entries")
-    t, e = scaled_into_range(t, norm)
-    return t, frobenius_norm(t) if e else norm, e
+    return t, math.sqrt(sum_sq), e
 
 
 def _scale_back(result, e: int) -> Tuple[TTTensor, SweepTrace]:
@@ -153,7 +148,6 @@ def _scale_back(result, e: int) -> Tuple[TTTensor, SweepTrace]:
 
 def _check_ranks(dims, ranks):
     n_modes = len(dims)
-    ranks = tuple(int(r) for r in ranks)
     if len(ranks) != n_modes - 1:
         raise InvalidArgumentError(
             f"need {n_modes - 1} ranks for an order-{n_modes} tensor, got {len(ranks)}"
@@ -226,7 +220,7 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     def pick(A, n):
         U, s = svd(A)
         r = ranks[n] if ranks is not None else rank_from_tail(s, delta)
-        residual = float(np.sqrt(np.sum(s[r:] ** 2)))
+        residual = frobenius_norm(s[r:])
         Q = U[:, :r]
         # Q^T A, not diag(S) V^T: equal in exact arithmetic, but LAPACK's
         # U S V^T misses A by ~1e-14 ||A||, which would floor the error

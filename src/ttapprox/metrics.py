@@ -1,18 +1,25 @@
-"""Reconstruction quality metrics.
+"""Reconstruction quality metrics and the package's one sum of squares.
+
+Every sum of squares in the package, ||t||_F behind frobenius_norm, the
+sweeps' input norm and add_awgn's signal power, and ||a||^2 and
+||a - ahat||^2 behind the metrics, goes through one kernel (_sq): numpy's
+pairwise sum of x*x over a block of at most _BLOCK entries, added up
+block by block.  It does not use BLAS, so norms, step residuals, noise
+levels and the metrics do not depend on the BLAS thread count, and no
+temporary the size of the tensor is formed.  One range rule (_exponent)
+keeps the squares in float64: a tensor whose squared norm lies outside
+[2^-512, 2^512] is summed again as t 2^-e, e the binary exponent of
+max|t|.  A power of two scales exactly, so results scale back by 2^e
+without rounding; in range there is one pass and no copy.
 
 relative_error and psnr come out of one pass over a and ahat
-(error_metrics returns both).  The pass walks the values of the two
-tensors in blocks of _BLOCK entries through one block-sized scratch
-buffer and accumulates ||a||^2, ||a - ahat||^2 and max|ahat|, so no
-temporary the size of the tensor is formed.  A pair with one memory
-layout is walked in that order, so an F- or C-contiguous pair is read in
-place; a pair whose layouts differ is walked in column-major order, and
-np.ravel copies whichever tensor is not F-contiguous.  Each block is
-summed by numpy's pairwise sum, not by BLAS, so the metrics do not
-depend on the BLAS thread count.  A reference whose norm lies outside
-the range scaled_into_range keeps its squares in is walked a second
-time, with both tensors scaled by the same power of two, which leaves
-the two ratios exact; in range there is one pass and no copy.
+(error_metrics returns both), which accumulates ||a||^2, ||a - ahat||^2
+and max|ahat| through one block-sized scratch buffer.  A pair with one
+memory layout is walked in that order, so an F- or C-contiguous pair is
+read in place; a pair whose layouts differ is walked in column-major
+order, and np.ravel copies whichever tensor is not F-contiguous.  Out of
+range both tensors are scaled by the reference's 2^-e, which leaves the
+two ratios exact.
 """
 
 from __future__ import annotations
@@ -24,39 +31,65 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-# entries per block of the metric pass: its scratch buffer (256 KB) and
-# both input blocks stay in cache between the sweeps over the block
+# entries per block of every sum of squares: the scratch buffer (256 KB)
+# and the input blocks stay in cache between the sweeps over the block
 _BLOCK = 1 << 15
 
 
-def _pair(a, ahat):
-    a = np.asarray(a, dtype=np.float64)
-    ahat = np.asarray(ahat, dtype=np.float64)
-    if a.shape != ahat.shape:
-        raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {ahat.shape}")
-    return a, ahat
+def _sq(x, out) -> float:
+    """The sum of squares of one block x, through out, a buffer of x's
+    size: numpy's pairwise sum, which no BLAS thread count changes."""
+    return float(np.multiply(x, x, out=out).sum())
+
+
+def _blocks(*ts):
+    """Aligned blocks of at most _BLOCK values of the same-shape arrays
+    ts, each yielded after one scratch buffer cut to the block's size.
+    The walk is in memory order when all share a layout (so the ravels of
+    C- or F-contiguous arrays are views), else column-major."""
+    order = "K" if len({t.strides for t in ts}) == 1 else "F"
+    vs = [np.ravel(t, order=order) for t in ts]
+    buf = np.empty(min(vs[0].size, _BLOCK))
+    for i in range(0, vs[0].size, _BLOCK):
+        blocks = [v[i : i + _BLOCK] for v in vs]
+        yield (buf[: blocks[0].size], *blocks)
+
+
+def _exponent(t, sum_sq: float) -> int:
+    """The binary exponent e that brings t, of squared norm sum_sq, into
+    the range whose squares float64 holds.
+
+    Squares of t's entries and the Gram products A A^T of its unfoldings
+    overflow or underflow unless sum_sq lies in [2^-512, 2^512].  Inside
+    that range e = 0; outside it e is the binary exponent of max|t|, so
+    max|t 2^-e| lies in [1/2, 1) and ||t 2^-e||^2 in [1/4, t.size].  A
+    NaN or Inf entry gives e = 0, as does a zero tensor."""
+    in_range = 2.0**-512 <= sum_sq <= 2.0**512
+    return 0 if in_range else math.frexp(np.max(np.abs(t), initial=0.0))[1]
+
+
+def _sum_sq(t: np.ndarray) -> Tuple[np.ndarray, float, int]:
+    """(t 2^-e, ||t 2^-e||_F^2, e) for a float64 array t, e by _exponent.
+
+    In range e = 0 and t comes back itself, not copied.  A sum that is
+    not finite then proves a NaN or Inf entry: a finite t 2^-e sums to at
+    most its size."""
+    s = 0.0
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        for d, x in _blocks(t):
+            s += _sq(x, d)
+    e = _exponent(t, s)
+    # t 2^-e is in range, so the second call stops there
+    return (*_sum_sq(np.ldexp(t, -e))[:2], e) if e else (t, s, 0)
 
 
 def frobenius_norm(t) -> float:
-    """||t||_F, the 2-norm of all entries of a tensor of any order.
+    """||t||_F, the 2-norm of all entries of a tensor of any order, at
+    any scale: frobenius_norm(t 2^j) is 2^j frobenius_norm(t) exactly.
 
     The entries are read in memory order, so no layout is copied."""
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel(order="K")))
-
-
-def scaled_into_range(t, norm: float) -> Tuple[np.ndarray, int]:
-    """(t 2^-e, e) for an array t of Frobenius norm norm.
-
-    Squares of t's entries and the Gram products A A^T of its unfoldings
-    overflow or underflow in float64 unless norm lies in about
-    [2^-256, 2^256].  Inside that range e = 0 and t comes back itself,
-    not copied; outside it e is the binary exponent of max|t|, so
-    max|t 2^-e| lies in [1/2, 1).  A power of two scales exactly, so a
-    result computed from t 2^-e is scaled back by 2^e without rounding."""
-    if 2.0**-256 <= norm <= 2.0**256:
-        return t, 0
-    e = math.frexp(np.max(np.abs(t), initial=0.0))[1]  # 0 for a zero tensor
-    return np.ldexp(t, -e), e
+    _, s, e = _sum_sq(np.asarray(t, dtype=np.float64))
+    return math.ldexp(math.sqrt(s), e)
 
 
 class _Sums(NamedTuple):
@@ -71,32 +104,25 @@ def _sums(a, ahat) -> _Sums:
     or, when ||a|| is out of range, over a 2^-e and ahat 2^-e: the sums
     then overflow or underflow, while relative_error and psnr are ratios
     that the exact scaling leaves bit-identical."""
-    a, ahat = _pair(a, ahat)
-    with np.errstate(over="ignore"):  # an overflow is handled below
+    a = np.asarray(a, dtype=np.float64)
+    ahat = np.asarray(ahat, dtype=np.float64)
+    if a.shape != ahat.shape:
+        raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {ahat.shape}")
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
         s = _blocked_pass(a, ahat)
-    scaled, e = scaled_into_range(a, math.sqrt(s.ref_sq))
-    return _blocked_pass(scaled, np.ldexp(ahat, -e)) if e else s
+    e = _exponent(a, s.ref_sq)
+    return _blocked_pass(np.ldexp(a, -e), np.ldexp(ahat, -e)) if e else s
 
 
 def _blocked_pass(a, ahat) -> _Sums:
-    # one walk order for both: memory order when they share a layout (so
-    # both ravels of a C- or F-contiguous pair are views), else column-major
-    order = "K" if a.strides == ahat.strides else "F"
-    av = np.ravel(a, order=order)
-    hv = np.ravel(ahat, order=order)
-    buf = np.empty(min(av.size, _BLOCK))
     ref_sq = err_sq = 0.0
     peak = np.float64(0.0)
-    for i in range(0, av.size, _BLOCK):
-        x = av[i : i + _BLOCK]
-        y = hv[i : i + _BLOCK]
-        d = buf[: x.size]
-        ref_sq += float(np.multiply(x, x, out=d).sum())
-        np.subtract(x, y, out=d)
-        err_sq += float(np.multiply(d, d, out=d).sum())
+    for d, x, y in _blocks(a, ahat):
+        ref_sq += _sq(x, d)
+        err_sq += _sq(np.subtract(x, y, out=d), d)
         # np.maximum keeps a NaN once seen, as np.max(np.abs(ahat)) would
         peak = np.maximum(peak, max(y.max(), -y.min()))
-    return _Sums(av.size, ref_sq, err_sq, float(peak))
+    return _Sums(a.size, ref_sq, err_sq, float(peak))
 
 
 def _relative_error(s: _Sums) -> float:

@@ -174,8 +174,14 @@ def test_awgn_zero_signal_rejected():
 
 
 def test_awgn_negative_seed_rejected():
-    with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
+    with pytest.raises(InvalidArgumentError, match="seed must be an integer >= 0"):
         add_awgn(np.ones((3, 3)), 10.0, -3)
+    # the seed is an integer: a bool is not taken as 1, a float is no seed
+    for bad in (True, 1.5, "1"):
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer >= 0"):
+            add_awgn(np.ones((3, 3)), 5.0, bad)
+    t = np.ones((3, 3))
+    assert np.array_equal(add_awgn(t, 5.0, np.int64(1)), add_awgn(t, 5.0, 1))
 
 
 def test_awgn_non_finite_snr_rejected():

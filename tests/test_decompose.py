@@ -102,6 +102,11 @@ def test_tt_svd_argument_errors():
         TruncationSpec(epsilon=0.1, ranks=(2, 2))
     with pytest.raises(InvalidArgumentError):
         TruncationSpec()
+    # ranks are integers: a float is not truncated, a bool is not taken as 1
+    for bad in ((2.7, 2), (True, 2), ("2", 2)):
+        with pytest.raises(InvalidArgumentError, match="rank must be an integer >= 1"):
+            TruncationSpec(ranks=bad)
+    assert TruncationSpec(ranks=np.array([3, 2])).ranks == (3, 2)
     with pytest.raises(InvalidArgumentError):
         tt_svd(np.zeros(5), TruncationSpec(epsilon=0.1))  # order 1 has no sweep
 
@@ -297,8 +302,18 @@ def test_randomized_feasibility_errors():
         SketchConfig(ranks=(2, 2), q=0)
     with pytest.raises(InvalidArgumentError):
         SketchConfig(ranks=(0, 2))
-    with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
+    with pytest.raises(InvalidArgumentError, match="seed must be an integer >= 0"):
         SketchConfig(ranks=(2, 2), seed=-1)
+    # every sketch parameter is an integer: no float, bool or string
+    for name, bad in (("p", 1.5), ("q", 1.5), ("seed", 2.5), ("p", True), ("q", "2"),
+                      ("rank", (2.7, 2)), ("rank", (2, False))):
+        kw = {"ranks": bad} if name == "rank" else {name: bad}
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer"):
+            SketchConfig(**{"ranks": (2, 2), **kw})
+    # numpy integers are integers
+    cfg = SketchConfig(ranks=np.array([2, 2]), p=np.int64(1), q=np.uint8(2), seed=np.int32(3))
+    assert (cfg.ranks, cfg.p, cfg.q, cfg.seed) == ((2, 2), 1, 2, 3)
+    assert all(type(v) is int for v in (*cfg.ranks, cfg.p, cfg.q, cfg.seed))
 
 
 # ---------------- shared invariants ----------------
@@ -416,7 +431,7 @@ def test_oversampling_monotone_with_energy_ordered_truncation():
 
 
 # prints one line per randomized sweep of power-function 12^5: the
-# parameters and a hash of every core's bytes
+# parameters, a hash of every core's bytes and the step residuals
 _CORE_HASHES = """
 import hashlib
 from ttapprox import power_function_tensor
@@ -425,9 +440,9 @@ t = power_function_tensor((12,) * 5, 5.0)
 for method in ("rsvd", "rsi", "rbki"):
     for r in (4, 8):
         for q in (1, 2):
-            tt, _ = run_method(method, t, (r,) * 4, p=2, q=q, seed=3)
+            tt, trace = run_method(method, t, (r,) * 4, p=2, q=q, seed=3)
             h = hashlib.sha256(b"".join(c.tobytes(order="F") for c in tt.cores))
-            print(method, r, q, h.hexdigest())
+            print(method, r, q, h.hexdigest(), [repr(s.residual) for s in trace.steps])
 """
 
 
@@ -443,8 +458,10 @@ def test_randomized_cores_do_not_depend_on_blas_threads():
     # pins behaviour of this one shape, not a property of the sweeps: on
     # a 5 dB noisy spectrum 100^3 and on powerfn 10^6 the randomized cores
     # do differ between 1 and 2 threads, and whether 12^5 is spared rests
-    # on OpenBLAS's per-size threading.  OpenBLAS reads its thread count
-    # once, at load time, so each count runs in its own interpreter
+    # on OpenBLAS's per-size threading.  Given the same cores, the step
+    # residuals match too, because their norms call no BLAS.  OpenBLAS
+    # reads its thread count once, at load time, so each count runs in
+    # its own interpreter
     src = str(Path(decompose.__file__).resolve().parents[1])
     out = {}
     for threads in ("1", "2"):

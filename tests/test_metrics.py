@@ -14,6 +14,10 @@ def test_frobenius_norm():
     t = rng.standard_normal((5, 5, 5))
     s = np.linalg.svd(np.reshape(t, (5, 25), order="F"), compute_uv=False)
     assert abs(frobenius_norm(t) - np.sqrt(np.sum(s**2))) <= 1e-10
+    # at 2^600 the squares overflow and at 2^-600 they underflow; the sum
+    # is redone on t scaled by one power of two, so the norm scales exactly
+    for j in (600, -600):
+        assert frobenius_norm(np.ldexp(t, j)) == np.ldexp(frobenius_norm(t), j)
 
 
 def test_relative_error_single_entry_perturbation():
