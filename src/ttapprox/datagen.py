@@ -40,10 +40,7 @@ def spectrum_decay_tensor(n: int, T: int, D: float) -> np.ndarray:
     entries are zero, so each slice's singular values can be read off
     the diagonal.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    if T < 1:
-        raise InvalidArgumentError(f"T must be >= 1, got {T}")
+    n, T = _int(n, "n", 1), _int(T, "T", 1)
     if not 0 < D < math.inf:
         raise InvalidArgumentError(f"D must be finite and > 0, got {D}")
     _check_indexable((n, n, n))
@@ -58,9 +55,9 @@ def spectrum_decay_tensor(n: int, T: int, D: float) -> np.ndarray:
 
 def power_function_tensor(dims, h: float) -> np.ndarray:
     """Entry (i_1,...,i_N) = (i_1^h + ... + i_N^h)^(-1/h), 1-based indices."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise InvalidArgumentError(f"dims must be positive, got {dims}")
+    dims = tuple(_int(d, "dims", 1) for d in dims)
+    if not dims:
+        raise InvalidArgumentError("dims must be non-empty")
     if not 0 < h < math.inf:
         raise InvalidArgumentError(f"h must be finite and > 0, got {h}")
     _check_indexable(dims)

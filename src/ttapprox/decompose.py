@@ -11,21 +11,31 @@ the next step.  They differ only in how Q is found:
   tt_rbki  top r Ritz vectors of A in span([Z_0, ..., Z_q])
 
 The randomized sweeps share their first step: each draws one Gaussian
-Omega (r + p columns, fewer on a short trailing side) and takes the
-sketch's left singular vectors Z_0 = svd(A Omega).U, min(rows, r + p)
-columns, before any range finder runs.  tt_rsvd keeps the first r
-columns of Z_0.  tt_rsi takes S = Z_q from linalg.krylov_blocks, the
-power iteration Z_t = orth(A A^T Z_{t-1}) from Z_0; tt_rbki takes S from
+sketch Y (r + p columns, fewer on a short trailing side) and takes its
+left singular vectors Z_0 = svd(Y).U, min(rows, r + p) columns, before
+any range finder runs.  tt_rsvd keeps the first r columns of Z_0.
+tt_rsi takes S = Z_q from linalg.krylov_blocks, the power iteration
+Z_t = orth(A A^T Z_{t-1}) from Z_0; tt_rbki takes S from
 linalg.krylov_basis, which builds span([Z_0, ..., Z_q]) block by block
 (its docstring gives the drop and re-projection rules).  Both factor
-only rows x (r + p) blocks, and linalg._power_step_gram decides whether
-their power steps go through G = A A^T.
+only rows x (r + p) blocks.
+
+Once per step the sweep asks linalg._power_step_gram whether the power
+steps go through G = A A^T (never for tt_rsvd, which runs none, nor for
+tt_rbki when Z_0 already spans the rows).  Where they do not, Y = A Omega
+for a cols x (r + p) Gaussian Omega.  Where they do, Y = R Omega'' for a
+rows x (r + p) Gaussian Omega'', with G = R R^T from the eigendecomposition
+the Gram test takes anyway: A = U Sigma V^T makes A Omega = U Sigma
+(V^T Omega), and V^T Omega is itself a rows x (r + p) Gaussian, so
+R Omega'' = U Sigma Omega'' has exactly the distribution of A Omega and
+the Gaussian-sketch guarantees hold unchanged, for rows (r + p) normals
+instead of cols (r + p) and no product with the long side.
 
 Both keep Q = S V_r, V_r the top r eigenvectors of B B^T with
 B = S^T A: the best rank-r basis in span(S) (Rayleigh-Ritz), whose carry
-is V_r^T B.  So one tt_rbki step leaves no larger residual than tt_rsvd
-or tt_rsi with the same Omega, up to rounding.  Every core has exactly
-the requested rank.
+is V_r^T B.  So one tt_rbki step leaves no larger residual than tt_rsi
+or tt_rsvd would from the same Y, up to rounding.  Every core has
+exactly the requested rank.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
 trace; their squares sum to the final squared approximation error.  The
@@ -58,7 +68,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, _int
-from .linalg import gaussian_matrix, krylov_basis, krylov_blocks, rank_from_tail, svd
+from .linalg import _power_step_gram, gaussian_matrix, krylov_basis, krylov_blocks, rank_from_tail, svd
 from .metrics import _sum_sq, frobenius_norm
 from .tt import TTTensor
 
@@ -229,10 +239,14 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     return _scale_back(_sweep(t, pick), e)
 
 
-def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace]:
-    """Shared randomized scaffold; basis(A, Z0, r) -> (Q, Q^T A), with
-    Q^T A F-contiguous and Z0 = svd(A Omega).U the step's sketch basis.
-    Omega is drawn and applied here and nowhere else."""
+def _randomized_sweep(t, cfg: SketchConfig, basis, power_steps) -> Tuple[TTTensor, SweepTrace]:
+    """Shared randomized scaffold; basis(A, Z0, G, r) -> (Q, Q^T A), with
+    Q^T A F-contiguous, Z0 = svd(Y).U the basis of the step's sketch Y,
+    and G = A A^T where the power steps go through it, else None.
+    power_steps(rows, w) is the number of power steps basis runs on a
+    step whose Z0 has w columns.  The sketch is drawn and applied here
+    and nowhere else, and _power_step_gram decides here, once per step,
+    whether to form G."""
     # norm is ||A_n||: the input's norm at step 0, then the previous carry's
     t, norm, e = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
@@ -241,13 +255,19 @@ def _randomized_sweep(t, cfg: SketchConfig, basis) -> Tuple[TTTensor, SweepTrace
     def pick(A, n):
         nonlocal norm
         r = ranks[n]
-        cols = A.shape[1]
+        rows, cols = A.shape
         width = min(r + cfg.p, cols)
         clamped = width < r + cfg.p
-        Z0 = svd(A @ gaussian_matrix(cols, width, rng)).U
-        # Q has exactly r columns: r <= min(rows, width) (_check_ranks),
-        # and Z0 and every Krylov block have min(rows, width) columns
-        Q, carry = basis(A, Z0, r)
+        w = min(rows, width)
+        G, R = _power_step_gram(A, w, power_steps(rows, w))
+        if G is None:
+            Y = A @ gaussian_matrix(cols, width, rng)
+        else:  # G = R R^T: R Omega'' is distributed as A Omega
+            Y = R @ gaussian_matrix(rows, width, rng)
+        Z0 = svd(Y).U
+        # Q has exactly r columns: r <= w (_check_ranks), and Z0 and every
+        # Krylov block have w columns
+        Q, carry = basis(A, Z0, G, r)
         # rho^2 = ||A||^2 - ||Q^T A||^2, clamped against cancellation
         carry_norm = frobenius_norm(carry)
         residual = math.sqrt(max(norm**2 - carry_norm**2, 0.0))
@@ -269,31 +289,32 @@ def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition from a plain Gaussian sketch, keeping
     the top r left singular vectors of A Omega."""
 
-    def basis(A, Z0, r):
+    def basis(A, Z0, G, r):
         Q = Z0[:, :r]
         return Q, (A.T @ Q).T
 
-    return _randomized_sweep(t, cfg, basis)
+    return _randomized_sweep(t, cfg, basis, lambda rows, w: 0)
 
 
 def tt_rsi(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition with q rounds of subspace power
     iteration: Ritz vectors from the last Krylov block alone."""
 
-    def basis(A, Z0, r):
-        return _ritz(A, krylov_blocks(A, Z0, cfg.q)[-1], r)
+    def basis(A, Z0, G, r):
+        return _ritz(A, krylov_blocks(A, Z0, cfg.q, G)[-1], r)
 
-    return _randomized_sweep(t, cfg, basis)
+    return _randomized_sweep(t, cfg, basis, lambda rows, w: cfg.q)
 
 
 def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition through a depth-q block Krylov basis:
     Ritz vectors from all q + 1 blocks."""
 
-    def basis(A, Z0, r):
-        return _ritz(A, krylov_basis(A, Z0, cfg.q), r)
+    def basis(A, Z0, G, r):
+        return _ritz(A, krylov_basis(A, Z0, cfg.q, G), r)
 
-    return _randomized_sweep(t, cfg, basis)
+    # a Z0 as wide as A has rows already spans the Krylov space
+    return _randomized_sweep(t, cfg, basis, lambda rows, w: cfg.q if w < rows else 0)
 
 
 # method name -> name of its sweep in this module.  run_method looks the

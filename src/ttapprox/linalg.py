@@ -8,9 +8,12 @@ first step of a 20^5 tensor) are never fully factored on their long
 side: svd takes a wide matrix's left factor from the small triangle of
 an R-only QR, and the Krylov routines start from the sweep's sketch
 basis Z_0 and factor only blocks with as many rows as the unfolding,
-while the long side is only multiplied (_power_step_gram decides when
-through A A^T).
+while the long side is only multiplied.  _power_step_gram decides, once
+per sweep step, whether the power steps go through G = A A^T; where they
+do, the sweep also draws its sketch in the row space, from G's
+eigendecomposition.
 """
+
 
 from __future__ import annotations
 
@@ -80,8 +83,8 @@ _GRAM_TAIL = 1e-10
 
 
 def _power_step_gram(A, w: int, q: int):
-    """G = A A^T when the q power steps on blocks of width w take it, else
-    None.
+    """(G, R) with G = A A^T = R R^T when q power steps on blocks of width
+    w take G, else (None, None).
 
     Through G the power steps read the long side of A once, in one pass
     that forms G, where the products A (A^T Z) read it twice per step.
@@ -89,7 +92,7 @@ def _power_step_gram(A, w: int, q: int):
 
     - A is wide and cheaper to multiply through G: forming G costs about
       rows^2 cols flops against 4 q rows cols w for the products, so
-      rows < 4 q w.
+      rows < 4 q w (never when q = 0).
     - w >= rows (every block then spans the whole row space), or the
       energy of A beyond its top w singular directions is at least
       _GRAM_TAIL ||A||_F^2.  G rounds to about eps ||A||_F^2 in every
@@ -99,37 +102,42 @@ def _power_step_gram(A, w: int, q: int):
       energy is a floor under the residual of every rank r <= w, so while
       it stays far above what G loses, G costs the sweep nothing.
 
-    The sketch basis Z_0 and the Ritz step read A itself either way.
+    R = U sqrt(Lambda) comes from the one eigendecomposition
+    G = U Lambda U^T that also gives the energy test its eigenvalues
+    (negative rounding clamped to 0).  With A = U Sigma V^T, A Omega =
+    U Sigma (V^T Omega), and V^T Omega is itself a rows x w standard
+    Gaussian for a cols x w Gaussian Omega: so R Omega'' for a rows x w
+    Gaussian Omega'' has exactly the distribution of the sketch A Omega,
+    and the sweep draws that one instead.  The Ritz step reads A itself
+    either way.
     """
     rows, cols = A.shape
     if rows >= cols or rows >= 4 * q * w:
-        return None
+        return None, None
     G = A @ A.T
-    if w < rows:
-        lam = np.linalg.eigvalsh(G)  # ascending
-        if np.sum(lam[: rows - w]) < _GRAM_TAIL * np.sum(lam):
-            return None
-    return G
+    lam, U = np.linalg.eigh(G)  # ascending
+    if w < rows and np.sum(lam[: rows - w]) < _GRAM_TAIL * np.sum(lam):
+        return None, None
+    return G, U * np.sqrt(np.maximum(lam, 0.0))
 
 
 def _power_step(A, G, Z):
-    """A A^T Z, through G when _power_step_gram formed it."""
+    """A A^T Z, through G when it is given."""
     return G @ Z if G is not None else A @ (A.T @ Z)
 
 
-def krylov_blocks(A, Z0, q: int):
+def krylov_blocks(A, Z0, q: int, G):
     """Orthonormal blocks Z_0, ..., Z_q of the power iteration, tt_rsi's
     range finder.
 
     Z0 is the sweep's orthonormal sketch basis, spanning A Omega, and
     Z_t = orth(A A^T Z_{t-1}) spans (A A^T)^t A Omega.  Every QR is of an
     m x w block, m the rows of A and w the width of Z0, so the long side
-    of a wide A is never factored; _power_step_gram decides whether the
-    power steps go through G = A A^T.  Without the QRs the higher powers
-    would keep only the leading directions in float64.
+    of a wide A is never factored.  G is A A^T where the power steps go
+    through it (_power_step_gram's decision), else None.  Without the QRs
+    the higher powers would keep only the leading directions in float64.
     """
     blocks = [Z0]
-    G = _power_step_gram(A, Z0.shape[1], q)
     for _ in range(q):
         blocks.append(np.linalg.qr(_power_step(A, G, blocks[-1]))[0])
     return blocks
@@ -143,15 +151,15 @@ _KRYLOV_DROP_TOL = 1e-12
 _KRYLOV_REPROJECT = 1e-8
 
 
-def krylov_basis(A, Z0, q: int):
+def krylov_basis(A, Z0, q: int, G):
     """Orthonormal basis of the depth-q block Krylov space
     span([A Omega, (A A^T) A Omega, ..., (A A^T)^q A Omega]), tt_rbki's
     range finder, built block by block.
 
     Z0 is the sweep's orthonormal sketch basis, spanning A Omega, and is
     kept whole.  Each power step multiplies only the newest block,
-    Y = A A^T Z_{t-1} (through G = A A^T where _power_step_gram takes
-    it), and projects Y against the basis so far twice: block
+    Y = A A^T Z_{t-1} (as G Z_{t-1} where G = A A^T is given, as for
+    krylov_blocks), and projects Y against the basis so far twice: block
     classical Gram-Schmidt with one re-orthogonalization, which leaves
     the remainder orthogonal to the basis to about eps ||Y||.  The new
     block is the remainder's left singular vectors.  One whose singular
@@ -169,7 +177,6 @@ def krylov_basis(A, Z0, q: int):
     rows, cols = A.shape
     cap = min(rows, cols, (q + 1) * Z0.shape[1])
     Z = S = Z0[:, :cap]
-    G = _power_step_gram(A, Z0.shape[1], q) if S.shape[1] < cap else None
     for _ in range(q):
         if S.shape[1] >= cap:
             break

@@ -13,15 +13,15 @@ def tail_energy(A, j: int) -> float:
     return float(np.sqrt(np.sum(s[j - 1 :] ** 2)))
 
 
-def stack_krylov_basis(A, Omega, q):
+def stack_krylov_basis(A, Z0, q, G):
     """tt_rbki's basis from one QR of the stacked blocks of
     linalg.krylov_blocks: columns whose R diagonal falls below 1e-12 of
     the leading one are dropped, and at most min(rows, cols, (q + 1) w)
-    are kept.  Omega is what the sweep passes in krylov_basis's place:
-    its sketch basis Z_0 = svd(A Omega).U, w columns wide."""
+    are kept.  It takes what the sweep passes to krylov_basis: the sketch
+    basis Z0, w columns wide, and G = A A^T or None."""
     from ttapprox.linalg import krylov_blocks
 
-    S, R = np.linalg.qr(np.hstack(krylov_blocks(A, Omega, q)))
+    S, R = np.linalg.qr(np.hstack(krylov_blocks(A, Z0, q, G)))
     diag = np.abs(np.diag(R))
     S = S[:, diag > 1e-12 * diag[0]]
-    return S[:, : min(*A.shape, (q + 1) * Omega.shape[1])]
+    return S[:, : min(*A.shape, (q + 1) * Z0.shape[1])]

@@ -63,6 +63,20 @@ def test_spectrum_argument_errors():
             spectrum_decay_tensor(*bad)
 
 
+def test_spectrum_n_must_be_an_integer():
+    # a float n raised numpy's TypeError
+    with pytest.raises(InvalidArgumentError, match="n must be an integer >= 1"):
+        spectrum_decay_tensor(2.5, 1, 1.0)
+    assert np.array_equal(spectrum_decay_tensor(np.int64(3), 1, 1.0), spectrum_decay_tensor(3, 1, 1.0))
+
+
+def test_spectrum_t_must_be_an_integer_not_a_bool():
+    # True was taken as T = 1
+    with pytest.raises(InvalidArgumentError, match="T must be an integer >= 1"):
+        spectrum_decay_tensor(3, True, 1.0)
+    assert np.array_equal(spectrum_decay_tensor(3, np.int32(2), 1.0), spectrum_decay_tensor(3, 2, 1.0))
+
+
 # ---------------- power_function_tensor ----------------
 
 
@@ -118,6 +132,13 @@ def test_powerfn_argument_errors():
     for h in (0.0, np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
             power_function_tensor((3, 3), h)
+
+
+def test_powerfn_dims_must_be_integers():
+    # int() truncated 2.7 to a mode of size 2
+    with pytest.raises(InvalidArgumentError, match="dims must be an integer >= 1"):
+        power_function_tensor((2.7, 2), 1.0)
+    assert power_function_tensor(np.array([2, 3]), 1.0).shape == (2, 3)
 
 
 # ---------------- add_awgn ----------------

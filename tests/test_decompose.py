@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import os
 import subprocess
@@ -24,7 +26,7 @@ from ttapprox import (
     validate,
 )
 from ttapprox import decompose
-from ttapprox.linalg import gaussian_matrix, svd
+from ttapprox.linalg import svd
 from ttapprox.tt import left_unfolding
 
 ALGS = {
@@ -210,14 +212,31 @@ def test_tt_rbki_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a.cores, b.cores))
 
 
-def test_rbki_q1_naive_spans_power_augmented_sketch():
+def test_rbki_q1_naive_spans_power_augmented_sketch(monkeypatch):
     # at q = 1 the first core holds the top Ritz vectors of A in
-    # span([A Omega, A A^T A Omega]), the raw powers with one QR
+    # span([Y, A A^T Y]), Y the step's sketch, the raw powers with one QR.
+    # The 10 x 72 unfolding goes through G, so Y is R Omega'' with a
+    # 10 x 4 Omega'' (see decompose._randomized_sweep); the spy on the
+    # sweep's draw and sketch factorization hands back Y
+    draws, sketches = [], []
+    draw, factor = decompose.gaussian_matrix, decompose.svd
+
+    def spy_draw(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    def spy_factor(Y):
+        sketches.append(Y.copy())
+        return factor(Y)
+
+    monkeypatch.setattr(decompose, "gaussian_matrix", spy_draw)
+    monkeypatch.setattr(decompose, "svd", spy_factor)
     t = np.random.default_rng(12).standard_normal((10, 9, 8))
     A = np.reshape(t, (10, 72), order="F")
     tt, _ = tt_rbki(t, SketchConfig(ranks=(3, 3), p=1, q=1, seed=99))
-    Om = gaussian_matrix(A.shape[1], 4, 99)  # the sweep's first draw
-    S = np.linalg.qr(np.hstack([A @ Om, A @ (A.T @ (A @ Om))]))[0]
+    assert draws[0].shape == (10, 4)  # rows x w normals, not cols x w
+    Y = sketches[0]
+    S = np.linalg.qr(np.hstack([Y, A @ (A.T @ Y)]))[0]
     assert S.shape[1] == 8  # fewer than the 10 rows: a proper subspace
     W = np.linalg.svd(S.T @ A)[0][:, :3]
     Qr = S @ W
@@ -226,11 +245,13 @@ def test_rbki_q1_naive_spans_power_augmented_sketch():
 
 
 def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
-    # each step draws Omega once and hands Z_0 = svd(A Omega).U to the
-    # range finder: rsi and rbki start from the same Omega and Z_0, and
-    # tt_rsvd's core is Z_0's first r columns
-    t = np.random.default_rng(15).standard_normal((7, 6, 5))
-    cfg = SketchConfig(ranks=(4, 3), p=2, q=2, seed=4)
+    # each step draws once and hands Z_0 = svd(Y).U to the range finder,
+    # with Y = A Omega, or R Omega'' where the power steps go through
+    # G = A A^T = R R^T.  Step 0 (16 x 16) takes no G and step 1 (4 x 8)
+    # does: rsi and rbki draw the same Omega and Z_0 on every step and
+    # tt_rsvd, which runs no power steps, shares them on step 0 only
+    t = np.random.default_rng(15).standard_normal((16, 2, 8))
+    cfg = SketchConfig(ranks=(2, 2), p=1, q=2, seed=4)
     draws, starts = [], {"rsi": [], "rbki": []}
     draw = decompose.gaussian_matrix
 
@@ -239,9 +260,9 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
         return draws[-1][-1]
 
     def spy_range_finder(method, finder):
-        def spy(A, Z0, q):
-            starts[method].append((A.copy(), Z0.copy()))
-            return finder(A, Z0, q)
+        def spy(A, Z0, q, G):
+            starts[method].append((A.copy(), Z0.copy(), G))
+            return finder(A, Z0, q, G)
         return spy
 
     monkeypatch.setattr(decompose, "gaussian_matrix", spy_draw)
@@ -252,14 +273,22 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
         draws.append([])
         sweeps[method] = sweep(t, cfg)[0]
     assert [len(d) for d in draws] == [2, 2, 2]  # one draw per step
-    for n in range(2):
-        assert np.array_equal(draws[0][n], draws[1][n]) and np.array_equal(draws[0][n], draws[2][n])
-        for method in ("rsi", "rbki"):
-            A, Z0 = starts[method][n]
-            assert np.array_equal(Z0, svd(A @ draws[0][n]).U)
+    rsvd, rsi, rbki = draws
+    assert np.array_equal(rsvd[0], rsi[0]) and np.array_equal(rsvd[0], rbki[0])
+    assert rsvd[0].shape == (16, 3) and rsvd[1].shape == (8, 3)
+    assert np.array_equal(rsi[1], rbki[1]) and rsi[1].shape == (4, 3)
+    for method, own in (("rsi", rsi), ("rbki", rbki)):
+        for n, (A, Z0, G) in enumerate(starts[method]):
+            assert (G is None) == (n == 0)
+            if G is None:
+                assert np.array_equal(Z0, svd(A @ own[n]).U)
+            else:
+                R = decompose._power_step_gram(A, 3, cfg.q)[1]
+                assert np.array_equal(G, A @ A.T)
+                assert np.array_equal(Z0, svd(R @ own[n]).U)
     assert np.array_equal(starts["rsi"][0][1], starts["rbki"][0][1])
     Z0 = starts["rsi"][0][1]
-    assert np.array_equal(np.reshape(sweeps["rsvd"].cores[0], (7, 4), order="F"), Z0[:, :4])
+    assert np.array_equal(np.reshape(sweeps["rsvd"].cores[0], (16, 2), order="F"), Z0[:, :2])
 
 
 def test_rbki_krylov_stack_column_cap(monkeypatch):
@@ -472,3 +501,33 @@ def test_randomized_cores_do_not_depend_on_blas_threads():
         out[threads] = proc.stdout.splitlines()
     assert len(out["1"]) == 12
     assert out["1"] == out["2"]
+
+
+@pytest.mark.skipif("openblas" not in _blas_name(), reason="OPENBLAS_NUM_THREADS sets no other BLAS")
+def test_bench_rows_do_not_depend_on_blas_threads(tmp_path):
+    # a ttapprox bench plan on the shape the core hashes above pin: all
+    # four methods at ranks 4 and 8, q 1 and 2, seeds 0 and 1.  Every row,
+    # svd's included, matches between 1 and 2 threads but for its wall
+    # time; like the core hashes, this pins how OpenBLAS threads this
+    # shape, not a property of the sweeps
+    src = str(Path(decompose.__file__).resolve().parents[1])
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "dataset": {"kind": "powerfn", "dims": [12] * 5, "h": 5.0},
+        "methods": ["svd", "rsvd", "rsi", "rbki"],
+        "ranks": [4, 8], "p": 2, "q": [1, 2], "seeds": [0, 1],
+    }))
+    rows = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"rows-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        argv = ["bench", "--plan", str(plan), "-o", str(out), "--format", "csv"]
+        proc = subprocess.run([sys.executable, "-m", "ttapprox.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        with open(out, newline="") as f:
+            rows[threads] = [{k: v for k, v in row.items() if k != "wall_time_s"}
+                             for row in csv.DictReader(f)]
+    assert len(rows["1"]) == 32
+    assert not any(row["error"] for row in rows["1"])
+    assert rows["1"] == rows["2"]
