@@ -20,10 +20,11 @@ linalg.krylov_basis, which builds span([Z_0, ..., Z_q]) block by block
 (its docstring gives the drop and re-projection rules).  Both factor
 only rows x (r + p) blocks.
 
-Once per step the sweep asks linalg._power_step_gram whether the power
-steps go through G = A A^T (never for tt_rsvd, which runs none, nor for
-tt_rbki when Z_0 already spans the rows).  Where they do not, Y = A Omega
-for a cols x (r + p) Gaussian Omega.  Where they do, Y = R Omega'' for a
+Once per step the sweep asks linalg._power_step_gram whether the step
+goes through G = A A^T: one cost rule for all three sweeps, asked with
+the power steps each runs (0 for tt_rsvd, q for tt_rsi and tt_rbki), so
+tt_rsvd's cores do not depend on q.  Where it does not, Y = A Omega for a
+cols x (r + p) Gaussian Omega.  Where it does, Y = R Omega'' for a
 rows x (r + p) Gaussian Omega'', with G = R R^T from the eigendecomposition
 the Gram test takes anyway: A = U Sigma V^T makes A Omega = U Sigma
 (V^T Omega), and V^T Omega is itself a rows x (r + p) Gaussian, so
@@ -239,14 +240,13 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     return _scale_back(_sweep(t, pick), e)
 
 
-def _randomized_sweep(t, cfg: SketchConfig, basis, power_steps) -> Tuple[TTTensor, SweepTrace]:
+def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, SweepTrace]:
     """Shared randomized scaffold; basis(A, Z0, G, r) -> (Q, Q^T A), with
     Q^T A F-contiguous, Z0 = svd(Y).U the basis of the step's sketch Y,
-    and G = A A^T where the power steps go through it, else None.
-    power_steps(rows, w) is the number of power steps basis runs on a
-    step whose Z0 has w columns.  The sketch is drawn and applied here
-    and nowhere else, and _power_step_gram decides here, once per step,
-    whether to form G."""
+    and G = A A^T where the step goes through it, else None.  q is the
+    number of power steps basis runs.  The sketch is drawn and applied
+    here and nowhere else, and _power_step_gram decides here, once per
+    step, whether to form G."""
     # norm is ||A_n||: the input's norm at step 0, then the previous carry's
     t, norm, e = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
@@ -259,7 +259,7 @@ def _randomized_sweep(t, cfg: SketchConfig, basis, power_steps) -> Tuple[TTTenso
         width = min(r + cfg.p, cols)
         clamped = width < r + cfg.p
         w = min(rows, width)
-        G, R = _power_step_gram(A, w, power_steps(rows, w))
+        G, R = _power_step_gram(A, w, q)
         if G is None:
             Y = A @ gaussian_matrix(cols, width, rng)
         else:  # G = R R^T: R Omega'' is distributed as A Omega
@@ -293,7 +293,7 @@ def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
         Q = Z0[:, :r]
         return Q, (A.T @ Q).T
 
-    return _randomized_sweep(t, cfg, basis, lambda rows, w: 0)
+    return _randomized_sweep(t, cfg, basis, 0)
 
 
 def tt_rsi(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
@@ -303,7 +303,7 @@ def tt_rsi(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     def basis(A, Z0, G, r):
         return _ritz(A, krylov_blocks(A, Z0, cfg.q, G)[-1], r)
 
-    return _randomized_sweep(t, cfg, basis, lambda rows, w: cfg.q)
+    return _randomized_sweep(t, cfg, basis, cfg.q)
 
 
 def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
@@ -313,8 +313,7 @@ def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     def basis(A, Z0, G, r):
         return _ritz(A, krylov_basis(A, Z0, cfg.q, G), r)
 
-    # a Z0 as wide as A has rows already spans the Krylov space
-    return _randomized_sweep(t, cfg, basis, lambda rows, w: cfg.q if w < rows else 0)
+    return _randomized_sweep(t, cfg, basis, cfg.q)
 
 
 # method name -> name of its sweep in this module.  run_method looks the

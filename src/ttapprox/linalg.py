@@ -9,9 +9,10 @@ side: svd takes a wide matrix's left factor from the small triangle of
 an R-only QR, and the Krylov routines start from the sweep's sketch
 basis Z_0 and factor only blocks with as many rows as the unfolding,
 while the long side is only multiplied.  _power_step_gram decides, once
-per sweep step, whether the power steps go through G = A A^T; where they
-do, the sweep also draws its sketch in the row space, from G's
-eigendecomposition.
+per sweep step and by one cost rule for all three randomized sweeps,
+whether the step goes through G = A A^T; where it does, the sweep draws
+its sketch in the row space, from G's eigendecomposition, and the power
+steps multiply G.
 """
 
 
@@ -78,23 +79,58 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
 
 
 # the least energy of A beyond its top w singular directions, as a
-# fraction of ||A||_F^2, with which the power steps go through G = A A^T
+# fraction of ||A||_F^2, with which a step goes through G = A A^T
 _GRAM_TAIL = 1e-10
+
+# _power_step_gram's cost model of one sweep step, in ns.  Fitted on the
+# wide steps of the benchmark's workloads (20 x 160000 down to 15 x 25,
+# q 0 to 3), timed with the decision forced each way (2 vCPU, OpenBLAS
+# 0.3.31, three runs at 1 and 2 threads).  Of the steps whose faster side
+# all three runs agree on, it picks that side on all but four, each off
+# by about 1 ms or less: 40 x 2500 at q 2 and 3 and 30 x 1000 at q 3,
+# where an A that fits in cache makes the products cheaper than a pass,
+# and 80 x 8000 at q 1
+_DRAW_NS = 19.0  # one standard normal
+_FLOP_NS = 0.02  # one flop of a product with A or of forming G
+_PASS_NS = 1.0  # one read of an entry of A by a product with a thin block
+_EIGH_NS = 250.0  # eigh(G) and R, per entry of G
+_GRAM_STEP_NS = 60e3  # the rest of the Gram side, once per step
+
+
+def _gram_is_cheaper(rows: int, cols: int, w: int, q: int) -> bool:
+    """Whether a step with a sketch of width w and q power steps costs
+    less through G = A A^T than through a drawn sketch, A rows x cols.
+
+    Drawn: cols w normals, the sketch A Omega (2 rows cols w flops), and
+    per power step the products A (A^T Z) (4 rows cols w flops, two
+    passes over A).  Through G: rows^2 cols flops for G, its eigh and a
+    fixed cost; the rows w normals, R Omega'' and G Z are small enough to
+    leave out.  The pass that forms A Omega and the one that forms G
+    cancel."""
+    drawn = cols * w * _DRAW_NS + rows * cols * ((2 + 4 * q) * w * _FLOP_NS + 2 * q * _PASS_NS)
+    gram = rows * rows * (cols * _FLOP_NS + _EIGH_NS) + _GRAM_STEP_NS
+    return gram < drawn
 
 
 def _power_step_gram(A, w: int, q: int):
-    """(G, R) with G = A A^T = R R^T when q power steps on blocks of width
-    w take G, else (None, None).
+    """(G, R) with G = A A^T = R R^T when a sweep step with a sketch of
+    width w and q power steps goes through G, else (None, None).
 
-    Through G the power steps read the long side of A once, in one pass
-    that forms G, where the products A (A^T Z) read it twice per step.
-    G is taken when both hold:
+    One rule for all three randomized sweeps: tt_rsvd asks it with q = 0,
+    tt_rsi and tt_rbki with their q, so tt_rsvd's decision, and with it
+    its cores, does not depend on q.  Through G the step reads the long
+    side of A once, in the one pass that forms G, and draws rows w
+    normals in place of cols w; the power steps multiply G, where the
+    products A (A^T Z) read A twice per step.  G is taken when all hold:
 
-    - A is wide and cheaper to multiply through G: forming G costs about
-      rows^2 cols flops against 4 q rows cols w for the products, so
-      rows < 4 q w (never when q = 0).
-    - w >= rows (every block then spans the whole row space), or the
-      energy of A beyond its top w singular directions is at least
+    - A is wide and w < rows.  A Z_0 as wide as A has rows already spans
+      them, so the power steps cannot change the Ritz vectors, and with no
+      energy beyond w directions nothing bounds what G's rounding costs:
+      tt_rsvd, which keeps Z_0's leading columns with no Ritz step on A,
+      would carry it into exactly low-rank input (errors of 3e-9 to 1e-8
+      where the drawn sketch gives 1e-15).
+    - _gram_is_cheaper(rows, cols, w, q).
+    - The energy of A beyond its top w singular directions is at least
       _GRAM_TAIL ||A||_F^2.  G rounds to about eps ||A||_F^2 in every
       direction, the products to about eps ||A|| sigma_i along the i-th,
       so G does not resolve directions below about sqrt(eps) ||A||, and
@@ -108,15 +144,15 @@ def _power_step_gram(A, w: int, q: int):
     U Sigma (V^T Omega), and V^T Omega is itself a rows x w standard
     Gaussian for a cols x w Gaussian Omega: so R Omega'' for a rows x w
     Gaussian Omega'' has exactly the distribution of the sketch A Omega,
-    and the sweep draws that one instead.  The Ritz step reads A itself
-    either way.
+    and the sweep draws that one instead.  The Ritz step of tt_rsi and
+    tt_rbki reads A itself either way.
     """
     rows, cols = A.shape
-    if rows >= cols or rows >= 4 * q * w:
+    if rows >= cols or w >= rows or not _gram_is_cheaper(rows, cols, w, q):
         return None, None
     G = A @ A.T
     lam, U = np.linalg.eigh(G)  # ascending
-    if w < rows and np.sum(lam[: rows - w]) < _GRAM_TAIL * np.sum(lam):
+    if np.sum(lam[: rows - w]) < _GRAM_TAIL * np.sum(lam):
         return None, None
     return G, U * np.sqrt(np.maximum(lam, 0.0))
 

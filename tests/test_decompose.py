@@ -14,6 +14,7 @@ from ttapprox import (
     SketchConfig,
     TTTensor,
     TruncationSpec,
+    add_awgn,
     frobenius_norm,
     relative_error,
     spectrum_decay_tensor,
@@ -25,7 +26,7 @@ from ttapprox import (
     tt_svd,
     validate,
 )
-from ttapprox import decompose
+from ttapprox import decompose, linalg
 from ttapprox.linalg import svd
 from ttapprox.tt import left_unfolding
 
@@ -151,6 +152,33 @@ def test_tt_rsvd_exact_rank_recovery():
     assert err <= 1e-8
 
 
+def test_tt_rsvd_exact_rank_recovery_where_the_sketch_spans_the_rows():
+    # w >= rows: Z_0 spans the rows, and tt_rsvd keeps it with no Ritz
+    # step on A, so a sketch through G would carry G's rounding (about
+    # sqrt(eps) ||A|| per direction) into exactly low-rank input, errors of
+    # 3e-9 to 1e-8; the one G rule takes no G on such steps
+    for rows, cols, k, r, p in [(6, 2000, 3, 4, 2), (10, 5000, 2, 3, 8)]:
+        rng = np.random.default_rng(rows)
+        A = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+        for seed in range(5):
+            tt, _ = tt_rsvd(A, SketchConfig(ranks=(r,), p=p, q=1, seed=seed))
+            err = relative_error(A, tt_reconstruct(tt))
+            assert err <= 1e-13, (rows, seed, err)
+
+
+def test_tt_rsvd_cores_do_not_depend_on_q():
+    # tt_rsvd asks the G rule with no power steps whatever q is: on 20^5 at
+    # ranks 8 step 0 takes G and step 1 (160 x 8000) would take it at
+    # q 3 if asked with q; on the 5 dB spectrum 30^3, step 0 (30 x 900)
+    # would at q 3
+    cases = [(power_function_tensor((20,) * 5, 5.0), (8,) * 4),
+             (add_awgn(spectrum_decay_tensor(30, 5, 1.0), 5.0, 3), (5, 5))]
+    for t, ranks in cases:
+        runs = [tt_rsvd(t, SketchConfig(ranks=ranks, p=2, q=q, seed=6))[0] for q in (1, 2, 3)]
+        for other in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0].cores, other.cores))
+
+
 def test_tt_rsvd_deterministic():
     t = np.random.default_rng(8).standard_normal((8, 8, 8))
     cfg = SketchConfig(ranks=(3, 3), p=2, q=1, seed=42)
@@ -231,6 +259,9 @@ def test_rbki_q1_naive_spans_power_augmented_sketch(monkeypatch):
 
     monkeypatch.setattr(decompose, "gaussian_matrix", spy_draw)
     monkeypatch.setattr(decompose, "svd", spy_factor)
+    # step 0 is far too small for G to pay: take it wherever accuracy
+    # allows, as the wide steps of a large tensor do
+    monkeypatch.setattr(linalg, "_gram_is_cheaper", lambda rows, cols, w, q: True)
     t = np.random.default_rng(12).standard_normal((10, 9, 8))
     A = np.reshape(t, (10, 72), order="F")
     tt, _ = tt_rbki(t, SketchConfig(ranks=(3, 3), p=1, q=1, seed=99))
@@ -245,50 +276,66 @@ def test_rbki_q1_naive_spans_power_augmented_sketch(monkeypatch):
 
 
 def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
-    # each step draws once and hands Z_0 = svd(Y).U to the range finder,
-    # with Y = A Omega, or R Omega'' where the power steps go through
-    # G = A A^T = R R^T.  Step 0 (16 x 16) takes no G and step 1 (4 x 8)
-    # does: rsi and rbki draw the same Omega and Z_0 on every step and
-    # tt_rsvd, which runs no power steps, shares them on step 0 only
-    t = np.random.default_rng(15).standard_normal((16, 2, 8))
+    # each step asks the one G rule once, draws once and factors its
+    # sketch once: Z_0 = svd(Y).U with Y = A Omega, or R Omega'' where the
+    # step goes through G = A A^T = R R^T.  tt_rsvd asks with no power
+    # steps, tt_rsi and tt_rbki with q.  Step 0 (4 x 5000, w 3) takes G for
+    # all three, so they draw the same rows x w Omega'' and share Z_0; step
+    # 1 (5000 x 2, tall, the sketch clamped to 2 columns) takes none, and
+    # they draw the same cols x 2 Omega
+    t = np.random.default_rng(15).standard_normal((4, 2500, 2))
     cfg = SketchConfig(ranks=(2, 2), p=1, q=2, seed=4)
-    draws, starts = [], {"rsi": [], "rbki": []}
-    draw = decompose.gaussian_matrix
+    seen = {method: [] for method in ALGS}  # per step: [asked, draw, Y, Z0]
+    starts = {"rsi": [], "rbki": []}
+    draw, rule, factor = decompose.gaussian_matrix, decompose._power_step_gram, decompose.svd
+
+    def spy_rule(A, w, q):
+        G, R = rule(A, w, q)
+        seen[method].append([(A.copy(order="K"), w, q, G, R)])
+        return G, R
 
     def spy_draw(*args):
-        draws[-1].append(draw(*args))
-        return draws[-1][-1]
+        seen[method][-1].append(draw(*args))
+        return seen[method][-1][-1]
 
-    def spy_range_finder(method, finder):
+    def spy_factor(Y):
+        U = factor(Y)
+        seen[method][-1] += [Y.copy(), U.U.copy()]
+        return U
+
+    def spy_range_finder(name, finder):
         def spy(A, Z0, q, G):
-            starts[method].append((A.copy(), Z0.copy(), G))
+            starts[name].append((Z0.copy(), G))
             return finder(A, Z0, q, G)
         return spy
 
+    monkeypatch.setattr(decompose, "_power_step_gram", spy_rule)
     monkeypatch.setattr(decompose, "gaussian_matrix", spy_draw)
+    monkeypatch.setattr(decompose, "svd", spy_factor)
     monkeypatch.setattr(decompose, "krylov_blocks", spy_range_finder("rsi", decompose.krylov_blocks))
     monkeypatch.setattr(decompose, "krylov_basis", spy_range_finder("rbki", decompose.krylov_basis))
     sweeps = {}
     for method, sweep in ALGS.items():
-        draws.append([])
         sweeps[method] = sweep(t, cfg)[0]
-    assert [len(d) for d in draws] == [2, 2, 2]  # one draw per step
-    rsvd, rsi, rbki = draws
-    assert np.array_equal(rsvd[0], rsi[0]) and np.array_equal(rsvd[0], rbki[0])
-    assert rsvd[0].shape == (16, 3) and rsvd[1].shape == (8, 3)
-    assert np.array_equal(rsi[1], rbki[1]) and rsi[1].shape == (4, 3)
-    for method, own in (("rsi", rsi), ("rbki", rbki)):
-        for n, (A, Z0, G) in enumerate(starts[method]):
-            assert (G is None) == (n == 0)
+    for method, steps in seen.items():
+        assert len(steps) == 2, method  # one rule, draw and factorization per step
+        for n, ((A, w, q, G, R), Om, Y, Z0) in enumerate(steps):
+            assert q == (0 if method == "rsvd" else cfg.q)
+            assert (w, G is None) == ((3, False) if n == 0 else (2, True)), (method, n)
             if G is None:
-                assert np.array_equal(Z0, svd(A @ own[n]).U)
+                assert Om.shape == (A.shape[1], 2) and np.array_equal(Y, A @ Om)
             else:
-                R = decompose._power_step_gram(A, 3, cfg.q)[1]
                 assert np.array_equal(G, A @ A.T)
-                assert np.array_equal(Z0, svd(R @ own[n]).U)
-    assert np.array_equal(starts["rsi"][0][1], starts["rbki"][0][1])
-    Z0 = starts["rsi"][0][1]
-    assert np.array_equal(np.reshape(sweeps["rsvd"].cores[0], (16, 2), order="F"), Z0[:, :2])
+                assert Om.shape == (A.shape[0], 3) and np.array_equal(Y, R @ Om)
+    for method in ("rsi", "rbki"):
+        for n in range(2):
+            assert np.array_equal(seen[method][n][1], seen["rsvd"][n][1])  # Omega'', Omega
+            Z0, G = starts[method][n]
+            assert np.array_equal(Z0, seen[method][n][3]) and G is seen[method][n][0][3]
+        assert np.array_equal(seen[method][0][3], seen["rsvd"][0][3])  # one Z_0 on step 0
+    for n, core in enumerate(sweeps["rsvd"].cores[:2]):
+        Q = np.reshape(core, (-1, 2), order="F")
+        assert np.array_equal(Q, seen["rsvd"][n][3][:, :2])
 
 
 def test_rbki_krylov_stack_column_cap(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import stack_krylov_basis, tail_energy
-from ttapprox import decompose, gaussian_matrix, tt_reconstruct
+from ttapprox import decompose, gaussian_matrix, linalg, tt_reconstruct
 from ttapprox.linalg import (
     _power_step_gram,
     krylov_basis,
@@ -109,14 +109,25 @@ def start_block(A, Omega):
     return svd(A @ Omega).U
 
 
+def cost_free():
+    """_power_step_gram with its cost test passed, so it decides on
+    accuracy alone: A wide, w < rows and the energy test.  The matrices
+    below are far too small for G to pay, so the tests of the G branch
+    take it wherever accuracy allows; the cost test is pinned by
+    test_gram_rule_decisions_on_the_workloads_wide_shapes."""
+    return mock.patch.object(linalg, "_gram_is_cheaper", lambda rows, cols, w, q: True)
+
+
 def sweep_gram(A, Omega, q):
-    """G = A A^T where q power steps on blocks as wide as Omega go through
-    it, else None: what the sweep passes to the Krylov routines."""
-    return _power_step_gram(A, Omega.shape[1], q)[0]
+    """G = A A^T where a step with blocks as wide as Omega and q power
+    steps may go through it, else None: what the sweep passes to the
+    Krylov routines once the cost test agrees."""
+    with cost_free():
+        return _power_step_gram(A, Omega.shape[1], q)[0]
 
 
 def takes_gram(A, Omega, q):
-    """Whether q power steps on blocks as wide as Omega go through G = A A^T."""
+    """Whether a step with blocks as wide as Omega may go through G = A A^T."""
     return sweep_gram(A, Omega, q) is not None
 
 
@@ -263,17 +274,39 @@ def rel_err(method, A, r, q, p, seed=0):
 
 
 def rel_errs(A, r, q, p, seed, through_gram):
-    """rel_err of tt_rsi and tt_rbki.  With through_gram False the sweep's
+    """rel_err of tt_rsvd, tt_rsi and tt_rbki on the matrix A.
+
+    With through_gram the sweeps take G = A A^T wherever accuracy allows
+    (cost_free), and there sketch with R Omega''.  Without, the sweep's
     one G decision (decompose._power_step_gram) is patched to decline, so
     every sketch is A Omega and every power step goes through the
     products A (A^T Z); the patched decision must be the one the sweep
-    asked, once per step, so the reference run formed no G."""
+    asked, once per step, so the reference run formed no G.  Where the
+    G run takes G, the reference's Omega is V P Omega'', Omega'' the G
+    run's draw, A = U Sigma V^T and P the orthogonal factor of U^T U_G
+    (U_G the eigenvectors of G): a cols x w Gaussian with A Omega = R
+    Omega'' in exact arithmetic, so the two runs differ by G's rounding
+    and not by their draws, which tt_rsvd, with no power steps, would not
+    forgive."""
+    methods = ("rsvd", "rsi", "rbki")
     if through_gram:
-        return [rel_err(method, A, r, q, p, seed) for method in ("rsi", "rbki")]
+        with cost_free():
+            return [rel_err(method, A, r, q, p, seed) for method in methods]
+    plain, rows, cols = decompose.gaussian_matrix, *A.shape
+    rotate = None
+    if takes_gram(A, np.empty((cols, min(rows, r + p, cols))), q):
+        U, _, Vt = np.linalg.svd(A, full_matrices=False)
+        W, _, Zt = np.linalg.svd(U.T @ np.linalg.eigh(A @ A.T)[1])
+        rotate = Vt.T @ (W @ Zt)
+
+    def draw(n, width, rng):
+        return plain(n, width, rng) if rotate is None else rotate @ plain(rows, width, rng)
+
     decline = mock.Mock(return_value=(None, None))
     with mock.patch.object(decompose, "_power_step_gram", decline):
-        errs = [rel_err(method, A, r, q, p, seed) for method in ("rsi", "rbki")]
-    assert decline.call_count == 2  # one step per sweep of a matrix
+        with mock.patch.object(decompose, "gaussian_matrix", draw):
+            errs = [rel_err(method, A, r, q, p, seed) for method in methods]
+    assert decline.call_count == 3  # one step per sweep of a matrix
     return errs
 
 
@@ -307,14 +340,16 @@ def test_row_space_sketch_is_the_gaussian_sketch_of_a(inputs):
     # Sigma V^T and G's eigenvectors U D (D the signs), R = A V D, so R
     # Omega'' = A (V D Omega'') and V D Omega'' is a cols x w Gaussian;
     # on well-separated spectra that G resolves this holds to 1e-10.
-    # Accuracy: tt_rsi and tt_rbki through G and the row-space sketch stay
-    # within criterion 5's bound of their error with a drawn sketch and
-    # the products: the Gram test keeps G away from the graded spectra
-    # where it would lose directions
+    # Accuracy: tt_rsvd, tt_rsi and tt_rbki through G and the row-space
+    # sketch stay within criterion 5's bound of their error with the drawn
+    # sketch A Omega and the products: the energy test keeps G away from
+    # the graded spectra where it would lose directions, and w < rows from
+    # exactly low-rank input, where tt_rsvd would keep G's rounding
     A, Om, q, p = inputs
     rows = A.shape[0]
     w = min(rows, Om.shape[1])
-    G, R = _power_step_gram(A, w, q)
+    with cost_free():
+        G, R = _power_step_gram(A, w, q)
     if G is None:
         return
     assert np.array_equal(G, A @ A.T) and R.shape == (rows, rows)
@@ -398,17 +433,19 @@ def test_krylov_basis_drops_directions_not_columns():
 
 def test_gram_test_keeps_rsi_and_rbki_accuracy_on_graded_spectra():
     # a 20 x 4000 matrix with singular values graded from 1 to 1e-14: at
-    # q 2 and 3 the power steps cost fewer flops through G at every rank
-    # (20 < 4 q (r + 2)), and at ranks 1 and 3 they go through it; at
-    # ranks 11-17 the residual lies below 1e-8 ||A||, where G would floor
-    # tt_rsi's error at about 1e-9 ||A|| (up to about 3600 times the
-    # error through the products), and they do not
+    # q 2 and 3 a step costs less through G at every rank, and at ranks 1
+    # and 3 it goes through it; at ranks 11-17 the residual lies below
+    # 1e-8 ||A||, where G would floor tt_rsi's error at about 1e-9 ||A||
+    # (up to about 3600 times the error through the products), and it
+    # does not.  tt_rsvd, asked with no power steps, is held to the same
+    # bound
     rng = np.random.default_rng(30)
     s = 10.0 ** (-14 * np.arange(20) / 19)
     A = spectrum_matrix(s, 20, 4000, rng)
     for q in (2, 3):
         took = []
         for r in range(1, 18, 2):
+            assert linalg._gram_is_cheaper(20, 4000, r + 2, q)
             if takes_gram(A, np.empty((4000, r + 2)), q):
                 took.append(r)
             got, want = rel_errs(A, r, q, 2, 5, True), rel_errs(A, r, q, 2, 5, False)
@@ -417,17 +454,58 @@ def test_gram_test_keeps_rsi_and_rbki_accuracy_on_graded_spectra():
     assert s[11] < 1e-8 and s[17] < 1e-12
 
 
-def test_gram_steps_only_where_they_cost_fewer_flops():
-    # G = A A^T costs rows^2 cols flops, the q steps' products 4 q rows
-    # cols w: the power steps of tt_rsi and tt_rbki take G only while
-    # rows < 4 q w (and the energy test passes; these inputs pass it)
+# (rows, cols, w, G at q 0 as tt_rsvd asks, G at q 2 as tt_rsi and
+# tt_rbki ask), with the model's costs in ms, drawn at q 0 / drawn at
+# q 2 / through G
+GRAM_RULE_DECISIONS = [
+    # powerfn5-clean, 20^5 at ranks 4 and 8, steps 0 to 2.  Step 0: the
+    # cols w normals dwarf G, whose 20 rows read A once (19 / 35 / 1.4,
+    # and 32 / 50 / 1.4 at w 10)
+    (20, 160000, 6, True, True),
+    (20, 160000, 10, True, True),
+    # 80 x 8000: eigh(80) outweighs 48000 normals, until the q 2 power
+    # steps' four passes over A are counted (1.1 / 4.2 / 2.7)
+    (80, 8000, 6, False, True),
+    # 160 x 8000: G's 205M flops and eigh(160) (2.0 / 9.2 / 10.6)
+    (160, 8000, 10, False, False),
+    # 80 x 400: eigh(80) against 2400 normals (0.05 / 0.21 / 1.7)
+    (80, 400, 6, False, False),
+    (160, 400, 10, False, False),
+    # spectrum3-noisy, 100^3 at ranks 10 and 20, step 0: at w 12 G's 1e8
+    # flops and eigh(100) outweigh the draw, but not the q 2 power steps
+    # (2.8 / 8.7 / 4.6); at w 22 the draw alone (5.1 / 12.6 / 4.6)
+    (100, 10000, 12, False, True),
+    (100, 10000, 22, True, True),
+    # powerfn 10^5 and 10^6 at ranks 3, step 0: 10 rows (1.0 / 1.5 / 0.1,
+    # and 9.7 / 14.5 / 0.3 at 10^6)
+    (10, 10000, 5, True, True),
+    (10, 100000, 5, True, True),
+    # cli-files' 30 x 1000 (10^5 and 10^6, step 1): eigh(30) and the
+    # per-step cost outweigh 5000 normals and the small products
+    # (0.10 / 0.24 / 0.30)
+    (30, 1000, 5, False, False),
+    # cli-files' 40 x 2500 (40 x 50 x 50, step 0): taken at q 2 (0.26 /
+    # 0.74 / 0.54), where measured the products win by about 0.1 ms: this
+    # A fits in cache, so a pass costs less than the model's
+    (40, 2500, 5, False, True),
+]
+
+
+def test_gram_rule_decisions_on_the_workloads_wide_shapes():
+    # one rule for the three sweeps: tt_rsvd asks it with no power steps,
+    # tt_rsi and tt_rbki with their q.  Its cost model is fixed constants,
+    # so these decisions do not depend on the machine; the random inputs
+    # pass the energy test
     rng = np.random.default_rng(32)
-    for rows, cols, w, q, gram in [(20, 3000, 10, 2, True), (100, 2000, 22, 2, True),
-                                   (160, 2000, 10, 2, False), (80, 400, 6, 2, False),
-                                   (48, 1728, 6, 2, False), (100, 2000, 12, 2, False),
-                                   (100, 2000, 12, 3, True), (20, 400, 5, 1, False)]:
+    for rows, cols, w, *wants in GRAM_RULE_DECISIONS:
         A = rng.standard_normal((rows, cols))
-        assert takes_gram(A, np.empty((cols, w)), q) == gram, (rows, w, q)
+        for q, want in zip((0, 2), wants):
+            assert (_power_step_gram(A, w, q)[0] is not None) == want, (rows, cols, w, q)
+    # never where Z_0 already spans the rows (w >= rows), nor on a tall A,
+    # however cheap: cli-files' 4 x 1000 and 5 x 3125 steps at w 4 and 5
+    for rows, cols, w in [(4, 1000, 4), (5, 3125, 5), (2000, 100, 22)]:
+        A = rng.standard_normal((rows, cols))
+        assert all(_power_step_gram(A, w, q)[0] is None for q in range(4)), (rows, cols)
 
 
 def test_tail_energy_full_spectrum():
