@@ -10,6 +10,16 @@ the next step.  They differ only in how Q is found:
   tt_rsi   top r Ritz vectors of A in span(Z_q)
   tt_rbki  top r Ritz vectors of A in span([Z_0, ..., Z_q])
 
+tt_svd takes its truncated SVD of a wide unfolding from G = A A^T: it
+picks r from the eigenvalues of G (linalg._gram_eigh) and keeps the top
+r eigenvectors where linalg._gram_resolves(lam, r) holds, the energy
+test the randomized sweeps apply at the sketch width.  The test sits at
+r because G rounds to about eps ||A||^2 in every direction, which moves
+the truncation residual^2 by about eps^2 ||A||^4 / sigma_r^2: negligible
+against an energy beyond r of at least 1e-10 ||A||^2, and only then.
+A step the test refuses, and every tall step, takes linalg.svd, the
+R-only QR on a wide unfolding; a refused step has paid for G as well.
+
 The randomized sweeps share their first step: each draws one Gaussian
 sketch Y (r + p columns, fewer on a short trailing side) and takes its
 left singular vectors Z_0 = svd(Y).U, min(rows, r + p) columns, before
@@ -43,9 +53,10 @@ trace; their squares sum to the final squared approximation error.  The
 norms behind them come from metrics' one sum of squares, which calls no
 BLAS, so the same cores give the same residuals at any BLAS thread
 count.  Two gaps remain: on some shapes OpenBLAS splits a GEMM whose
-inner dimension is an unfolding's long side across threads, and then
-the randomized cores differ; and tt_svd's singular values pass through
-LAPACK's threaded QR in linalg.svd.
+inner dimension is an unfolding's long side across threads (tt_svd's
+G = A A^T among them), and then the cores differ; and the wide steps
+that tt_svd's energy test refuses pass through LAPACK's threaded QR in
+linalg.svd.
 
 Every linearization is column-major (first index fastest): element
 (i_1, ..., i_N) of a tensor sits at offset sum_n i_n prod_{m<n} I_m, so
@@ -69,7 +80,17 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, _int
-from .linalg import _power_step_gram, gaussian_matrix, krylov_basis, krylov_blocks, rank_from_tail, svd
+from .linalg import (
+    _fix_signs,
+    _gram_eigh,
+    _gram_resolves,
+    _power_step_gram,
+    gaussian_matrix,
+    krylov_basis,
+    krylov_blocks,
+    rank_from_tail,
+    svd,
+)
 from .metrics import _sum_sq, frobenius_norm
 from .tt import TTTensor
 
@@ -180,13 +201,17 @@ class _Basis(NamedTuple):
 
     Q: np.ndarray
     carry: np.ndarray
-    residual: float
+    residual: Optional[float]  # None: taken by _sweep from the carried norms
     sketch_width: Optional[int] = None
     clamped: bool = False
 
 
-def _sweep(t: np.ndarray, pick_basis) -> Tuple[TTTensor, SweepTrace]:
-    """Shared scaffold; pick_basis(A, n) -> _Basis."""
+def _sweep(t: np.ndarray, norm: float, pick_basis) -> Tuple[TTTensor, SweepTrace]:
+    """Shared scaffold; pick_basis(A, n) -> _Basis, norm = ||t||_F.
+
+    A _Basis without a residual gets rho^2 = ||A||^2 - ||Q^T A||^2,
+    clamped against cancellation, with ||A|| carried from step to step:
+    the input's norm at step 0, then the previous carry's."""
     dims = t.shape
     cores = []
     trace = SweepTrace()
@@ -196,11 +221,16 @@ def _sweep(t: np.ndarray, pick_basis) -> Tuple[TTTensor, SweepTrace]:
         t0 = time.perf_counter()  # the unfold may copy, so it is timed too
         A = np.reshape(C, (r_prev * dims[n], -1), order="F")
         b = pick_basis(A, n)
+        carry_norm = frobenius_norm(b.carry)
+        residual = b.residual
+        if residual is None:
+            residual = math.sqrt(max(norm**2 - carry_norm**2, 0.0))
+        norm = carry_norm
         elapsed = time.perf_counter() - t0
         C = b.carry
         r_n = b.Q.shape[1]
         cores.append(np.reshape(b.Q, (r_prev, dims[n], r_n), order="F"))
-        trace.steps.append(SweepStep(n, r_n, b.residual, elapsed, b.sketch_width, b.clamped))
+        trace.steps.append(SweepStep(n, r_n, residual, elapsed, b.sketch_width, b.clamped))
         r_prev = r_n
     cores.append(np.reshape(C, (r_prev, dims[-1], 1), order="F"))
     return TTTensor(cores), trace
@@ -217,6 +247,13 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     leaves a relative error of a few sqrt(N-1) * 2.2e-16 whatever the
     ranks (epsilon=1e-15 on the 20^4 power-function tensor gives about
     1.5e-15).
+
+    A wide step keeps the top r eigenvectors of G = A A^T where the
+    energy beyond r passes the Gram test (module docstring), and takes
+    its residual from the norms _sweep carries, sqrt(||A||^2 -
+    ||Q^T A||^2), as the randomized sweeps do: the tail of G's
+    eigenvalues would carry an error that grows with the rows.  Any other
+    step takes linalg.svd and the tail of its singular values.
     """
     t, norm, e = _as_input(t)
     if trunc.ranks is not None:
@@ -228,16 +265,24 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         ranks = None
         delta = trunc.epsilon * norm / math.sqrt(t.ndim - 1)
 
-    def pick(A, n):
-        U, s = svd(A)
-        r = ranks[n] if ranks is not None else rank_from_tail(s, delta)
-        residual = frobenius_norm(s[r:])
-        Q = U[:, :r]
-        # Q^T A, not diag(S) V^T: equal in exact arithmetic, but LAPACK's
-        # U S V^T misses A by ~1e-14 ||A||, which would floor the error
-        return _Basis(Q, (A.T @ Q).T, residual)
+    def rank(s, n):
+        return ranks[n] if ranks is not None else rank_from_tail(s, delta)
 
-    return _scale_back(_sweep(t, pick), e)
+    # Q^T A, not diag(S) V^T: equal in exact arithmetic, but LAPACK's
+    # U S V^T misses A by ~1e-14 ||A||, which would floor the error
+    def pick(A, n):
+        if A.shape[0] < A.shape[1]:
+            _, lam, U = _gram_eigh(A)
+            r = rank(np.sqrt(np.maximum(lam, 0.0)), n)
+            if _gram_resolves(lam, r):  # residual from the carried norms
+                Q = _fix_signs(U[:, :r].copy(order="F"))
+                return _Basis(Q, (A.T @ Q).T, None)
+        U, s = svd(A)
+        r = rank(s, n)
+        Q = U[:, :r]
+        return _Basis(Q, (A.T @ Q).T, frobenius_norm(s[r:]))
+
+    return _scale_back(_sweep(t, norm, pick), e)
 
 
 def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, SweepTrace]:
@@ -247,13 +292,11 @@ def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, Sw
     number of power steps basis runs.  The sketch is drawn and applied
     here and nowhere else, and _power_step_gram decides here, once per
     step, whether to form G."""
-    # norm is ||A_n||: the input's norm at step 0, then the previous carry's
     t, norm, e = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
 
     def pick(A, n):
-        nonlocal norm
         r = ranks[n]
         rows, cols = A.shape
         width = min(r + cfg.p, cols)
@@ -268,13 +311,9 @@ def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, Sw
         # Q has exactly r columns: r <= w (_check_ranks), and Z0 and every
         # Krylov block have w columns
         Q, carry = basis(A, Z0, G, r)
-        # rho^2 = ||A||^2 - ||Q^T A||^2, clamped against cancellation
-        carry_norm = frobenius_norm(carry)
-        residual = math.sqrt(max(norm**2 - carry_norm**2, 0.0))
-        norm = carry_norm
-        return _Basis(Q, carry, residual, width, clamped)
+        return _Basis(Q, carry, None, width, clamped)
 
-    return _scale_back(_sweep(t, pick), e)
+    return _scale_back(_sweep(t, norm, pick), e)
 
 
 def _ritz(A, S, r):

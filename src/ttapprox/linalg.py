@@ -8,11 +8,18 @@ first step of a 20^5 tensor) are never fully factored on their long
 side: svd takes a wide matrix's left factor from the small triangle of
 an R-only QR, and the Krylov routines start from the sweep's sketch
 basis Z_0 and factor only blocks with as many rows as the unfolding,
-while the long side is only multiplied.  _power_step_gram decides, once
-per sweep step and by one cost rule for all three randomized sweeps,
-whether the step goes through G = A A^T; where it does, the sweep draws
+while the long side is only multiplied.
+
+Every sweep that goes through G = A A^T forms it and its descending
+eigendecomposition in _gram_eigh, and asks _gram_resolves, the one
+energy test, whether G serves a step that keeps k directions.
+_power_step_gram decides, once per randomized sweep step and by one
+cost rule for all three randomized sweeps, whether the step goes through
+G, asking the test at the sketch width w; where it does, the sweep draws
 its sketch in the row space, from G's eigendecomposition, and the power
-steps multiply G.
+steps multiply G.  tt_svd asks the test at its rank r on every wide
+step: where it passes, the step keeps the top r eigenvectors of G,
+where it fails, the step has formed G for nothing and takes svd.
 """
 
 
@@ -48,9 +55,15 @@ def svd(A) -> SvdResult:
         U, s, _ = np.linalg.svd(R.T)
     else:
         U, s, _ = np.linalg.svd(A, full_matrices=False)
+    return SvdResult(_fix_signs(U), s)
+
+
+def _fix_signs(U):
+    """U, each column flipped in place so that its largest-magnitude
+    entry is nonnegative."""
     flip = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])] < 0
     U[:, flip] *= -1.0
-    return SvdResult(U, s)
+    return U
 
 
 def rank_from_tail(s, delta: float) -> int:
@@ -78,9 +91,35 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
     return rng.standard_normal(rows * cols).reshape((rows, cols), order="F")
 
 
-# the least energy of A beyond its top w singular directions, as a
-# fraction of ||A||_F^2, with which a step goes through G = A A^T
+def _gram_eigh(A):
+    """(G, lam, U): G = A A^T and its eigendecomposition G = U diag(lam)
+    U^T, eigenvalues in descending order, negative rounding kept.  lam
+    and U are reversed views of eigh's ascending output."""
+    G = A @ A.T
+    lam, U = np.linalg.eigh(G)
+    return G, lam[::-1], U[:, ::-1]
+
+
+# the least energy of A beyond the directions a step keeps, as a
+# fraction of ||A||_F^2, with which the step may go through G = A A^T
 _GRAM_TAIL = 1e-10
+
+
+def _gram_resolves(lam, k: int) -> bool:
+    """Whether G = A A^T, eigenvalues lam in descending order, serves a
+    step that keeps the top k directions of A: the one energy test behind
+    both Gram paths, _power_step_gram at k = w and tt_svd at its rank.
+
+    The energy of A beyond its top k singular directions, the sum of
+    lam[k:], must be at least _GRAM_TAIL ||A||_F^2.  G rounds to about
+    eps ||A||_F^2 in every direction, so it does not resolve directions
+    below about sqrt(eps) ||A|| (Demmel & Veselic, SIMAX 1992), and a
+    basis taken from it leaves a residual^2 off by about
+    eps^2 ||A||^4 / sigma_k^2.  That energy is a floor under the residual
+    of every rank up to k, so while it stays far above what G loses, G
+    costs the step nothing.  A zero A passes."""
+    return np.sum(lam[k:]) >= _GRAM_TAIL * np.sum(lam)
+
 
 # _power_step_gram's cost model of one sweep step, in ns.  Fitted on the
 # wide steps of the benchmark's workloads (20 x 160000 down to 15 x 25,
@@ -130,31 +169,31 @@ def _power_step_gram(A, w: int, q: int):
       would carry it into exactly low-rank input (errors of 3e-9 to 1e-8
       where the drawn sketch gives 1e-15).
     - _gram_is_cheaper(rows, cols, w, q).
-    - The energy of A beyond its top w singular directions is at least
-      _GRAM_TAIL ||A||_F^2.  G rounds to about eps ||A||_F^2 in every
-      direction, the products to about eps ||A|| sigma_i along the i-th,
-      so G does not resolve directions below about sqrt(eps) ||A||, and
-      through it tt_rsi's residual would floor at about 1e-9 ||A||.  That
-      energy is a floor under the residual of every rank r <= w, so while
-      it stays far above what G loses, G costs the sweep nothing.
+    - _gram_resolves(lam, w), the energy test tt_svd shares: the energy
+      of A beyond its top w singular directions is at least
+      _GRAM_TAIL ||A||_F^2.  The products round to about eps ||A||
+      sigma_i along the i-th direction, G to about eps ||A||_F^2 in
+      every one, so without the test tt_rsi's residual would floor at
+      about 1e-9 ||A|| through G.
 
     R = U sqrt(Lambda) comes from the one eigendecomposition
-    G = U Lambda U^T that also gives the energy test its eigenvalues
-    (negative rounding clamped to 0).  With A = U Sigma V^T, A Omega =
-    U Sigma (V^T Omega), and V^T Omega is itself a rows x w standard
-    Gaussian for a cols x w Gaussian Omega: so R Omega'' for a rows x w
-    Gaussian Omega'' has exactly the distribution of the sketch A Omega,
-    and the sweep draws that one instead.  The Ritz step of tt_rsi and
+    G = U Lambda U^T, _gram_eigh's, that also gives the energy test its
+    eigenvalues (negative rounding clamped to 0).  With A = U Sigma V^T,
+    A Omega = U Sigma (V^T Omega), and V^T Omega is itself a rows x w
+    standard Gaussian for a cols x w Gaussian Omega: so R Omega'' for a
+    rows x w Gaussian Omega'' has exactly the distribution of the sketch
+    A Omega, and the sweep draws that one instead.  The Ritz step of tt_rsi and
     tt_rbki reads A itself either way.
     """
     rows, cols = A.shape
     if rows >= cols or w >= rows or not _gram_is_cheaper(rows, cols, w, q):
         return None, None
-    G = A @ A.T
-    lam, U = np.linalg.eigh(G)  # ascending
-    if np.sum(lam[: rows - w]) < _GRAM_TAIL * np.sum(lam):
+    G, lam, U = _gram_eigh(A)
+    if not _gram_resolves(lam, w):
         return None, None
-    return G, U * np.sqrt(np.maximum(lam, 0.0))
+    # R keeps eigh's ascending column order, on which the seeded draws
+    # R Omega'' are defined
+    return G, U[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))
 
 
 def _power_step(A, G, Z):
@@ -172,8 +211,16 @@ def krylov_blocks(A, Z0, q: int, G):
     of a wide A is never factored.  G is A A^T where the power steps go
     through it (_power_step_gram's decision), else None.  Without the QRs
     the higher powers would keep only the leading directions in float64.
+
+    A Z0 as wide as A has rows already spans them, so no power step can
+    change the Ritz vectors, and the blocks are [Z0] alone: no product
+    with A is taken.  The sweep still draws and factors the sketch on
+    such a step, so the rng stream, and with it every later step's draw,
+    is the one it would be with the power steps.
     """
     blocks = [Z0]
+    if Z0.shape[1] >= A.shape[0]:
+        return blocks
     for _ in range(q):
         blocks.append(np.linalg.qr(_power_step(A, G, blocks[-1]))[0])
     return blocks

@@ -211,6 +211,40 @@ def test_tt_rsi_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a.cores, b.cores))
 
 
+def test_tt_rsi_takes_no_power_step_where_the_sketch_spans_the_rows(monkeypatch):
+    # cli-files' 4 x 5 x 5 x 5 x 8 at ranks 3, p 2, q 2: step 0 is 4 x 1000
+    # at w 4, so Z_0 spans the rows and no power step could change the
+    # Ritz vectors.  That step takes no product with A, its core is the
+    # Ritz basis on Z_0, and it still draws its cols x w sketch, so later
+    # steps draw from the rng stream they always have; step 1 (15 x 200,
+    # w 5) runs its power steps
+    t = power_function_tensor((4, 5, 5, 5, 8), 5.0)
+    products, draws, starts = [], [], []
+    power_step, draw, factor = linalg._power_step, decompose.gaussian_matrix, decompose.svd
+
+    def spy_power_step(A, G, Z):
+        products.append(A.shape)
+        return power_step(A, G, Z)
+
+    def spy_draw(*args):
+        draws.append(args[:2])
+        return draw(*args)
+
+    def spy_factor(Y):
+        result = factor(Y)
+        starts.append(result.U)
+        return result
+
+    monkeypatch.setattr(linalg, "_power_step", spy_power_step)
+    monkeypatch.setattr(decompose, "gaussian_matrix", spy_draw)
+    monkeypatch.setattr(decompose, "svd", spy_factor)
+    tt, _ = tt_rsi(t, SketchConfig(ranks=(3, 3, 3, 3), p=2, q=2, seed=4))
+    assert draws[0] == (1000, 5) and len(draws) == 4
+    assert products and (4, 1000) not in products and products[0][0] == 15
+    Q, _ = decompose._ritz(np.reshape(t, (4, 1000), order="F"), starts[0], 3)
+    assert np.array_equal(np.reshape(tt.cores[0], (4, 3), order="F"), Q)
+
+
 def test_tt_rsi_q1_no_worse_than_rsvd():
     t = spectrum_decay_tensor(50, 5, 1.0)
     e_rsi = median_err(tt_rsi, t, range(9), ranks=(10, 10), p=2, q=1)
@@ -506,19 +540,24 @@ def test_oversampling_monotone_with_energy_ordered_truncation():
 
 
 
-# prints one line per randomized sweep of power-function 12^5: the
-# parameters, a hash of every core's bytes and the step residuals
+# prints one line per randomized sweep of power-function 12^5, and one
+# for tt_svd on power-function 20^5 at ranks 8: the parameters, a hash of
+# every core's bytes and the step residuals
 _CORE_HASHES = """
 import hashlib
 from ttapprox import power_function_tensor
 from ttapprox.decompose import run_method
+
+def show(tt, trace, *params):
+    h = hashlib.sha256(b"".join(c.tobytes(order="F") for c in tt.cores))
+    print(*params, h.hexdigest(), [repr(s.residual) for s in trace.steps])
+
 t = power_function_tensor((12,) * 5, 5.0)
 for method in ("rsvd", "rsi", "rbki"):
     for r in (4, 8):
         for q in (1, 2):
-            tt, trace = run_method(method, t, (r,) * 4, p=2, q=q, seed=3)
-            h = hashlib.sha256(b"".join(c.tobytes(order="F") for c in tt.cores))
-            print(method, r, q, h.hexdigest(), [repr(s.residual) for s in trace.steps])
+            show(*run_method(method, t, (r,) * 4, p=2, q=q, seed=3), method, r, q)
+show(*run_method("svd", power_function_tensor((20,) * 5, 5.0), (8,) * 4), "svd", 8)
 """
 
 
@@ -531,13 +570,15 @@ def _blas_name():
 
 @pytest.mark.skipif("openblas" not in _blas_name(), reason="OPENBLAS_NUM_THREADS sets no other BLAS")
 def test_randomized_cores_do_not_depend_on_blas_threads():
-    # pins behaviour of this one shape, not a property of the sweeps: on
+    # pins behaviour of these shapes, not a property of the sweeps: on
     # a 5 dB noisy spectrum 100^3 and on powerfn 10^6 the randomized cores
-    # do differ between 1 and 2 threads, and whether 12^5 is spared rests
-    # on OpenBLAS's per-size threading.  Given the same cores, the step
-    # residuals match too, because their norms call no BLAS.  OpenBLAS
-    # reads its thread count once, at load time, so each count runs in
-    # its own interpreter
+    # do differ between 1 and 2 threads, as do tt_svd's on the noisy
+    # spectrum, and whether 12^5 is spared rests on OpenBLAS's per-size
+    # threading.  tt_svd on 20^5 at ranks 8 takes G = A A^T on its wide
+    # steps and so passes through no threaded QR.  Given the same cores,
+    # the step residuals match too, because their norms call no BLAS.
+    # OpenBLAS reads its thread count once, at load time, so each count
+    # runs in its own interpreter
     src = str(Path(decompose.__file__).resolve().parents[1])
     out = {}
     for threads in ("1", "2"):
@@ -546,7 +587,7 @@ def test_randomized_cores_do_not_depend_on_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out[threads] = proc.stdout.splitlines()
-    assert len(out["1"]) == 12
+    assert len(out["1"]) == 13
     assert out["1"] == out["2"]
 
 

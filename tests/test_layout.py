@@ -49,13 +49,13 @@ def test_every_unfold_is_a_view_on_column_major_input(monkeypatch, method):
     seen = []  # (unfolding, carry) of every step
     sweep = decompose._sweep
 
-    def spy(t, pick_basis):
+    def spy(t, norm, pick_basis):
         def pick(A, n):
             b = pick_basis(A, n)
             seen.append((A, b.carry))
             return b
 
-        return sweep(t, pick)
+        return sweep(t, norm, pick)
 
     monkeypatch.setattr(decompose, "_sweep", spy)
     t = power_function_tensor((5, 4, 6, 3), 2.0)

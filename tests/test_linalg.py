@@ -316,17 +316,21 @@ def test_krylov_branches_span_the_products_iteration(inputs):
     # both branches give orthonormal blocks from the same Z_0.  The
     # products branch is the reference iteration itself; through G each
     # block holds the energy the reference block holds up to G's rounding
-    # of about eps ||A||_F^2 per direction
+    # of about eps ||A||_F^2 per direction.  A Z_0 as wide as A has rows
+    # spans them: it is the only block, and it holds what every reference
+    # block holds
     A, Om, q, p = inputs
     Z0 = start_block(A, Om)
     blocks = krylov_blocks(A, Z0, q, sweep_gram(A, Om, q))
     ref = reference_krylov_blocks(A, Z0, q)
     norm_sq = np.linalg.norm(A) ** 2
-    assert len(blocks) == q + 1
-    for Z, R in zip(blocks, ref):
+    spans_rows = Z0.shape[1] >= A.shape[0]
+    assert len(blocks) == (1 if spans_rows else q + 1)
+    for t, R in enumerate(ref):
+        Z = blocks[0 if spans_rows else t]
         assert Z.shape == R.shape == (A.shape[0], min(A.shape[0], Om.shape[1]))
         assert np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) <= 1e-12
-        if not takes_gram(A, Om, q):
+        if not takes_gram(A, Om, q) and (t == 0 or not spans_rows):
             assert np.array_equal(Z, R)
         held = np.linalg.norm(Z.T @ A) ** 2 - np.linalg.norm(R.T @ A) ** 2
         assert abs(held) <= 16 * Z.shape[1] * np.finfo(float).eps * norm_sq
@@ -452,6 +456,30 @@ def test_gram_test_keeps_rsi_and_rbki_accuracy_on_graded_spectra():
             assert all(g <= 1.1 * w + ROUNDING_TAU for g, w in zip(got, want)), (r, q, got, want)
         assert took == [1, 3], q
     assert s[11] < 1e-8 and s[17] < 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inputs=krylov_inputs())
+def test_tt_svd_stays_at_the_lapack_optimum_on_graded_spectra(inputs):
+    # tt_svd of the matrix A as an order-2 tensor, wide or tall.  A wide
+    # step truncates through G = A A^T where the energy beyond the chosen
+    # rank clears the Gram test, else through the R-only QR; either way
+    # rank mode stays within 1.1x of the optimum sqrt(sum_{i>r} sigma_i^2)
+    # from LAPACK's singular values, and epsilon mode within epsilon, up
+    # to criterion 5's rounding allowance.  Without the test, G would lose
+    # the directions below about sqrt(eps) ||A|| of the graded spectra
+    A, Om, _, _ = inputs
+    norm = np.linalg.norm(A)
+    s = np.linalg.svd(A, compute_uv=False)
+    r = min(Om.shape[1], *A.shape)
+    tt, _ = decompose.tt_svd(A, decompose.TruncationSpec(ranks=(r,)))
+    err = np.linalg.norm(A - tt_reconstruct(tt))
+    best = np.sqrt(np.sum(s[r:] ** 2))
+    assert err <= 1.1 * best + ROUNDING_TAU * norm, (r, err / norm, best / norm)
+    for eps in (1e-1, 1e-4, 1e-8, 1e-12):
+        tt, _ = decompose.tt_svd(A, decompose.TruncationSpec(epsilon=eps))
+        err = np.linalg.norm(A - tt_reconstruct(tt))
+        assert err <= (eps + ROUNDING_TAU) * norm, (eps, tt.ranks, err / norm)
 
 
 # (rows, cols, w, G at q 0 as tt_rsvd asks, G at q 2 as tt_rsi and
