@@ -1,4 +1,5 @@
-"""Synthetic test tensors, AWGN noising and the ".dten" dense container.
+"""Synthetic test tensors, AWGN noising and the ".dten" dense file, one
+use of the container in _container.
 
 Every tensor this module returns is column-major (F-contiguous), the
 layout the sweeps unfold and the ".dten" payload is stored in, so none
@@ -12,16 +13,20 @@ BLAS thread count.
 from __future__ import annotations
 
 import math
-import os
-import struct
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError, _int
+from ._container import Format
+from .errors import InvalidArgumentError, _int
 from .metrics import _sum_sq
 
-_MAGIC = b"DTEN"
-_VERSION = 1
+_DTEN = Format(
+    "dten",
+    b"DTEN\x01",  # the magic, then version 1
+    table_len=lambda n: n,
+    shapes=lambda n, dims: [dims],
+    entry=lambda i, n: "mode size",
+)
 
 
 def _check_indexable(dims) -> None:
@@ -81,6 +86,10 @@ def add_awgn(t, snr_db: float, seed: int) -> np.ndarray:
     on the BLAS thread count, and a tensor out of float64's squaring range
     has it measured on t 2^-e: the noise of t 2^j is exactly 2^j times
     the noise of t while no entry leaves the normal range.
+
+    An snr_db so high that the noise level underflows adds zero noise;
+    one so low that the noise, or t plus it, leaves float64's range
+    raises InvalidArgumentError.
     """
     if not math.isfinite(snr_db):
         raise InvalidArgumentError(f"snr_db must be finite, got {snr_db}")
@@ -92,60 +101,27 @@ def add_awgn(t, snr_db: float, seed: int) -> np.ndarray:
     power = sum_sq / t.size
     if power == 0.0:
         raise InvalidArgumentError("signal power is zero, SNR undefined")
-    sigma = np.ldexp(np.sqrt(power / 10.0 ** (snr_db / 10.0)), e)
+    with np.errstate(over="ignore"):  # 10^(snr_db/10) past float64: sigma is 0
+        ratio = np.float64(10.0) ** (snr_db / 10.0)
     noise = np.random.default_rng(seed).standard_normal(t.size).reshape(t.shape, order="F")
-    return np.add(t, sigma * noise, order="F")  # F whatever t's layout
+    with np.errstate(over="raise", divide="raise"):
+        try:
+            sigma = np.ldexp(np.sqrt(power / ratio), e)
+            return np.add(t, sigma * noise, order="F")  # F whatever t's layout
+        except FloatingPointError:
+            raise InvalidArgumentError(f"at snr_db {snr_db} the noise is past float64's range") from None
 
 
 def tensor_save(t, path):
-    """Write the ".dten" container: magic, u8 version, u32 N, N u64 dims,
-    then the values as little-endian f64 in column-major order."""
-    t = np.asarray(t, dtype="<f8", order="F")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<B", _VERSION))
-        f.write(struct.pack("<I", t.ndim))
-        f.write(np.asarray(t.shape, dtype="<u8").tobytes())
-        # the transpose of a column-major array is C-contiguous: written as is
-        t.T.tofile(f)
+    """Write t as a ".dten" file: magic DTEN, u8 version 1, u32 N, N u64
+    mode sizes, then the values.  A 0-d or empty t raises
+    InvalidArgumentError, as tensor_load would reject its file."""
+    t = np.asarray(t, dtype=np.float64)
+    _DTEN.write(path, t.ndim, t.shape, [t])
 
 
 def tensor_load(path) -> np.ndarray:
-    """Read a ".dten" file into one column-major array.
-
-    The header is checked against the file size before the values are
-    allocated, and the values are read straight into that array."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(9)
-        if head[:4] != _MAGIC:
-            raise ParseError("not a dten file (bad magic)", offset=0)
-        if size < 5:
-            raise ParseError("truncated version byte", offset=size)
-        version = head[4]
-        if version != _VERSION:
-            raise ParseError(f"unsupported version {version}", offset=4)
-        if size < 9:
-            raise ParseError("truncated mode count", offset=size)
-        (n_modes,) = struct.unpack_from("<I", head, 5)
-        if n_modes == 0:
-            raise ParseError("mode count must be positive", offset=5)
-        off = 9
-        if size < off + 8 * n_modes:
-            raise ParseError("truncated dim table", offset=size)
-        dims = [int(v) for v in np.frombuffer(f.read(8 * n_modes), "<u8")]
-        if 0 in dims:
-            raise ParseError("zero mode size", offset=off + 8 * dims.index(0))
-        off += 8 * n_modes
-        count = math.prod(dims)
-        end = off + 8 * count
-        if size < end:
-            raise ParseError(f"dims {dims} need {count} values, file ends early", offset=size)
-        if size > end:
-            raise ParseError("trailing bytes after values", offset=end)
-        t = np.empty(dims, dtype="<f8", order="F")
-        # t.T is the C-contiguous view of the same memory, filled in file order
-        got = f.readinto(t.T)
-    if got != 8 * count:
-        raise ParseError(f"dims {dims} need {count} values, file ends early", offset=off + got)
+    """Read a ".dten" file into one column-major array; the values are read
+    straight into it."""
+    (t,) = _DTEN.read(path)
     return t

@@ -1,5 +1,5 @@
 """Tensor-train format: the core chain type, reconstruction, validation
-and the ".ttc" serialization.
+and the ".ttc" file, one use of the container in _container.
 
 A TT tensor is an ordered list of order-3 cores, core n of shape
 (r_{n-1}, I_n, r_n) with r_0 = r_N = 1 at the ends.  Decomposition
@@ -8,15 +8,22 @@ outputs additionally keep cores 1..N-1 left-orthogonal.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
 
+from ._container import Format
 from .errors import InvalidArgumentError, ParseError
 
-_MAGIC = b"TTC1"
+# N + 1 ranks, then N mode sizes
+_TTC = Format(
+    "ttc",
+    b"TTC1",
+    table_len=lambda n: 2 * n + 1,
+    shapes=lambda n, t: [(t[k], t[n + 1 + k], t[k + 1]) for k in range(n)],
+    entry=lambda i, n: "rank" if i <= n else "mode size",
+)
 _ORTH_TOL = 1e-10
 
 
@@ -125,55 +132,19 @@ def validate(tt: TTTensor) -> ValidationReport:
 
 
 def tt_save(tt: TTTensor, path):
-    """Write the ".ttc" container: magic, u32 N, (N+1) u64 ranks, N u64
-    mode sizes, then the cores as little-endian f64 in column-major order."""
+    """Write tt as a ".ttc" file: magic TTC1, u32 N, then a table of N + 1
+    ranks and N mode sizes, then the cores, core n shaped
+    (r_{n-1}, I_n, r_n)."""
     validate(tt).raise_for_chain()
-    ranks = tt.ranks
-    dims = tt.dims
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", tt.order))
-        f.write(np.asarray(ranks, dtype="<u8").tobytes())
-        f.write(np.asarray(dims, dtype="<u8").tobytes())
-        for core in tt.cores:
-            f.write(core.ravel(order="F").astype("<f8").tobytes())
+    _TTC.write(path, tt.order, tt.ranks + tt.dims, tt.cores)
 
 
 def tt_load(path) -> TTTensor:
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 4 or data[:4] != _MAGIC:
-        raise ParseError("not a ttc file (bad magic)", offset=0)
-    off = 4
-    if len(data) < off + 4:
-        raise ParseError("truncated core count", offset=len(data))
-    (n_cores,) = struct.unpack_from("<I", data, off)
-    off += 4
-    if n_cores == 0:
-        raise ParseError("core count must be positive", offset=4)
-    need = (n_cores + 1 + n_cores) * 8
-    if len(data) < off + need:
-        raise ParseError("truncated rank/dim table", offset=len(data))
-    # N + 1 ranks, then N mode sizes.  A zero entry empties its cores
-    # whatever the other sizes, so the length checks below cannot bound
-    # them and numpy would fail to shape, say, a (0, 2**64 - 1, 1) core
-    table = [int(v) for v in np.frombuffer(data, "<u8", 2 * n_cores + 1, off)]
-    if 0 in table:
-        i = table.index(0)
-        raise ParseError(f"zero {'rank' if i <= n_cores else 'mode size'}", offset=off + 8 * i)
-    ranks, dims = table[: n_cores + 1], table[n_cores + 1 :]
-    off += need
-    cores = []
-    for n in range(n_cores):
-        count = ranks[n] * dims[n] * ranks[n + 1]
-        if len(data) < off + count * 8:
-            raise ParseError(f"truncated data for core {n}", offset=len(data))
-        flat = np.frombuffer(data, "<f8", count, off)
-        core = np.reshape(flat, (ranks[n], dims[n], ranks[n + 1]), order="F")
-        cores.append(core.copy(order="F"))
-        off += count * 8
-    if off != len(data):
-        raise ParseError("trailing bytes after last core", offset=off)
-    tt = TTTensor(cores)
+    """Read a ".ttc" file into a TTTensor of column-major cores, each in
+    memory of its own.
+
+    A malformed container, or a rank chain that validate rejects,
+    raises ParseError."""
+    tt = TTTensor(_TTC.read(path))
     validate(tt).raise_for_chain(ParseError)
     return tt

@@ -351,3 +351,37 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
     assert err.startswith("usage: ttapprox decompose") and "invalid choice" in err
     assert run("synth", "powerfn", "--dims", "3,4", "--h", 2.0, "-o", out) == 0
     assert len(built) == n_built
+
+
+def test_noise_beyond_float64_snr_range(tmp_path, capsys):
+    src, dst = tmp_path / "a.dten", tmp_path / "b.dten"
+    t = np.arange(1.0, 13.0).reshape(3, 4)
+    tensor_save(t, src)
+    # +4000 dB: the noise level underflows, so no noise is added
+    assert run("noise", "--snr", 4000, "--seed", 1, "-i", src, "-o", dst) == 0
+    assert np.array_equal(tensor_load(dst), t)
+    # -4000 dB: the noise is past float64's range
+    dst.unlink()
+    assert run("noise", "--snr", -4000, "--seed", 1, "-i", src, "-o", dst) == 2
+    assert "past float64's range" in capsys.readouterr().err
+    assert not dst.exists()
+
+
+def test_bench_beyond_float64_snr_range(tmp_path, capsys):
+    plan = {
+        "dataset": {"kind": "powerfn", "dims": [4, 5, 6], "h": 2.0},
+        "methods": ["svd", "rsvd"], "ranks": [2], "seeds": [0], "snr_db": 4000,
+    }
+    path, out = tmp_path / "plan.json", tmp_path / "o.json"
+    path.write_text(json.dumps(plan))
+    assert run("bench", "--plan", path, "-o", out, "--format", "json") == 0
+    clean = {**plan, "snr_db": None}
+    path.write_text(json.dumps(clean))
+    assert run("bench", "--plan", path, "-o", tmp_path / "c.json", "--format", "json") == 0
+    noisy, base = load_records(out, "json"), load_records(tmp_path / "c.json", "json")
+    assert [r.rel_err for r in noisy] == [r.rel_err for r in base]
+    path.write_text(json.dumps({**plan, "snr_db": -4000}))
+    out.unlink()
+    assert run("bench", "--plan", path, "-o", out) == 2
+    assert "past float64's range" in capsys.readouterr().err
+    assert not out.exists()

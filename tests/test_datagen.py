@@ -211,6 +211,21 @@ def test_awgn_non_finite_snr_rejected():
             add_awgn(np.ones((3, 3)), snr, 0)
 
 
+def test_awgn_snr_beyond_float64_range():
+    # 10^(snr_db/10) overflows near +3083 dB and underflows near -3234 dB;
+    # the noise itself leaves float64's range near -3083 dB on this tensor
+    t = np.arange(1.0, 13.0).reshape(3, 4)
+    for snr in (3082.0, 3084.0, 4000.0, 1e300):
+        assert np.array_equal(add_awgn(t, snr, 0), t)
+    assert np.all(np.isfinite(add_awgn(t, -3000.0, 0)))
+    for snr in (-3100.0, -3200.0, -3300.0, -4000.0, -1e300):
+        with pytest.raises(InvalidArgumentError, match="past float64's range"):
+            add_awgn(t, snr, 0)
+    # at a huge scale sigma (1.4e308 here) can be finite while sigma * noise is not
+    with pytest.raises(InvalidArgumentError, match="past float64's range"):
+        add_awgn(np.full((3, 4), 1e300), -163.0, 0)
+
+
 # ---------------- .dten container ----------------
 
 

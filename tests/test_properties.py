@@ -6,7 +6,8 @@ four sweeps, the randomized sweeps must return exactly the requested
 ranks also on zero and rank-1 tensors, one tt_rbki step must leave no
 larger residual than tt_rsi or tt_rsvd with the same sketch, linalg.svd
 must agree with LAPACK's singular values on wide, zero and
-rank-deficient matrices, both file formats must round-trip exactly, the
+rank-deficient matrices, both file formats must round-trip bit for bit
+from either layout into owned column-major arrays, the
 memory layout of the input must not change any result, and the blocked
 metric pass must agree with the unblocked formulas on sizes around its
 block.
@@ -198,26 +199,37 @@ def test_svd_matches_lapack_singular_values(A):
     assert np.max(np.abs(got.U.T @ got.U - np.eye(k))) <= 64 * EPS
 
 
+file_dims_st = st.lists(st.integers(1, 4), min_size=1, max_size=6).map(tuple)
+file_layout_st = st.sampled_from([np.asfortranarray, np.ascontiguousarray])
+
+
+def _owned_column_major(arrays):
+    return all(a.flags.f_contiguous and a.flags.owndata for a in arrays)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(dims=dims_st, seed=seed_st)
-def test_dten_round_trip(tmp_path_factory, dims, seed):
-    t = np.random.default_rng(seed).standard_normal(dims)
+@given(dims=file_dims_st, seed=seed_st, layout=file_layout_st)
+def test_dten_round_trip(tmp_path_factory, dims, seed, layout):
+    t = layout(np.random.default_rng(seed).standard_normal(dims))
     path = tmp_path_factory.mktemp("dten") / "t.dten"
     tensor_save(t, path)
     back = tensor_load(path)
-    assert back.shape == t.shape and np.array_equal(back, t)
+    assert back.shape == t.shape and back.tobytes(order="F") == t.tobytes(order="F")
+    assert _owned_column_major([back])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data(), dims=dims_st, seed=seed_st)
-def test_ttc_round_trip(tmp_path_factory, data, dims, seed):
+@given(data=st.data(), dims=file_dims_st, seed=seed_st, layout=file_layout_st)
+def test_ttc_round_trip(tmp_path_factory, data, dims, seed, layout):
     chain = (1,) + data.draw(feasible_ranks(dims)) + (1,)
     rng = np.random.default_rng(seed)
-    tt = TTTensor([rng.standard_normal((chain[n], d, chain[n + 1])) for n, d in enumerate(dims)])
+    tt = TTTensor([layout(rng.standard_normal((chain[n], d, chain[n + 1]))) for n, d in enumerate(dims)])
     path = tmp_path_factory.mktemp("ttc") / "t.ttc"
     tt_save(tt, path)
     back = tt_load(path)
-    assert back.ranks == tt.ranks and back == tt
+    assert back.ranks == tt.ranks and back.dims == tt.dims
+    assert all(a.tobytes(order="F") == b.tobytes(order="F") for a, b in zip(back.cores, tt.cores))
+    assert _owned_column_major(back.cores)
 
 
 def _two_way_shape(n):
