@@ -3,8 +3,10 @@ dataset, time the decompositions and emit machine-readable records.
 
 Noising is applied once per (snr, seed) pair and shared by every method
 in that cell so comparisons are paired; metrics are always computed
-against the clean tensor.  Wall time covers the decomposition call only,
-also in rows whose decomposition or metrics fail.  The deterministic
+against the clean tensor.  Every noisy input is made before the first
+cell runs, so a noise level that add_awgn refuses fails the plan before
+any cell has.  Wall time covers the decomposition call only, also in
+rows whose decomposition or metrics fail.  The deterministic
 svd sweep runs once per (ranks, input), and every svd row of that input
 reports its one measured wall time (see run_bench).
 
@@ -225,7 +227,14 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     base, dataset_id = _build_dataset(plan.dataset)
     rank_tuples = [_normalize_ranks(r, base.ndim) for r in plan.ranks]
     snr_list = plan.snr_db if plan.snr_db is not None else [None]
-    noisy = {}
+    # every noisy input before the first cell, so an SNR that add_awgn
+    # refuses fails the plan before any cell has run
+    noisy = {
+        (snr, seed): add_awgn(base, snr, seed)
+        for snr in snr_list
+        if snr is not None
+        for seed in plan.seeds
+    }
     svd_rows = {}  # (ranks, input key) -> the svd record measured on that input
     records = []
     for method in plan.methods:
@@ -237,12 +246,7 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
                         if method == "svd" and (ranks, key) in svd_rows:
                             records.append(replace(svd_rows[ranks, key], q=q, seed=seed))
                             continue
-                        if key is None:
-                            inp = base
-                        else:
-                            if key not in noisy:
-                                noisy[key] = add_awgn(base, snr, seed)
-                            inp = noisy[key]
+                        inp = base if key is None else noisy[key]
                         cell = BenchRecord(
                             method, dataset_id, ranks, plan.p, q, seed, snr,
                             rel_err=None, psnr=None, wall_time_s=0.0, trace_sum_sq=None,

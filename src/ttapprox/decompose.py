@@ -10,15 +10,18 @@ the next step.  They differ only in how Q is found:
   tt_rsi   top r Ritz vectors of A in span(Z_q)
   tt_rbki  top r Ritz vectors of A in span([Z_0, ..., Z_q])
 
-tt_svd takes its truncated SVD of a wide unfolding from G = A A^T: it
-picks r from the eigenvalues of G (linalg._gram_eigh) and keeps the top
-r eigenvectors where linalg._gram_resolves(lam, r) holds, the energy
-test the randomized sweeps apply at the sketch width.  The test sits at
-r because G rounds to about eps ||A||^2 in every direction, which moves
-the truncation residual^2 by about eps^2 ||A||^4 / sigma_r^2: negligible
-against an energy beyond r of at least 1e-10 ||A||^2, and only then.
-A step the test refuses, and every tall step, takes linalg.svd, the
-R-only QR on a wide unfolding; a refused step has paid for G as well.
+tt_svd takes its truncated SVD of every unfolding from the Gram matrix
+of its short side: G = A A^T on a wide (or square) step, H = A^T A on a
+tall one.  It picks r from the eigenvalues (linalg._gram_eigh) and,
+where linalg._gram_resolves(lam, r) holds, the energy test the
+randomized sweeps apply at the sketch width, keeps the top r
+eigenvectors U_r of G, or Q = orth(A V_r) from those V_r of H, since
+A V_r = U_r Sigma_r.  The test sits at r because a Gram matrix rounds to
+about eps ||A||^2 in every direction, which moves the truncation
+residual^2 by about eps^2 ||A||^4 / sigma_r^2: negligible against an
+energy beyond r of at least 1e-10 ||A||^2, and only then.  A step the
+test refuses takes linalg.svd (the R-only QR on a wide unfolding,
+LAPACK's thin SVD on a tall one), having paid for the Gram as well.
 
 The randomized sweeps share their first step: each draws one Gaussian
 sketch Y (r + p columns, fewer on a short trailing side) and takes its
@@ -54,9 +57,9 @@ norms behind them come from metrics' one sum of squares, which calls no
 BLAS, so the same cores give the same residuals at any BLAS thread
 count.  Two gaps remain: on some shapes OpenBLAS splits a GEMM whose
 inner dimension is an unfolding's long side across threads (tt_svd's
-G = A A^T among them), and then the cores differ; and the wide steps
-that tt_svd's energy test refuses pass through LAPACK's threaded QR in
-linalg.svd.
+Gram matrices A A^T and A^T A among them), and then the cores differ;
+and the steps that tt_svd's energy test refuses pass through LAPACK's
+threaded QR or thin SVD in linalg.svd.
 
 Every linearization is column-major (first index fastest): element
 (i_1, ..., i_N) of a tensor sits at offset sum_n i_n prod_{m<n} I_m, so
@@ -248,12 +251,15 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     ranks (epsilon=1e-15 on the 20^4 power-function tensor gives about
     1.5e-15).
 
-    A wide step keeps the top r eigenvectors of G = A A^T where the
-    energy beyond r passes the Gram test (module docstring), and takes
-    its residual from the norms _sweep carries, sqrt(||A||^2 -
-    ||Q^T A||^2), as the randomized sweeps do: the tail of G's
-    eigenvalues would carry an error that grows with the rows.  Any other
-    step takes linalg.svd and the tail of its singular values.
+    Each step forms the Gram matrix of the unfolding's short side and,
+    where the energy beyond r passes the Gram test (module docstring),
+    keeps the top r eigenvectors of A A^T on a wide step, or the
+    Householder QR of A V_r, V_r the top r eigenvectors of A^T A, on a
+    tall one.  Such a step takes its residual from the norms _sweep
+    carries, sqrt(||A||^2 - ||Q^T A||^2), as the randomized sweeps do:
+    the tail of the eigenvalues would carry an error that grows with the
+    long side.  A step the test refuses takes linalg.svd and the tail of
+    its singular values.
     """
     t, norm, e = _as_input(t)
     if trunc.ranks is not None:
@@ -271,12 +277,15 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     # Q^T A, not diag(S) V^T: equal in exact arithmetic, but LAPACK's
     # U S V^T misses A by ~1e-14 ||A||, which would floor the error
     def pick(A, n):
-        if A.shape[0] < A.shape[1]:
-            _, lam, U = _gram_eigh(A)
-            r = rank(np.sqrt(np.maximum(lam, 0.0)), n)
-            if _gram_resolves(lam, r):  # residual from the carried norms
-                Q = _fix_signs(U[:, :r].copy(order="F"))
-                return _Basis(Q, (A.T @ Q).T, None)
+        wide = A.shape[0] <= A.shape[1]
+        # the Gram of the short side: A A^T (eigenvectors U), or A^T A
+        # (eigenvectors V, with A V_r = U_r Sigma_r)
+        _, lam, W = _gram_eigh(A if wide else A.T)
+        r = rank(np.sqrt(np.maximum(lam, 0.0)), n)
+        if _gram_resolves(lam, r):  # residual from the carried norms
+            Q = W[:, :r].copy(order="F") if wide else np.linalg.qr(A @ W[:, :r])[0]
+            Q = _fix_signs(Q)
+            return _Basis(Q, (A.T @ Q).T, None)
         U, s = svd(A)
         r = rank(s, n)
         Q = U[:, :r]

@@ -17,9 +17,12 @@ _power_step_gram decides, once per randomized sweep step and by one
 cost rule for all three randomized sweeps, whether the step goes through
 G, asking the test at the sketch width w; where it does, the sweep draws
 its sketch in the row space, from G's eigendecomposition, and the power
-steps multiply G.  tt_svd asks the test at its rank r on every wide
-step: where it passes, the step keeps the top r eigenvectors of G,
-where it fails, the step has formed G for nothing and takes svd.
+steps multiply G.  tt_svd asks the test at its rank r on every step,
+of the Gram matrix of the unfolding's short side: _gram_eigh(A) on a
+wide step, _gram_eigh(A^T), H = A^T A, on a tall one.  Where it passes,
+the step keeps the top r eigenvectors of G, or orthonormalizes A V_r
+from those of H; where it fails, the step has formed the Gram matrix
+for nothing and takes svd.
 """
 
 
@@ -109,6 +112,7 @@ def _gram_resolves(lam, k: int) -> bool:
     """Whether G = A A^T, eigenvalues lam in descending order, serves a
     step that keeps the top k directions of A: the one energy test behind
     both Gram paths, _power_step_gram at k = w and tt_svd at its rank.
+    A^T A has the same nonzero eigenvalues, so tt_svd asks it of either.
 
     The energy of A beyond its top k singular directions, the sum of
     lam[k:], must be at least _GRAM_TAIL ||A||_F^2.  G rounds to about

@@ -9,7 +9,7 @@ outputs additionally keep cores 1..N-1 left-orthogonal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,9 +31,9 @@ class TTTensor:
     """Immutable chain of order-3 TT cores.
 
     The constructor only checks core order (each core must be 3-d);
-    rank-chain consistency is checked by validate, which tt_reconstruct,
-    tt_save and tt_load rely on, so deliberately broken chains can still
-    be inspected.
+    rank-chain consistency is checked by tt_reconstruct, tt_save and
+    tt_load, and reported by validate, so deliberately broken chains can
+    still be inspected.
     """
 
     def __init__(self, cores: Sequence):
@@ -69,7 +69,7 @@ class TTTensor:
 def tt_reconstruct(tt: TTTensor) -> np.ndarray:
     """Contract the chain back into a dense, column-major (I_1, ..., I_N)
     tensor."""
-    validate(tt).raise_for_chain()
+    _check_chain(tt)
     out = left_unfolding(tt.cores[0])  # I_1 x r_1
     for core in tt.cores[1:]:
         G = np.reshape(core, (core.shape[0], -1), order="F")  # r_{n-1} x I_n r_n
@@ -100,16 +100,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.problems and self.left_orthogonal
 
-    def raise_for_chain(self, error=InvalidArgumentError):
-        """Raise error naming the first broken rank-chain rule, if any."""
-        if self.problems:
-            raise error(self.problems[0])
 
-
-def validate(tt: TTTensor) -> ValidationReport:
-    """Report the rank-chain rules (every core nonempty, boundary ranks
-    r_0 = r_N = 1, adjacent ranks equal) and the per-core
-    left-orthogonality residuals max|Q^T Q - I| for cores 1..N-1."""
+def _chain_problems(tt: TTTensor) -> Tuple[List[str], bool, bool]:
+    """The broken rank-chain rules of tt, by core (every core nonempty,
+    boundary ranks r_0 = r_N = 1, adjacent ranks equal), and whether the
+    boundary and the adjacency rules hold."""
     cores, ranks, last = tt.cores, tt.ranks, tt.order - 1
     empty = [f"core {n} has a zero rank or mode size" for n, c in enumerate(cores) if c.size == 0]
     boundary = [
@@ -122,20 +117,36 @@ def validate(tt: TTTensor) -> ValidationReport:
         f"core {n} has trailing rank {cores[n].shape[2]} but core {n + 1} expects {cores[n + 1].shape[0]}"
         for n in bad
     ]
+    return empty + boundary + adjacency, not boundary, not bad
+
+
+def _check_chain(tt: TTTensor, error=InvalidArgumentError):
+    """Raise error naming the first broken rank-chain rule of tt, if any.
+    The check of tt_reconstruct, tt_save and tt_load, none of which reads
+    the left-orthogonality that validate also reports."""
+    problems = _chain_problems(tt)[0]
+    if problems:
+        raise error(problems[0])
+
+
+def validate(tt: TTTensor) -> ValidationReport:
+    """Report the rank-chain rules (_chain_problems) and the per-core
+    left-orthogonality residuals max|Q^T Q - I| for cores 1..N-1."""
+    problems, boundary_ok, adjacency_ok = _chain_problems(tt)
     residuals = []
-    for core in cores[:-1]:
+    for core in tt.cores[:-1]:
         Q = left_unfolding(core)
         G = Q.T @ Q
         # initial covers a core with no columns
         residuals.append(float(np.max(np.abs(G - np.eye(G.shape[0])), initial=0.0)))
-    return ValidationReport(not boundary, not bad, residuals, empty + boundary + adjacency)
+    return ValidationReport(boundary_ok, adjacency_ok, residuals, problems)
 
 
 def tt_save(tt: TTTensor, path):
     """Write tt as a ".ttc" file: magic TTC1, u32 N, then a table of N + 1
     ranks and N mode sizes, then the cores, core n shaped
     (r_{n-1}, I_n, r_n)."""
-    validate(tt).raise_for_chain()
+    _check_chain(tt)
     _TTC.write(path, tt.order, tt.ranks + tt.dims, tt.cores)
 
 
@@ -143,8 +154,7 @@ def tt_load(path) -> TTTensor:
     """Read a ".ttc" file into a TTTensor of column-major cores, each in
     memory of its own.
 
-    A malformed container, or a rank chain that validate rejects,
-    raises ParseError."""
+    A malformed container, or a broken rank chain, raises ParseError."""
     tt = TTTensor(_TTC.read(path))
-    validate(tt).raise_for_chain(ParseError)
+    _check_chain(tt, ParseError)
     return tt

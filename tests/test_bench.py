@@ -24,6 +24,7 @@ from ttapprox import (
     tt_svd,
 )
 from ttapprox import bench, decompose
+from ttapprox.cli import main as cli_main
 
 SPECTRUM8 = {"kind": "spectrum", "n": 8, "T": 2, "D": 1.0}
 
@@ -182,6 +183,32 @@ def test_svd_runs_once_per_ranks_and_input(monkeypatch, snr_db):
     assert len(results) == len(calls)
     assert all(len(v) == 1 for v in results.values())
     assert all(r.wall_time_s > 0.0 for r in records)
+
+
+def test_a_refused_noise_level_fails_the_plan_before_any_cell(monkeypatch, tmp_path):
+    # -4000 dB asks for noise beyond float64's range, which add_awgn
+    # refuses; the 5 dB level listed before it must not get its cells run
+    # first, in the library or through the CLI, which exits 2
+    calls = []
+    real = decompose.run_method
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "run_method", spy)
+    plan = dict(
+        dataset={"kind": "powerfn", "dims": [4, 5, 6], "h": 2.0},
+        methods=["svd", "rsvd"], ranks=[2], seeds=[0, 1], snr_db=[5, -4000],
+    )
+    with pytest.raises(InvalidArgumentError):
+        run_bench(BenchPlan.from_dict(plan))
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    out = tmp_path / "out.csv"
+    assert cli_main(["bench", "--plan", str(path), "-o", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
 
 
 def test_wall_time_measures_decomposition_only(monkeypatch, tmp_path):

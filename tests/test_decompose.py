@@ -143,6 +143,25 @@ def test_trace_elapsed_positive():
     assert all(s.elapsed_s > 0 for s in trace.steps)
 
 
+@pytest.mark.parametrize("r", [10, 20])
+def test_tt_svd_tall_step_of_spectrum_100_goes_through_gram_on_noisy_input(monkeypatch, r):
+    # step 1 of spectrum 100^3 is (100 r) x 100.  Clean, its energy beyond
+    # r is rounding (about 1e-35 of ||A||^2 by LAPACK), so the Gram test
+    # refuses it and it takes LAPACK's thin SVD, as criterion 12 times it;
+    # at 5 and 20 dB it goes through A^T A
+    lapack, grams = [], []
+    real_svd, real_gram = decompose.svd, decompose._gram_eigh
+    monkeypatch.setattr(decompose, "svd", lambda A: lapack.append(A.shape) or real_svd(A))
+    monkeypatch.setattr(decompose, "_gram_eigh", lambda A: grams.append(A.shape) or real_gram(A))
+    t = spectrum_decay_tensor(100, 20, 1.0)
+    for snr, tall_svd in [(None, [(100 * r, 100)]), (5, []), (20, [])]:
+        lapack.clear()
+        grams.clear()
+        tt_svd(t if snr is None else add_awgn(t, snr, 0), TruncationSpec(ranks=(r, r)))
+        assert grams == [(100, 10000), (100, 100 * r)], snr
+        assert [s for s in lapack if s[0] > s[1]] == tall_svd, snr
+
+
 # ---------------- randomized sweeps ----------------
 
 
@@ -574,8 +593,9 @@ def test_randomized_cores_do_not_depend_on_blas_threads():
     # a 5 dB noisy spectrum 100^3 and on powerfn 10^6 the randomized cores
     # do differ between 1 and 2 threads, as do tt_svd's on the noisy
     # spectrum, and whether 12^5 is spared rests on OpenBLAS's per-size
-    # threading.  tt_svd on 20^5 at ranks 8 takes G = A A^T on its wide
-    # steps and so passes through no threaded QR.  Given the same cores,
+    # threading.  tt_svd on 20^5 at ranks 8 takes the Gram matrix on its
+    # wide steps and its tall last one, and so passes through no threaded
+    # QR or SVD.  Given the same cores,
     # the step residuals match too, because their norms call no BLAS.
     # OpenBLAS reads its thread count once, at load time, so each count
     # runs in its own interpreter

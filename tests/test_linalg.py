@@ -461,9 +461,10 @@ def test_gram_test_keeps_rsi_and_rbki_accuracy_on_graded_spectra():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(inputs=krylov_inputs())
 def test_tt_svd_stays_at_the_lapack_optimum_on_graded_spectra(inputs):
-    # tt_svd of the matrix A as an order-2 tensor, wide or tall.  A wide
-    # step truncates through G = A A^T where the energy beyond the chosen
-    # rank clears the Gram test, else through the R-only QR; either way
+    # tt_svd of the matrix A as an order-2 tensor, wide or tall.  A step
+    # truncates through the Gram matrix of its short side, A A^T or A^T A,
+    # where the energy beyond the chosen rank clears the Gram test, else
+    # through svd (the R-only QR, or LAPACK's thin SVD); either way
     # rank mode stays within 1.1x of the optimum sqrt(sum_{i>r} sigma_i^2)
     # from LAPACK's singular values, and epsilon mode within epsilon, up
     # to criterion 5's rounding allowance.  Without the test, G would lose
@@ -480,6 +481,58 @@ def test_tt_svd_stays_at_the_lapack_optimum_on_graded_spectra(inputs):
         tt, _ = decompose.tt_svd(A, decompose.TruncationSpec(epsilon=eps))
         err = np.linalg.norm(A - tt_reconstruct(tt))
         assert err <= (eps + ROUNDING_TAU) * norm, (eps, tt.ranks, err / norm)
+
+
+def tall_spectrum(kind, rows, rng):
+    """A rows x 100 matrix with the kind of spectrum tt_svd's tall Gram
+    step must handle: graded geometrically to 1e-14 or 1e-30, ten
+    graded values over a flat Gaussian-noise tail of about 1e-4, or ten
+    equal values over a flat tail whose energy beyond them is half or
+    twice _GRAM_TAIL ||A||_F^2."""
+    cols = 100
+    i = np.arange(cols)
+    if kind.startswith("graded"):
+        return spectrum_matrix(10.0 ** (-float(kind[6:]) * i / (cols - 1)), rows, cols, rng)
+    if kind == "noisy":
+        noise = rng.standard_normal((rows, cols)) * 1e-4 / np.sqrt(rows)
+        return spectrum_matrix(10.0 ** (-2 * i[:10] / 9), rows, cols, rng) + noise
+    f = {"straddle-below": 0.5, "straddle-above": 2.0}[kind] * linalg._GRAM_TAIL
+    # 90 values tau under ten ones: 90 tau^2 = f (10 + 90 tau^2)
+    tau = np.sqrt(10 * f / (90 * (1 - f)))
+    return spectrum_matrix(np.where(i < 10, 1.0, tau), rows, cols, rng)
+
+
+@pytest.mark.parametrize("rows", [1000, 2000])
+@pytest.mark.parametrize(
+    "kind", ["graded14", "graded30", "noisy", "straddle-below", "straddle-above"]
+)
+def test_tt_svd_tall_gram_step_at_workload_scale(rows, kind):
+    # the shapes of spectrum 100^3's step 1 at ranks 10 and 20.  A tall
+    # step truncates through A^T A exactly where the energy beyond the
+    # chosen rank clears the Gram test, and either way stays within 1.1x
+    # of LAPACK's optimum in rank mode and within epsilon in epsilon mode,
+    # with a left-orthonormal core
+    A = tall_spectrum(kind, rows, np.random.default_rng(rows))
+    norm = np.linalg.norm(A)
+    s = np.linalg.svd(A, compute_uv=False)
+
+    def sweep(trunc):
+        with mock.patch.object(decompose, "svd", wraps=decompose.svd) as lapack:
+            tt, _ = decompose.tt_svd(A, trunc)
+        Q = tt.cores[0][0]
+        assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1]))) <= 1e-13
+        return np.linalg.norm(A - tt_reconstruct(tt)), Q.shape[1], not lapack.called
+
+    for r in (1, 5, 10, 20, 50):
+        err, _, gram = sweep(decompose.TruncationSpec(ranks=(r,)))
+        best = np.sqrt(np.sum(s[r:] ** 2))
+        assert err <= 1.1 * best + ROUNDING_TAU * norm, (r, err / norm, best / norm)
+        tail = np.sum(s[r:] ** 2) / np.sum(s**2)
+        if tail >= 2 * linalg._GRAM_TAIL or tail <= linalg._GRAM_TAIL / 2:
+            assert gram == (tail > linalg._GRAM_TAIL), (r, tail)
+    for eps in (1e-1, 1e-4, 1e-8, 1e-12):
+        err, r, _ = sweep(decompose.TruncationSpec(epsilon=eps))
+        assert err <= (eps + ROUNDING_TAU) * norm, (eps, r, err / norm)
 
 
 # (rows, cols, w, G at q 0 as tt_rsvd asks, G at q 2 as tt_rsi and

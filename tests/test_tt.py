@@ -169,3 +169,45 @@ def test_load_trailing_bytes(tmp_path):
     (tmp_path / "extra.ttc").write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ParseError):
         tt_load(tmp_path / "extra.ttc")
+
+
+def test_reconstruct_save_and_load_check_the_chain_alone(monkeypatch, tmp_path):
+    # tt_reconstruct, tt_save and tt_load check the rank chain and nothing
+    # else: they accept non-orthogonal cores without forming any core's
+    # Gram, and reject a broken chain with validate's first problem and
+    # the error type each raised before (ParseError for a file)
+    from ttapprox import tt as tt_module
+
+    good = random_tt((4, 5, 6), (3, 2), seed=12)
+    assert not validate(good).left_orthogonal
+    rng = np.random.default_rng(13)
+    broken = [
+        TTTensor([rng.standard_normal((1, 3, 2)), rng.standard_normal((3, 3, 1))]),
+        TTTensor([rng.standard_normal((2, 3, 2)), rng.standard_normal((2, 3, 1))]),
+        TTTensor([rng.standard_normal((1, 3, 2)), np.zeros((2, 0, 1))]),
+    ]
+    problems = [validate(tt).problems[0] for tt in broken]
+    assert problems == [
+        "core 0 has trailing rank 2 but core 1 expects 3",
+        "core 0 has boundary rank 2, expected 1",
+        "core 1 has a zero rank or mode size",
+    ]
+    # a .ttc table shares each rank between two cores, so only a boundary
+    # rank can break a chain read from a file
+    bad_file = tmp_path / "boundary.ttc"
+    tt_module._TTC.write(bad_file, 2, broken[1].ranks + broken[1].dims, broken[1].cores)
+
+    monkeypatch.setattr(tt_module, "validate", lambda tt: pytest.fail("validate called"))
+    path = tmp_path / "good.ttc"
+    tt_save(good, path)
+    assert tt_load(path) == good
+    assert tt_reconstruct(good).shape == (4, 5, 6)
+    for tt, problem in zip(broken, problems):
+        for fn in (tt_reconstruct, lambda tt: tt_save(tt, tmp_path / "x.ttc")):
+            with pytest.raises(InvalidArgumentError) as exc:
+                fn(tt)
+            assert str(exc.value) == problem
+    assert not (tmp_path / "x.ttc").exists()
+    with pytest.raises(ParseError) as exc:
+        tt_load(bad_file)
+    assert str(exc.value) == problems[1]
