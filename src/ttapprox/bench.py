@@ -11,7 +11,9 @@ svd sweep runs once per (ranks, input), and every svd row of that input
 reports its one measured wall time (see run_bench).
 
 A plan names a dataset, methods, ranks and seeds, and may set p, q and
-snr_db; every number in it must be finite.  Plans written for earlier
+snr_db.  Its values go through the package's one integer and one number
+check (errors._int, errors._number): every number must be finite, D and
+h must be > 0, and a bool is no number.  Plans written for earlier
 versions may also say "svd_truncate": true, which names the only
 truncation the randomized sweeps have; any other value is an error.
 """
@@ -19,8 +21,8 @@ truncation the randomized sweeps have; any other value is an error.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
@@ -29,7 +31,8 @@ import numpy as np
 
 from . import decompose
 from .datagen import add_awgn, power_function_tensor, spectrum_decay_tensor, tensor_load
-from .errors import InvalidArgumentError, _int
+from .decompose import SketchConfig
+from .errors import InvalidArgumentError, ParseError, _int, _number
 from .metrics import error_metrics
 from .tt import tt_reconstruct
 
@@ -43,11 +46,13 @@ class BenchRecord:
     q: int
     seed: int
     snr_db: Optional[float]
-    rel_err: Optional[float]
-    psnr: Optional[float]
-    wall_time_s: float
-    trace_sum_sq: Optional[float]
-    error: Optional[str] = None  # why the cell failed; None for a good row
+    # filled in by the cell; a failed row keeps its metrics None and says
+    # why in error
+    rel_err: Optional[float] = None
+    psnr: Optional[float] = None
+    wall_time_s: float = 0.0
+    trace_sum_sq: Optional[float] = None
+    error: Optional[str] = None
 
 
 def _ranks_str(ranks) -> str:
@@ -58,39 +63,23 @@ def _parse_ranks(s: str) -> Tuple[int, ...]:
     return tuple(int(v) for v in s.split("x"))
 
 
-def _opt_float(v) -> Optional[float]:
-    return None if v is None or v == "" else float(v)
+def _opt(cast):
+    return lambda v: None if v is None or v == "" else cast(v)
 
 
-def _opt_str(v) -> Optional[str]:
-    return None if v is None or v == "" else str(v)
+# field type -> (encode to a JSON scalar, decode from that scalar or from
+# its CSV text); a str field is written and read as it is.  CSV writes
+# each encoded value as text (see _csv_text); JSON writes it as is.
+_CODECS = {
+    "Tuple[int, ...]": (_ranks_str, _parse_ranks),
+    "int": (int, int),
+    "float": (float, float),
+    "Optional[float]": (_opt(float), _opt(float)),
+    "Optional[str]": (_opt(str), _opt(str)),
+}
 
-
-# The record schema, in column order: (field, encode to a JSON scalar,
-# decode from that scalar or from its CSV text).  CSV writes each encoded
-# value as text (see _csv_text); JSON writes it as is.
-_SCHEMA = (
-    ("method", str, str),
-    ("dataset", str, str),
-    ("ranks", _ranks_str, _parse_ranks),
-    ("p", int, int),
-    ("q", int, int),
-    ("seed", int, int),
-    ("snr_db", _opt_float, _opt_float),
-    ("rel_err", _opt_float, _opt_float),
-    ("psnr", _opt_float, _opt_float),
-    ("wall_time_s", float, float),
-    ("trace_sum_sq", _opt_float, _opt_float),
-    ("error", _opt_str, _opt_str),
-)
-
-
-def _number(v, what: str) -> float:
-    number = isinstance(v, (int, float)) and not isinstance(v, bool)
-    # NaN fails the comparison, and so do +-Inf and ints beyond the float range
-    if not (number and abs(v) <= sys.float_info.max):
-        raise InvalidArgumentError(f"{what} must be a finite number, got {v!r}")
-    return float(v)
+# the record schema, in column order: (field, encode, decode)
+_SCHEMA = tuple((f.name, *_CODECS.get(f.type, (str, str))) for f in fields(BenchRecord))
 
 
 def _str(v, what: str) -> str:
@@ -99,25 +88,33 @@ def _str(v, what: str) -> str:
     return v
 
 
-def _list(v, what: str) -> list:
+def _list(v, what: str, item, scalar: bool = False) -> list:
+    """v, a non-empty list or tuple, as a list of item(entry); with
+    scalar, a value that is neither stands for a list of itself."""
+    if scalar and not isinstance(v, (list, tuple)):
+        v = [v]
     if not isinstance(v, (list, tuple)) or not v:
         raise InvalidArgumentError(f"{what} must be a non-empty list, got {v!r}")
-    return list(v)
+    return [item(x) for x in v]
 
 
 def _dims(v, what: str) -> Tuple[int, ...]:
-    return tuple(_int(d, what, 1) for d in _list(v, what))
+    return tuple(_list(v, what, lambda d: _int(d, what, 1)))
 
 
-# dataset kind -> {key: check returning the normalized value}
+# dataset kind -> ({key: (check, *args)}, build): check(value, key, *args)
+# returns the key's normalized value, build(**keys) the tensor and the
+# dataset id
 _DATASETS = {
-    "spectrum": {
-        "n": lambda v: _int(v, "n", 1),
-        "T": lambda v: _int(v, "T", 1),
-        "D": lambda v: _number(v, "D"),
-    },
-    "powerfn": {"dims": lambda v: _dims(v, "dims"), "h": lambda v: _number(v, "h")},
-    "file": {"path": lambda v: _str(v, "path")},
+    "spectrum": (
+        {"n": (_int, 1), "T": (_int, 1), "D": (_number, 0, True)},
+        lambda n, T, D: (spectrum_decay_tensor(n, T, D), f"spectrum(n={n},T={T},D={D:g})"),
+    ),
+    "powerfn": (
+        {"dims": (_dims,), "h": (_number, 0, True)},
+        lambda dims, h: (power_function_tensor(dims, h), f"powerfn({'x'.join(map(str, dims))},h={h:g})"),
+    ),
+    "file": ({"path": (_str,)}, lambda path: (tensor_load(path), path)),
 }
 
 
@@ -125,26 +122,28 @@ def _check_dataset(spec) -> dict:
     if not isinstance(spec, dict):
         raise InvalidArgumentError("dataset must be an object")
     kind = spec.get("kind")
-    if kind not in _DATASETS:
+    if not isinstance(kind, str) or kind not in _DATASETS:
         raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
-    keys = _DATASETS[kind]
+    keys = _DATASETS[kind][0]
     missing = set(keys) - set(spec)
     if missing:
         raise InvalidArgumentError(f"{kind} dataset is missing keys: {sorted(missing)}")
     extra = set(spec) - set(keys) - {"kind"}
     if extra:
         raise InvalidArgumentError(f"unknown {kind} dataset keys: {sorted(extra)}")
-    return {**spec, **{k: check(spec[k]) for k, check in keys.items()}}
+    return {"kind": kind, **{k: check(spec[k], k, *args) for k, (check, *args) in keys.items()}}
+
+
+def _check_method(m) -> str:
+    if not isinstance(m, str) or m not in decompose.METHODS:
+        raise InvalidArgumentError(f"unknown method {m!r}")
+    return m
 
 
 def _check_rank_entry(entry):
     if isinstance(entry, (list, tuple)):
         return _dims(entry, "rank entry")
     return _int(entry, "rank entry", 1)
-
-
-def _as_list(v) -> list:
-    return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
 @dataclass
@@ -156,26 +155,22 @@ class BenchPlan:
     dataset: dict
     methods: List[str]
     ranks: list
-    p: int = 0
-    q: List[int] = field(default_factory=lambda: [1])
-    seeds: List[int] = field(default_factory=lambda: [0])
+    p: int = SketchConfig.p
+    q: List[int] = field(default_factory=lambda: [SketchConfig.q])
+    seeds: List[int] = field(default_factory=lambda: [SketchConfig.seed])
     snr_db: Optional[List[Optional[float]]] = None
 
     def __post_init__(self):
         self.dataset = _check_dataset(self.dataset)
-        self.methods = _list(self.methods, "methods")
-        for m in self.methods:
-            if not isinstance(m, str) or m not in decompose.METHODS:
-                raise InvalidArgumentError(f"unknown method {m!r}")
-        self.ranks = [_check_rank_entry(r) for r in _list(self.ranks, "ranks")]
+        self.methods = _list(self.methods, "methods", _check_method)
+        self.ranks = _list(self.ranks, "ranks", _check_rank_entry)
         self.p = _int(self.p, "p", 0)
-        self.q = [_int(v, "q", 1) for v in _list(_as_list(self.q), "q")]
-        self.seeds = [_int(v, "seed", 0) for v in _list(self.seeds, "seeds")]
+        self.q = _list(self.q, "q", lambda v: _int(v, "q", 1), scalar=True)
+        self.seeds = _list(self.seeds, "seeds", lambda v: _int(v, "seed", 0))
         if self.snr_db is not None:
-            self.snr_db = [
-                None if v is None else _number(v, "snr_db")
-                for v in _list(_as_list(self.snr_db), "snr_db")
-            ]
+            self.snr_db = _list(
+                self.snr_db, "snr_db", lambda v: None if v is None else _number(v, "snr_db"), scalar=True
+            )
 
     @staticmethod
     def from_dict(d: dict) -> "BenchPlan":
@@ -196,23 +191,10 @@ class BenchPlan:
         return BenchPlan(**d)
 
 
-def _build_dataset(spec: dict):
-    kind = spec["kind"]
-    if kind == "spectrum":
-        n, T, D = spec["n"], spec["T"], spec["D"]
-        return spectrum_decay_tensor(n, T, D), f"spectrum(n={n},T={T},D={D:g})"
-    if kind == "powerfn":
-        dims, h = spec["dims"], spec["h"]
-        return power_function_tensor(dims, h), f"powerfn({'x'.join(map(str, dims))},h={h:g})"
-    return tensor_load(spec["path"]), spec["path"]
-
-
 def _normalize_ranks(entry, n_modes: int) -> Tuple[int, ...]:
     ranks = entry if isinstance(entry, tuple) else (entry,) * (n_modes - 1)
     if len(ranks) != n_modes - 1:
-        raise InvalidArgumentError(
-            f"rank entry {entry!r} does not fit an order-{n_modes} tensor"
-        )
+        raise InvalidArgumentError(f"rank entry {entry!r} does not fit an order-{n_modes} tensor")
     return ranks
 
 
@@ -224,45 +206,29 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     snr, seed) on noisy input.  The other svd rows of that input copy its
     metrics, error and measured wall_time_s.
     """
-    base, dataset_id = _build_dataset(plan.dataset)
+    spec = dict(plan.dataset)
+    base, dataset_id = _DATASETS[spec.pop("kind")][1](**spec)
     rank_tuples = [_normalize_ranks(r, base.ndim) for r in plan.ranks]
     snr_list = plan.snr_db if plan.snr_db is not None else [None]
     # every noisy input before the first cell, so an SNR that add_awgn
     # refuses fails the plan before any cell has run
     noisy = {
-        (snr, seed): add_awgn(base, snr, seed)
-        for snr in snr_list
-        if snr is not None
-        for seed in plan.seeds
+        (snr, seed): add_awgn(base, snr, seed) for snr in snr_list if snr is not None for seed in plan.seeds
     }
     svd_rows = {}  # (ranks, input key) -> the svd record measured on that input
     records = []
-    for method in plan.methods:
-        for ranks in rank_tuples:
-            for q in plan.q:
-                for snr in snr_list:
-                    for seed in plan.seeds:
-                        key = None if snr is None else (snr, seed)
-                        if method == "svd" and (ranks, key) in svd_rows:
-                            records.append(replace(svd_rows[ranks, key], q=q, seed=seed))
-                            continue
-                        inp = base if key is None else noisy[key]
-                        cell = BenchRecord(
-                            method, dataset_id, ranks, plan.p, q, seed, snr,
-                            rel_err=None, psnr=None, wall_time_s=0.0, trace_sum_sq=None,
-                        )
-                        records.append(_run_cell(cell, inp, base))
-                        if method == "svd":
-                            svd_rows[ranks, key] = records[-1]
+    cells = itertools.product(plan.methods, rank_tuples, plan.q, snr_list, plan.seeds)
+    for method, ranks, q, snr, seed in cells:
+        key = None if snr is None else (snr, seed)
+        if method == "svd" and (ranks, key) in svd_rows:
+            records.append(replace(svd_rows[ranks, key], q=q, seed=seed))
+            continue
+        cell = BenchRecord(method, dataset_id, ranks, plan.p, q, seed, snr)
+        records.append(_run_cell(cell, noisy.get(key, base), base))
+        if method == "svd":
+            svd_rows[ranks, key] = records[-1]
     records.sort(
-        key=lambda r: (
-            r.dataset,
-            r.method,
-            r.ranks,
-            r.q,
-            (r.snr_db is not None, r.snr_db or 0.0),
-            r.seed,
-        )
+        key=lambda r: (r.dataset, r.method, r.ranks, r.q, (r.snr_db is not None, r.snr_db or 0.0), r.seed)
     )
     return records
 
@@ -322,14 +288,31 @@ def emit(records: List[BenchRecord], format: str, path):
 
 
 def load_records(path, format: str = "csv") -> List[BenchRecord]:
-    """Read back what emit wrote."""
+    """Read back what emit wrote.  A value that is missing or does not
+    decode raises ParseError naming its row (1 for the first record) and
+    its column."""
     if format == "csv":
         with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        objs = [dict(zip(rows[0], row)) for row in rows[1:]]
+            reader = csv.reader(f)
+            header = next(reader, [])
+            objs = [dict(zip(header, row)) for row in reader]
     elif format == "json":
         with open(path) as f:
             objs = json.load(f)
+        if not isinstance(objs, list):
+            raise ParseError(f"expected a list of records, got {type(objs).__name__}")
     else:
         raise InvalidArgumentError(f"unknown format {format!r}")
-    return [BenchRecord(**{name: decode(o[name]) for name, _, decode in _SCHEMA}) for o in objs]
+    return [_decode(o, row) for row, o in enumerate(objs, 1)]
+
+
+def _decode(obj, row: int) -> BenchRecord:
+    values = {}
+    for name, _, decode in _SCHEMA:
+        try:
+            values[name] = decode(obj[name])
+        except KeyError:
+            raise ParseError(f"row {row} has no {name} column") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"row {row}, column {name}: {exc}") from None
+    return BenchRecord(**values)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bench import BenchPlan, emit, run_bench
 from .datagen import add_awgn, power_function_tensor, spectrum_decay_tensor, tensor_load, tensor_save
-from .decompose import METHODS, run_method
+from .decompose import METHODS, SketchConfig, run_method
 from .errors import InvalidArgumentError, ParseError
 from .metrics import error_metrics
 from .tt import tt_load, tt_reconstruct, tt_save
@@ -114,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--method", choices=list(METHODS), required=True)
     dec.add_argument("--epsilon", type=float)
     dec.add_argument("--ranks", type=_int_csv, metavar="r1,r2,...")
-    dec.add_argument("--p", type=int, default=0)
-    dec.add_argument("--q", type=int, default=1)
-    dec.add_argument("--seed", type=int, default=0)
+    dec.add_argument("--p", type=int, default=SketchConfig.p)
+    dec.add_argument("--q", type=int, default=SketchConfig.q)
+    dec.add_argument("--seed", type=int, default=SketchConfig.seed)
     dec.add_argument(
         "--svd-truncate",
         action="store_true",

@@ -12,12 +12,10 @@ BLAS thread count.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ._container import Format
-from .errors import InvalidArgumentError, _int
+from .errors import InvalidArgumentError, _check_indexable, _int, _ints, _number
 from .metrics import _sum_sq
 
 _DTEN = Format(
@@ -29,14 +27,6 @@ _DTEN = Format(
 )
 
 
-def _check_indexable(dims) -> None:
-    """Raise unless a float64 array of shape dims has fewer bytes than
-    numpy can index, so a huge request is an argument error, not
-    numpy's ValueError."""
-    if 8 * math.prod(dims) > np.iinfo(np.intp).max:
-        raise InvalidArgumentError(f"a {'x'.join(map(str, dims))} float64 tensor is too big to index")
-
-
 def spectrum_decay_tensor(n: int, T: int, D: float) -> np.ndarray:
     """n x n x n tensor of diagonal frontal slices with a rank-T plateau.
 
@@ -45,9 +35,7 @@ def spectrum_decay_tensor(n: int, T: int, D: float) -> np.ndarray:
     entries are zero, so each slice's singular values can be read off
     the diagonal.
     """
-    n, T = _int(n, "n", 1), _int(T, "T", 1)
-    if not 0 < D < math.inf:
-        raise InvalidArgumentError(f"D must be finite and > 0, got {D}")
+    n, T, D = _int(n, "n", 1), _int(T, "T", 1), _number(D, "D", 0, strict=True)
     _check_indexable((n, n, n))
     out = np.zeros((n, n, n), order="F")
     for j in range(1, n + 1):
@@ -60,18 +48,16 @@ def spectrum_decay_tensor(n: int, T: int, D: float) -> np.ndarray:
 
 def power_function_tensor(dims, h: float) -> np.ndarray:
     """Entry (i_1,...,i_N) = (i_1^h + ... + i_N^h)^(-1/h), 1-based indices."""
-    dims = tuple(_int(d, "dims", 1) for d in dims)
+    dims, h = _ints(dims, "dims", 1), _number(h, "h", 0, strict=True)
     if not dims:
         raise InvalidArgumentError("dims must be non-empty")
-    if not 0 < h < math.inf:
-        raise InvalidArgumentError(f"h must be finite and > 0, got {h}")
     _check_indexable(dims)
     n_modes = len(dims)
     total = None
     # mode k sits on axis N-1-k, so the C-ordered sum is the transpose of
     # the column-major tensor; the sums still run in mode order
     for k, d in enumerate(dims):
-        grid = np.arange(1, d + 1, dtype=np.float64) ** float(h)
+        grid = np.arange(1, d + 1, dtype=np.float64) ** h
         grid = grid.reshape([-1 if a == n_modes - 1 - k else 1 for a in range(n_modes)])
         total = grid if total is None else total + grid
     return (total ** (-1.0 / h)).T
@@ -91,9 +77,7 @@ def add_awgn(t, snr_db: float, seed: int) -> np.ndarray:
     one so low that the noise, or t plus it, leaves float64's range
     raises InvalidArgumentError.
     """
-    if not math.isfinite(snr_db):
-        raise InvalidArgumentError(f"snr_db must be finite, got {snr_db}")
-    seed = _int(seed, "seed", 0)
+    snr_db, seed = _number(snr_db, "snr_db"), _int(seed, "seed", 0)
     t = np.asarray(t, dtype=np.float64)
     # sigma of t 2^-e scaled back by 2^e: exact, so the noise is the same
     # at every scale

@@ -82,7 +82,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _int
+from .errors import InvalidArgumentError, _int, _ints, _number
 from .linalg import (
     _fix_signs,
     _gram_eigh,
@@ -108,10 +108,10 @@ class TruncationSpec:
     def __post_init__(self):
         if (self.epsilon is None) == (self.ranks is None):
             raise InvalidArgumentError("set exactly one of epsilon or ranks")
-        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
-            raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if self.epsilon is not None:
+            self.epsilon = _number(self.epsilon, "epsilon", 0)
         if self.ranks is not None:
-            self.ranks = tuple(_int(r, "rank", 1) for r in self.ranks)
+            self.ranks = _ints(self.ranks, "rank", 1)
 
 
 @dataclass
@@ -124,7 +124,7 @@ class SketchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.ranks = tuple(_int(r, "rank", 1) for r in self.ranks)
+        self.ranks = _ints(self.ranks, "rank", 1)
         self.p = _int(self.p, "p", 0)
         self.q = _int(self.q, "q", 1)
         self.seed = _int(self.seed, "seed", 0)
@@ -138,7 +138,6 @@ class SweepStep:
     elapsed_s: float
     sketch_width: Optional[int] = None
     clamped: bool = False
-    padded_cols: int = 0  # always 0; kept for readers of the trace JSON
 
 
 @dataclass
@@ -329,7 +328,7 @@ def _ritz(A, S, r):
     """The top r Ritz vectors Q = S V_r of A in span(S), S orthonormal,
     and the carry Q^T A = V_r^T B, from the eigenvectors of B B^T."""
     B = S.T @ A
-    V = np.linalg.eigh(B @ B.T)[1][:, ::-1][:, :r]
+    V = _gram_eigh(B)[2][:, :r]
     return S @ V, (B.T @ V).T
 
 

@@ -4,15 +4,19 @@ Thin wrappers around LAPACK via numpy plus the pieces numpy does not
 ship: seeded Gaussian test matrices with a stable column layout, the
 left power iteration behind tt_rsi and the block Krylov basis behind
 tt_rbki.  The wide unfoldings that dominate a sweep (20 x 160000 at the
-first step of a 20^5 tensor) are never fully factored on their long
-side: svd takes a wide matrix's left factor from the small triangle of
-an R-only QR, and the Krylov routines start from the sweep's sketch
-basis Z_0 and factor only blocks with as many rows as the unfolding,
-while the long side is only multiplied.
+first step of a 20^5 tensor) are never factored on their long side:
+tt_svd takes them through the Gram matrix G = A A^T, and so do the
+randomized sweeps wherever _power_step_gram's cost rule says so, while
+the Krylov routines start from the sweep's sketch basis Z_0 and factor
+only blocks with as many rows as the unfolding, multiplying the long
+side.  That leaves svd the sketches Y, rows x (r + p), which are wide
+only where r + p exceeds the rows, and the steps the energy test
+refuses; its R-only QR of a wide matrix sees little else.
 
-Every sweep that goes through G = A A^T forms it and its descending
-eigendecomposition in _gram_eigh, and asks _gram_resolves, the one
-energy test, whether G serves a step that keeps k directions.
+Every Gram matrix in the sweeps, G = A A^T, tt_svd's A^T A of a tall
+step and the Ritz step's B B^T, is formed with its descending
+eigendecomposition in _gram_eigh, and _gram_resolves, the one energy
+test, says whether G serves a step that keeps k directions.
 _power_step_gram decides, once per randomized sweep step and by one
 cost rule for all three randomized sweeps, whether the step goes through
 G, asking the test at the sketch width w; where it does, the sweep draws
@@ -32,7 +36,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import _check_indexable, _int
 
 
 class SvdResult(NamedTuple):
@@ -88,9 +92,9 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
     Generator may be passed instead of a seed to continue an existing
     stream.
     """
-    if rows < 1 or cols < 1:
-        raise InvalidArgumentError(f"shape must be positive, got ({rows}, {cols})")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rows, cols = _int(rows, "rows", 1), _int(cols, "cols", 1)
+    _check_indexable((rows, cols))
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_int(seed, "seed", 0))
     return rng.standard_normal(rows * cols).reshape((rows, cols), order="F")
 
 

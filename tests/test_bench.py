@@ -10,6 +10,7 @@ from ttapprox import (
     BenchPlan,
     BenchRecord,
     InvalidArgumentError,
+    ParseError,
     SketchConfig,
     TruncationSpec,
     add_awgn,
@@ -60,6 +61,22 @@ def test_plan_defaults():
     assert plan.p == 0 and plan.q == [1]
     assert plan.snr_db is None
     assert small_plan(svd_truncate=True) == plan  # the key older plans carry
+
+
+def test_plan_sketch_defaults_are_sketch_configs():
+    plan, cfg = small_plan(), SketchConfig(ranks=(2,))
+    assert (plan.p, plan.q, plan.seeds) == (cfg.p, [cfg.q], [cfg.seed])
+
+
+def test_plan_refuses_a_dataset_number_at_or_below_zero():
+    # D and h are refused when the plan is read, not when its tensor is made
+    for bad in (0, -1, True):
+        with pytest.raises(InvalidArgumentError, match="D must be a finite number > 0"):
+            small_plan(dataset={"kind": "spectrum", "n": 8, "T": 2, "D": bad})
+        with pytest.raises(InvalidArgumentError, match="h must be a finite number > 0"):
+            small_plan(dataset={"kind": "powerfn", "dims": [4, 4], "h": bad})
+    with pytest.raises(InvalidArgumentError, match="unknown dataset kind"):
+        small_plan(dataset={"kind": ["spectrum"]})
 
 
 def test_plan_rejects_unknown_and_missing_keys():
@@ -363,3 +380,38 @@ def test_error_rows_serialize_with_empty_metrics(tmp_path):
 def test_emit_unknown_format(tmp_path):
     with pytest.raises(InvalidArgumentError):
         emit([], "xml", tmp_path / "o.xml")
+
+
+def test_load_records_names_the_row_and_column_of_a_malformed_file(tmp_path):
+    path = tmp_path / "out.csv"
+    emit(gnarly_records(), "csv", path)
+    rows = list(csv.reader(path.read_text().splitlines()))
+    ranks, seed = rows[0].index("ranks"), rows[0].index("seed")
+
+    def write(rows):
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+
+    write([[v for i, v in enumerate(row) if i != ranks] for row in rows])
+    with pytest.raises(ParseError, match="row 1 has no ranks column"):
+        load_records(path, "csv")
+    rows[2][seed] = "zero"
+    write(rows)
+    with pytest.raises(ParseError, match="row 2, column seed: invalid literal"):
+        load_records(path, "csv")
+
+    jpath = tmp_path / "out.json"
+    emit(gnarly_records(), "json", jpath)
+    objs = json.loads(jpath.read_text())
+    objs[1]["ranks"] = [3, 4]
+    jpath.write_text(json.dumps(objs))
+    with pytest.raises(ParseError, match="row 2, column ranks"):
+        load_records(jpath, "json")
+    del objs[0]["error"]
+    jpath.write_text(json.dumps(objs))
+    with pytest.raises(ParseError, match="row 1 has no error column"):
+        load_records(jpath, "json")
+    for top in ({"method": "svd"}, 5):
+        jpath.write_text(json.dumps(top))
+        with pytest.raises(ParseError, match="expected a list of records"):
+            load_records(jpath, "json")

@@ -18,6 +18,8 @@ from ttapprox import (
     tensor_save,
     tt_load,
     tt_reconstruct,
+    tt_rbki,
+    tt_rsi,
     tt_rsvd,
     tt_save,
     tt_svd,
@@ -75,6 +77,17 @@ def test_decompose_randomized_flags_reach_config(tmp_path):
     want, _ = tt_rsvd(t, SketchConfig(ranks=(3, 3), p=2, q=1, seed=5))
     assert all(np.array_equal(a, b) for a, b in zip(got.cores, want.cores))
     assert out1.read_bytes() == out2.read_bytes()  # --svd-truncate has no effect
+
+
+def test_decompose_without_sketch_flags_writes_sketch_config_defaults(tmp_path):
+    src = tmp_path / "a.dten"
+    t = np.random.default_rng(3).standard_normal((6, 7, 8))
+    tensor_save(t, src)
+    for method, sweep in (("rsvd", tt_rsvd), ("rsi", tt_rsi), ("rbki", tt_rbki)):
+        out = tmp_path / f"{method}.ttc"
+        assert run("decompose", "--method", method, "--ranks", "3,3", "-i", src, "-o", out) == 0
+        want, _ = sweep(t, SketchConfig(ranks=(3, 3)))
+        assert all(np.array_equal(a, b) for a, b in zip(tt_load(out).cores, want.cores)), method
 
 
 def test_decompose_is_deterministic_on_disk(tmp_path):
