@@ -34,21 +34,23 @@ linalg.krylov_basis, which builds span([Z_0, ..., Z_q]) block by block
 only rows x (r + p) blocks.
 
 Once per step the sweep asks linalg._power_step_gram whether the step
-goes through G = A A^T: one cost rule for all three sweeps, asked with
-the power steps each runs (0 for tt_rsvd, q for tt_rsi and tt_rbki), so
-tt_rsvd's cores do not depend on q.  Where it does not, Y = A Omega for a
-cols x (r + p) Gaussian Omega.  Where it does, Y = R Omega'' for a
-rows x (r + p) Gaussian Omega'', with G = R R^T from the eigendecomposition
-the Gram test takes anyway: A = U Sigma V^T makes A Omega = U Sigma
-(V^T Omega), and V^T Omega is itself a rows x (r + p) Gaussian, so
-R Omega'' = U Sigma Omega'' has exactly the distribution of A Omega and
-the Gaussian-sketch guarantees hold unchanged, for rows (r + p) normals
-instead of cols (r + p) and no product with the long side.
+reads R, R R^T = G = A A^T, in place of A: one cost rule for all three
+sweeps, asked with the power steps each runs (0 for tt_rsvd, q for
+tt_rsi and tt_rbki), so tt_rsvd's cores do not depend on q.  The step
+then works on M, A or the rows x rows R: Y = M Omega for a Gaussian
+Omega with as many rows as M has columns, and the range finder and the
+Ritz step read M.  Every left-side quantity is the same through either,
+since M M^T = A A^T, and the sketch is too in distribution: A = U Sigma
+V^T makes A Omega = U Sigma (V^T Omega), and V^T Omega is itself a
+rows x (r + p) Gaussian, so R Omega'' = U Sigma Omega'' has exactly the
+distribution of A Omega and the Gaussian-sketch guarantees hold
+unchanged, for rows (r + p) normals instead of cols (r + p).  A step
+through R reads A once more, for its carry Q^T A.
 
 Both keep Q = S V_r, V_r the top r eigenvectors of B B^T with
-B = S^T A: the best rank-r basis in span(S) (Rayleigh-Ritz), whose carry
-is V_r^T B.  So one tt_rbki step leaves no larger residual than tt_rsi
-or tt_rsvd would from the same Y, up to rounding.  Every core has
+B = S^T M: the best rank-r basis in span(S) (Rayleigh-Ritz), whose carry
+is V_r^T B = Q^T M.  So one tt_rbki step leaves no larger residual than
+tt_rsi or tt_rsvd would from the same Y, up to rounding.  Every core has
 exactly the requested rank.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
@@ -279,7 +281,7 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         wide = A.shape[0] <= A.shape[1]
         # the Gram of the short side: A A^T (eigenvectors U), or A^T A
         # (eigenvectors V, with A V_r = U_r Sigma_r)
-        _, lam, W = _gram_eigh(A if wide else A.T)
+        lam, W = _gram_eigh(A if wide else A.T)
         r = rank(np.sqrt(np.maximum(lam, 0.0)), n)
         if _gram_resolves(lam, r):  # residual from the carried norms
             Q = W[:, :r].copy(order="F") if wide else np.linalg.qr(A @ W[:, :r])[0]
@@ -294,12 +296,12 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
 
 
 def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, SweepTrace]:
-    """Shared randomized scaffold; basis(A, Z0, G, r) -> (Q, Q^T A), with
-    Q^T A F-contiguous, Z0 = svd(Y).U the basis of the step's sketch Y,
-    and G = A A^T where the step goes through it, else None.  q is the
-    number of power steps basis runs.  The sketch is drawn and applied
-    here and nowhere else, and _power_step_gram decides here, once per
-    step, whether to form G."""
+    """Shared randomized scaffold; basis(M, Z0, r) -> (Q, Q^T M), with
+    Q^T M F-contiguous, M the step's unfolding A or the R of
+    _power_step_gram, and Z0 = svd(Y).U the basis of the step's sketch
+    Y = M Omega.  q is the number of power steps basis runs.  The sketch
+    is drawn and applied here and nowhere else, and _power_step_gram
+    decides here, once per step, whether M is R."""
     t, norm, e = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
@@ -309,26 +311,24 @@ def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, Sw
         rows, cols = A.shape
         width = min(r + cfg.p, cols)
         clamped = width < r + cfg.p
-        w = min(rows, width)
-        G, R = _power_step_gram(A, w, q)
-        if G is None:
-            Y = A @ gaussian_matrix(cols, width, rng)
-        else:  # G = R R^T: R Omega'' is distributed as A Omega
-            Y = R @ gaussian_matrix(rows, width, rng)
-        Z0 = svd(Y).U
-        # Q has exactly r columns: r <= w (_check_ranks), and Z0 and every
-        # Krylov block have w columns
-        Q, carry = basis(A, Z0, G, r)
+        R = _power_step_gram(A, min(rows, width), q)
+        M = A if R is None else R  # R Omega'' is distributed as A Omega
+        Z0 = svd(M @ gaussian_matrix(M.shape[1], width, rng)).U
+        # Q has exactly r columns: r <= min(rows, width) (_check_ranks), and
+        # Z0 and every Krylov block have that many
+        Q, carry = basis(M, Z0, r)
+        if R is not None:  # the carry is Q^T A, not the Q^T R basis gave
+            carry = (A.T @ Q).T
         return _Basis(Q, carry, None, width, clamped)
 
     return _scale_back(_sweep(t, norm, pick), e)
 
 
-def _ritz(A, S, r):
-    """The top r Ritz vectors Q = S V_r of A in span(S), S orthonormal,
-    and the carry Q^T A = V_r^T B, from the eigenvectors of B B^T."""
-    B = S.T @ A
-    V = _gram_eigh(B)[2][:, :r]
+def _ritz(M, S, r):
+    """The top r Ritz vectors Q = S V_r of M in span(S), S orthonormal,
+    and Q^T M = V_r^T B, from the eigenvectors of B B^T, B = S^T M."""
+    B = S.T @ M
+    V = _gram_eigh(B)[1][:, :r]
     return S @ V, (B.T @ V).T
 
 
@@ -336,9 +336,9 @@ def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition from a plain Gaussian sketch, keeping
     the top r left singular vectors of A Omega."""
 
-    def basis(A, Z0, G, r):
+    def basis(M, Z0, r):
         Q = Z0[:, :r]
-        return Q, (A.T @ Q).T
+        return Q, (M.T @ Q).T
 
     return _randomized_sweep(t, cfg, basis, 0)
 
@@ -347,8 +347,8 @@ def tt_rsi(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition with q rounds of subspace power
     iteration: Ritz vectors from the last Krylov block alone."""
 
-    def basis(A, Z0, G, r):
-        return _ritz(A, krylov_blocks(A, Z0, cfg.q, G)[-1], r)
+    def basis(M, Z0, r):
+        return _ritz(M, krylov_blocks(M, Z0, cfg.q)[-1], r)
 
     return _randomized_sweep(t, cfg, basis, cfg.q)
 
@@ -357,8 +357,8 @@ def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition through a depth-q block Krylov basis:
     Ritz vectors from all q + 1 blocks."""
 
-    def basis(A, Z0, G, r):
-        return _ritz(A, krylov_basis(A, Z0, cfg.q, G), r)
+    def basis(M, Z0, r):
+        return _ritz(M, krylov_basis(M, Z0, cfg.q), r)
 
     return _randomized_sweep(t, cfg, basis, cfg.q)
 

@@ -5,30 +5,28 @@ ship: seeded Gaussian test matrices with a stable column layout, the
 left power iteration behind tt_rsi and the block Krylov basis behind
 tt_rbki.  The wide unfoldings that dominate a sweep (20 x 160000 at the
 first step of a 20^5 tensor) are never factored on their long side:
-tt_svd takes them through the Gram matrix G = A A^T, and so do the
-randomized sweeps wherever _power_step_gram's cost rule says so, while
-the Krylov routines start from the sweep's sketch basis Z_0 and factor
-only blocks with as many rows as the unfolding, multiplying the long
-side.  That leaves svd the sketches Y, rows x (r + p), which are wide
-only where r + p exceeds the rows, and the steps the energy test
-refuses; its R-only QR of a wide matrix sees little else.
+tt_svd takes them through the Gram matrix G = A A^T, and the randomized
+sweeps, wherever _power_step_gram's cost rule says so, through its
+square root R, while the Krylov routines start from the sweep's sketch
+basis Z_0 and factor only blocks with as many rows as the unfolding,
+multiplying the long side.  That leaves svd the sketches Y, rows x
+(r + p), which are wide only where r + p exceeds the rows, and the
+steps the energy test refuses; its R-only QR of a wide matrix sees
+little else.
 
 Every Gram matrix in the sweeps, G = A A^T, tt_svd's A^T A of a tall
 step and the Ritz step's B B^T, is formed with its descending
 eigendecomposition in _gram_eigh, and _gram_resolves, the one energy
 test, says whether G serves a step that keeps k directions.
 _power_step_gram decides, once per randomized sweep step and by one
-cost rule for all three randomized sweeps, whether the step goes through
-G, asking the test at the sketch width w; where it does, the sweep draws
-its sketch in the row space, from G's eigendecomposition, and the power
-steps multiply G.  tt_svd asks the test at its rank r on every step,
-of the Gram matrix of the unfolding's short side: _gram_eigh(A) on a
-wide step, _gram_eigh(A^T), H = A^T A, on a tall one.  Where it passes,
-the step keeps the top r eigenvectors of G, or orthonormalizes A V_r
-from those of H; where it fails, the step has formed the Gram matrix
-for nothing and takes svd.
+cost rule for all three randomized sweeps, whether the step reads R in
+place of A, asking the test at the sketch width w.  tt_svd asks the
+test at its rank r on every step, of the Gram matrix of the unfolding's
+short side: _gram_eigh(A) on a wide step, _gram_eigh(A^T), H = A^T A,
+on a tall one.  Where it passes, the step keeps the top r eigenvectors
+of G, or orthonormalizes A V_r from those of H; where it fails, the
+step has formed the Gram matrix for nothing and takes svd.
 """
-
 
 from __future__ import annotations
 
@@ -99,12 +97,11 @@ def gaussian_matrix(rows: int, cols: int, seed: Union[int, np.random.Generator])
 
 
 def _gram_eigh(A):
-    """(G, lam, U): G = A A^T and its eigendecomposition G = U diag(lam)
-    U^T, eigenvalues in descending order, negative rounding kept.  lam
-    and U are reversed views of eigh's ascending output."""
-    G = A @ A.T
-    lam, U = np.linalg.eigh(G)
-    return G, lam[::-1], U[:, ::-1]
+    """(lam, U): the eigendecomposition A A^T = U diag(lam) U^T,
+    eigenvalues in descending order, negative rounding kept.  lam and U
+    are reversed views of eigh's ascending output."""
+    lam, U = np.linalg.eigh(A @ A.T)
+    return lam[::-1], U[:, ::-1]
 
 
 # the least energy of A beyond the directions a step keeps, as a
@@ -146,43 +143,45 @@ _GRAM_STEP_NS = 60e3  # the rest of the Gram side, once per step
 
 def _gram_is_cheaper(rows: int, cols: int, w: int, q: int) -> bool:
     """Whether a step with a sketch of width w and q power steps costs
-    less through G = A A^T than through a drawn sketch, A rows x cols.
+    less through R, R R^T = G = A A^T, than through a drawn sketch, A
+    rows x cols.
 
     Drawn: cols w normals, the sketch A Omega (2 rows cols w flops), and
     per power step the products A (A^T Z) (4 rows cols w flops, two
-    passes over A).  Through G: rows^2 cols flops for G, its eigh and a
-    fixed cost; the rows w normals, R Omega'' and G Z are small enough to
-    leave out.  The pass that forms A Omega and the one that forms G
-    cancel."""
+    passes over A).  Through R: rows^2 cols flops for G, its eigh and a
+    fixed cost; the rows w normals and the products with the rows x rows
+    R are small enough to leave out.  The pass that forms A Omega and the
+    one that forms G cancel."""
     drawn = cols * w * _DRAW_NS + rows * cols * ((2 + 4 * q) * w * _FLOP_NS + 2 * q * _PASS_NS)
     gram = rows * rows * (cols * _FLOP_NS + _EIGH_NS) + _GRAM_STEP_NS
     return gram < drawn
 
 
 def _power_step_gram(A, w: int, q: int):
-    """(G, R) with G = A A^T = R R^T when a sweep step with a sketch of
-    width w and q power steps goes through G, else (None, None).
+    """R with R R^T = G = A A^T when a sweep step with a sketch of width w
+    and q power steps reads R in place of A, else None.
 
     One rule for all three randomized sweeps: tt_rsvd asks it with q = 0,
     tt_rsi and tt_rbki with their q, so tt_rsvd's decision, and with it
-    its cores, does not depend on q.  Through G the step reads the long
-    side of A once, in the one pass that forms G, and draws rows w
-    normals in place of cols w; the power steps multiply G, where the
-    products A (A^T Z) read A twice per step.  G is taken when all hold:
+    its cores, does not depend on q.  R is rows x rows, and every
+    left-side quantity of the step, the sketch, the power steps and the
+    Ritz vectors, reads R as it would A: R R^T = A A^T.  So the step
+    reads the long side of A twice, to form G and for the carry, and
+    draws rows w normals in place of cols w.  R is taken when all hold:
 
     - A is wide and w < rows.  A Z_0 as wide as A has rows already spans
       them, so the power steps cannot change the Ritz vectors, and with no
       energy beyond w directions nothing bounds what G's rounding costs:
-      tt_rsvd, which keeps Z_0's leading columns with no Ritz step on A,
+      tt_rsvd, which keeps Z_0's leading columns with no Ritz step,
       would carry it into exactly low-rank input (errors of 3e-9 to 1e-8
       where the drawn sketch gives 1e-15).
     - _gram_is_cheaper(rows, cols, w, q).
     - _gram_resolves(lam, w), the energy test tt_svd shares: the energy
       of A beyond its top w singular directions is at least
       _GRAM_TAIL ||A||_F^2.  The products round to about eps ||A||
-      sigma_i along the i-th direction, G to about eps ||A||_F^2 in
-      every one, so without the test tt_rsi's residual would floor at
-      about 1e-9 ||A|| through G.
+      sigma_i along the i-th direction, G, and with it R, to about
+      eps ||A||_F^2 in every one, so without the test tt_rsi's residual
+      would floor at about 1e-9 ||A|| through R.
 
     R = U sqrt(Lambda) comes from the one eigendecomposition
     G = U Lambda U^T, _gram_eigh's, that also gives the energy test its
@@ -190,88 +189,84 @@ def _power_step_gram(A, w: int, q: int):
     A Omega = U Sigma (V^T Omega), and V^T Omega is itself a rows x w
     standard Gaussian for a cols x w Gaussian Omega: so R Omega'' for a
     rows x w Gaussian Omega'' has exactly the distribution of the sketch
-    A Omega, and the sweep draws that one instead.  The Ritz step of tt_rsi and
-    tt_rbki reads A itself either way.
+    A Omega, and the sweep draws that one instead.
     """
     rows, cols = A.shape
     if rows >= cols or w >= rows or not _gram_is_cheaper(rows, cols, w, q):
-        return None, None
-    G, lam, U = _gram_eigh(A)
+        return None
+    lam, U = _gram_eigh(A)
     if not _gram_resolves(lam, w):
-        return None, None
+        return None
     # R keeps eigh's ascending column order, on which the seeded draws
     # R Omega'' are defined
-    return G, U[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))
+    return U[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))
 
 
-def _power_step(A, G, Z):
-    """A A^T Z, through G when it is given."""
-    return G @ Z if G is not None else A @ (A.T @ Z)
-
-
-def krylov_blocks(A, Z0, q: int, G):
+def krylov_blocks(M, Z0, q: int):
     """Orthonormal blocks Z_0, ..., Z_q of the power iteration, tt_rsi's
     range finder.
 
-    Z0 is the sweep's orthonormal sketch basis, spanning A Omega, and
-    Z_t = orth(A A^T Z_{t-1}) spans (A A^T)^t A Omega.  Every QR is of an
-    m x w block, m the rows of A and w the width of Z0, so the long side
-    of a wide A is never factored.  G is A A^T where the power steps go
-    through it (_power_step_gram's decision), else None.  Without the QRs
+    M is the step's unfolding A, or the R of _power_step_gram, which has
+    M M^T = A A^T.  Z0 is the sweep's orthonormal sketch basis, spanning
+    M Omega, and Z_t = orth(M M^T Z_{t-1}) spans (M M^T)^t M Omega.
+    Every QR is of an m x w block, m the rows of M and w the width of
+    Z0, so the long side of a wide M is never factored.  Without the QRs
     the higher powers would keep only the leading directions in float64.
 
-    A Z0 as wide as A has rows already spans them, so no power step can
+    M Z0 as wide as M has rows already spans them, so no power step can
     change the Ritz vectors, and the blocks are [Z0] alone: no product
-    with A is taken.  The sweep still draws and factors the sketch on
+    with M is taken.  The sweep still draws and factors the sketch on
     such a step, so the rng stream, and with it every later step's draw,
     is the one it would be with the power steps.
     """
     blocks = [Z0]
-    if Z0.shape[1] >= A.shape[0]:
+    if Z0.shape[1] >= M.shape[0]:
         return blocks
     for _ in range(q):
-        blocks.append(np.linalg.qr(_power_step(A, G, blocks[-1]))[0])
+        blocks.append(np.linalg.qr(M @ (M.T @ blocks[-1]))[0])
     return blocks
 
 
 # a Krylov block's remainder after projection against the basis so far:
 # a direction below _KRYLOV_DROP_TOL times the block's largest column norm
 # before projection carries no new direction and is dropped; one below
-# _KRYLOV_REPROJECT (about sqrt(eps)) times it is projected once more
+# _KRYLOV_REPROJECT (about sqrt(eps)) times it is orthonormalized again
+# after its last projection
 _KRYLOV_DROP_TOL = 1e-12
 _KRYLOV_REPROJECT = 1e-8
 
 
-def krylov_basis(A, Z0, q: int, G):
+def krylov_basis(M, Z0, q: int):
     """Orthonormal basis of the depth-q block Krylov space
-    span([A Omega, (A A^T) A Omega, ..., (A A^T)^q A Omega]), tt_rbki's
+    span([M Omega, (M M^T) M Omega, ..., (M M^T)^q M Omega]), tt_rbki's
     range finder, built block by block.
 
-    Z0 is the sweep's orthonormal sketch basis, spanning A Omega, and is
-    kept whole.  Each power step multiplies only the newest block,
-    Y = A A^T Z_{t-1} (as G Z_{t-1} where G = A A^T is given, as for
-    krylov_blocks), and projects Y against the basis so far twice: block
-    classical Gram-Schmidt with one re-orthogonalization, which leaves
-    the remainder orthogonal to the basis to about eps ||Y||.  The new
-    block is the remainder's left singular vectors.  One whose singular
-    value is below 1e-12 of Y's largest column norm is rounding, not a
-    new direction, and is dropped; the SVD drops it as a direction,
-    where dropping a column would also lose the later columns' share of
-    it.  If a kept one is below 1e-8, about sqrt(eps), of that norm, the
-    projection left it off the basis by up to about eps / 1e-8, so the
-    block is projected once more.  The basis stops at
-    min(rows, cols, (q + 1) w) columns, w the width of Z0, or at a
-    block with no direction left.  Every factorization is of an m x w
-    block, m the rows of A, and none is repeated: the stack of all blocks
-    is never factored.
+    M is A or R, as for krylov_blocks.  Z0 is the sweep's orthonormal
+    sketch basis, spanning M Omega, and is kept whole.  Each power step
+    multiplies only the newest block, Y = M M^T Z_{t-1}, and projects Y
+    against the basis so far twice: block classical Gram-Schmidt with
+    one re-orthogonalization, which leaves the remainder orthogonal to
+    the basis to about eps ||Y||.  The new block is the remainder's left
+    singular vectors.  One whose singular value is below 1e-12 of Y's
+    largest column norm is rounding, not a new direction, and is
+    dropped; the SVD drops it as a direction, where dropping a column
+    would also lose the later columns' share of it.  A kept direction of
+    singular value d is left off the basis by up to about eps ||Y|| / d,
+    so every kept block is projected once more; if d is below 1e-8,
+    about sqrt(eps), of that norm, the block is then orthonormalized
+    again.  The basis stops at min(rows, cols, (q + 1) w) columns, w the
+    width of Z0, or at a block with no direction left; R, rows x rows,
+    gives the cap A would, since only a wide A has an R.  Every
+    factorization is of an m x w block, m the rows of M, and none is
+    repeated: the stack of all blocks is never factored.
     """
-    rows, cols = A.shape
+    rows, cols = M.shape
     cap = min(rows, cols, (q + 1) * Z0.shape[1])
     Z = S = Z0[:, :cap]
     for _ in range(q):
         if S.shape[1] >= cap:
             break
-        Y = _power_step(A, G, Z)
+        Y = M @ (M.T @ Z)
         scale = np.max(np.linalg.norm(Y, axis=0))
         for _ in range(2):
             Y -= S @ (S.T @ Y)
@@ -280,7 +275,8 @@ def krylov_basis(A, Z0, q: int, G):
         if not kept:
             break
         Z = U[:, :kept]
+        Z -= S @ (S.T @ Z)
         if d[kept - 1] < _KRYLOV_REPROJECT * scale:
-            Z = np.linalg.qr(Z - S @ (S.T @ Z))[0]
+            Z = np.linalg.qr(Z)[0]
         S = np.hstack([S, Z])
     return S

@@ -13,15 +13,15 @@ def tail_energy(A, j: int) -> float:
     return float(np.sqrt(np.sum(s[j - 1 :] ** 2)))
 
 
-def stack_krylov_basis(A, Z0, q, G):
+def stack_krylov_basis(M, Z0, q):
     """tt_rbki's basis from one QR of the stacked blocks of
     linalg.krylov_blocks: columns whose R diagonal falls below 1e-12 of
     the leading one are dropped, and at most min(rows, cols, (q + 1) w)
-    are kept.  It takes what the sweep passes to krylov_basis: the sketch
-    basis Z0, w columns wide, and G = A A^T or None."""
+    are kept.  It takes what the sweep passes to krylov_basis: the step's
+    unfolding or its R, and the sketch basis Z0, w columns wide."""
     from ttapprox.linalg import krylov_blocks
 
-    S, R = np.linalg.qr(np.hstack(krylov_blocks(A, Z0, q, G)))
+    S, R = np.linalg.qr(np.hstack(krylov_blocks(M, Z0, q)))
     diag = np.abs(np.diag(R))
     S = S[:, diag > 1e-12 * diag[0]]
-    return S[:, : min(*A.shape, (q + 1) * Z0.shape[1])]
+    return S[:, : min(*M.shape, (q + 1) * Z0.shape[1])]

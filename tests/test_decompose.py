@@ -238,12 +238,17 @@ def test_tt_rsi_takes_no_power_step_where_the_sketch_spans_the_rows(monkeypatch)
     # steps draw from the rng stream they always have; step 1 (15 x 200,
     # w 5) runs its power steps
     t = power_function_tensor((4, 5, 5, 5, 8), 5.0)
-    products, draws, starts = [], [], []
-    power_step, draw, factor = linalg._power_step, decompose.gaussian_matrix, decompose.svd
+    products, draws, starts = [], [], []  # products: per step, those with M
+    blocks, draw, factor = decompose.krylov_blocks, decompose.gaussian_matrix, decompose.svd
 
-    def spy_power_step(A, G, Z):
-        products.append(A.shape)
-        return power_step(A, G, Z)
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products[-1].append(self.shape)
+            return np.asarray(self) @ other
+
+    def spy_blocks(M, Z0, q):
+        products.append([])
+        return blocks(M.view(Counted), Z0, q)
 
     def spy_draw(*args):
         draws.append(args[:2])
@@ -254,12 +259,13 @@ def test_tt_rsi_takes_no_power_step_where_the_sketch_spans_the_rows(monkeypatch)
         starts.append(result.U)
         return result
 
-    monkeypatch.setattr(linalg, "_power_step", spy_power_step)
+    monkeypatch.setattr(decompose, "krylov_blocks", spy_blocks)
     monkeypatch.setattr(decompose, "gaussian_matrix", spy_draw)
     monkeypatch.setattr(decompose, "svd", spy_factor)
     tt, _ = tt_rsi(t, SketchConfig(ranks=(3, 3, 3, 3), p=2, q=2, seed=4))
     assert draws[0] == (1000, 5) and len(draws) == 4
-    assert products and (4, 1000) not in products and products[0][0] == 15
+    # M^T Z then M (M^T Z), twice per step but on step 0
+    assert products[0] == [] and products[1] == [(200, 15), (15, 200)] * 2
     Q, _ = decompose._ritz(np.reshape(t, (4, 1000), order="F"), starts[0], 3)
     assert np.array_equal(np.reshape(tt.cores[0], (4, 3), order="F"), Q)
 
@@ -330,12 +336,13 @@ def test_rbki_q1_naive_spans_power_augmented_sketch(monkeypatch):
 
 def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
     # each step asks the one G rule once, draws once and factors its
-    # sketch once: Z_0 = svd(Y).U with Y = A Omega, or R Omega'' where the
-    # step goes through G = A A^T = R R^T.  tt_rsvd asks with no power
-    # steps, tt_rsi and tt_rbki with q.  Step 0 (4 x 5000, w 3) takes G for
-    # all three, so they draw the same rows x w Omega'' and share Z_0; step
-    # 1 (5000 x 2, tall, the sketch clamped to 2 columns) takes none, and
-    # they draw the same cols x 2 Omega
+    # sketch once: Z_0 = svd(Y).U with Y = M Omega, M = A, or R where the
+    # step goes through R R^T = A A^T, and the range finder reads the same
+    # M.  tt_rsvd asks with no power steps, tt_rsi and tt_rbki with q.
+    # Step 0 (4 x 5000, w 3) takes R for all three, so they draw the same
+    # rows x w Omega'' and share Z_0; step 1 (5000 x 2, tall, the sketch
+    # clamped to 2 columns) takes none, and they draw the same cols x 2
+    # Omega
     t = np.random.default_rng(15).standard_normal((4, 2500, 2))
     cfg = SketchConfig(ranks=(2, 2), p=1, q=2, seed=4)
     seen = {method: [] for method in ALGS}  # per step: [asked, draw, Y, Z0]
@@ -343,9 +350,9 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
     draw, rule, factor = decompose.gaussian_matrix, decompose._power_step_gram, decompose.svd
 
     def spy_rule(A, w, q):
-        G, R = rule(A, w, q)
-        seen[method].append([(A.copy(order="K"), w, q, G, R)])
-        return G, R
+        R = rule(A, w, q)
+        seen[method].append([(A.copy(order="K"), w, q, R)])
+        return R
 
     def spy_draw(*args):
         seen[method][-1].append(draw(*args))
@@ -357,9 +364,9 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
         return U
 
     def spy_range_finder(name, finder):
-        def spy(A, Z0, q, G):
-            starts[name].append((Z0.copy(), G))
-            return finder(A, Z0, q, G)
+        def spy(M, Z0, q):
+            starts[name].append((Z0.copy(), M.copy(order="K")))
+            return finder(M, Z0, q)
         return spy
 
     monkeypatch.setattr(decompose, "_power_step_gram", spy_rule)
@@ -372,19 +379,22 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
         sweeps[method] = sweep(t, cfg)[0]
     for method, steps in seen.items():
         assert len(steps) == 2, method  # one rule, draw and factorization per step
-        for n, ((A, w, q, G, R), Om, Y, Z0) in enumerate(steps):
+        for n, ((A, w, q, R), Om, Y, Z0) in enumerate(steps):
             assert q == (0 if method == "rsvd" else cfg.q)
-            assert (w, G is None) == ((3, False) if n == 0 else (2, True)), (method, n)
-            if G is None:
+            assert (w, R is None) == ((3, False) if n == 0 else (2, True)), (method, n)
+            if R is None:
                 assert Om.shape == (A.shape[1], 2) and np.array_equal(Y, A @ Om)
             else:
-                assert np.array_equal(G, A @ A.T)
+                assert R.shape == (4, 4)
+                assert np.linalg.norm(R @ R.T - A @ A.T) <= 1e-13 * np.linalg.norm(A) ** 2
                 assert Om.shape == (A.shape[0], 3) and np.array_equal(Y, R @ Om)
     for method in ("rsi", "rbki"):
         for n in range(2):
             assert np.array_equal(seen[method][n][1], seen["rsvd"][n][1])  # Omega'', Omega
-            Z0, G = starts[method][n]
-            assert np.array_equal(Z0, seen[method][n][3]) and G is seen[method][n][0][3]
+            Z0, M = starts[method][n]
+            A, _, _, R = seen[method][n][0]
+            assert np.array_equal(Z0, seen[method][n][3])
+            assert np.array_equal(M, A if R is None else R)
         assert np.array_equal(seen[method][0][3], seen["rsvd"][0][3])  # one Z_0 on step 0
     for n, core in enumerate(sweeps["rsvd"].cores[:2]):
         Q = np.reshape(core, (-1, 2), order="F")

@@ -118,27 +118,30 @@ def cost_free():
     return mock.patch.object(linalg, "_gram_is_cheaper", lambda rows, cols, w, q: True)
 
 
-def sweep_gram(A, Omega, q):
-    """G = A A^T where a step with blocks as wide as Omega and q power
-    steps may go through it, else None: what the sweep passes to the
-    Krylov routines once the cost test agrees."""
+def sweep_operand(A, Omega, q):
+    """R, R R^T = A A^T, where a step with blocks as wide as Omega and q
+    power steps may go through it, else A: the M the sweep passes to the
+    Krylov routines once the cost test agrees.  Started from the same
+    Z_0, the routines span the same space through either, since
+    M M^T = A A^T."""
     with cost_free():
-        return _power_step_gram(A, Omega.shape[1], q)[0]
+        R = _power_step_gram(A, Omega.shape[1], q)
+    return A if R is None else R
 
 
 def takes_gram(A, Omega, q):
-    """Whether a step with blocks as wide as Omega may go through G = A A^T."""
-    return sweep_gram(A, Omega, q) is not None
+    """Whether a step with blocks as wide as Omega may go through R."""
+    return sweep_operand(A, Omega, q) is not A
 
 
 def test_krylov_single_block_reduction():
     # q = 1: span([Z_0, Z_1]) = span([A Omega, A A^T A Omega]), through the
-    # two products (tall A) and through the Gram matrix (wide A)
+    # two products with A (tall A) and with R (wide A)
     for shape, gram in [((20, 15), False), ((12, 40), True)]:
         A = gaussian_matrix(*shape, 10)
         Om = gaussian_matrix(shape[1], 4, 11)
         assert takes_gram(A, Om, 1) == gram
-        blocks = krylov_blocks(A, start_block(A, Om), 1, sweep_gram(A, Om, 1))
+        blocks = krylov_blocks(sweep_operand(A, Om, 1), start_block(A, Om), 1)
         assert len(blocks) == 2
         ref = span_projector([A @ Om, A @ (A.T @ (A @ Om))])
         assert np.linalg.norm(span_projector(blocks) - ref) <= 1e-8, shape
@@ -152,7 +155,7 @@ def test_krylov_rank_one_collapse():
     v /= np.linalg.norm(v)
     A = 3.0 * np.outer(u, v)
     Om = gaussian_matrix(15, 4, 13)
-    for Z in krylov_blocks(A, start_block(A, Om), 3, None):
+    for Z in krylov_blocks(A, start_block(A, Om), 3):
         # the leading direction of every block is u, the range of A
         assert abs(abs(Z[:, 0] @ u) - 1.0) <= 1e-8
         assert np.linalg.norm(Z @ (Z.T @ u) - u) <= 1e-8
@@ -162,7 +165,7 @@ def test_krylov_orthonormal():
     for seed in range(3):
         A = gaussian_matrix(18, 12, 20 + seed)
         Om = gaussian_matrix(12, 3, 30 + seed)
-        for Z in krylov_blocks(A, start_block(A, Om), 2, None):
+        for Z in krylov_blocks(A, start_block(A, Om), 2):
             assert Z.shape == (18, 3)
             assert np.max(np.abs(Z.T @ Z - np.eye(3))) <= 1e-10
 
@@ -185,14 +188,14 @@ def test_krylov_default_matches_naive_span(q):
         Om = gaussian_matrix(shape[1], w, 50 + q)
         assert takes_gram(A, Om, q) == gram
         U = naive_krylov_basis(A, Om, q)
-        P = span_projector(krylov_blocks(A, start_block(A, Om), q, sweep_gram(A, Om, q)))
+        P = span_projector(krylov_blocks(sweep_operand(A, Om, q), start_block(A, Om), q))
         assert np.linalg.norm(P - U @ U.T) <= 1e-6, shape
 
 
 def test_krylov_blocks_orthonormal_powers():
     A = gaussian_matrix(20, 15, 80)
     Om = gaussian_matrix(15, 4, 81)
-    blocks = krylov_blocks(A, start_block(A, Om), 3, None)
+    blocks = krylov_blocks(A, start_block(A, Om), 3)
     assert len(blocks) == 4
     B = A @ Om
     for Z in blocks:
@@ -207,7 +210,7 @@ def test_krylov_column_cap():
     # gives blocks of exactly rows columns, never the long side
     A = gaussian_matrix(4, 30, 60)
     Om = gaussian_matrix(30, 6, 61)
-    for Z in krylov_blocks(A, start_block(A, Om), 3, sweep_gram(A, Om, 3)):
+    for Z in krylov_blocks(sweep_operand(A, Om, 3), start_block(A, Om), 3):
         assert Z.shape == (4, 4)
         assert np.max(np.abs(Z.T @ Z - np.eye(4))) <= 1e-12
 
@@ -276,8 +279,9 @@ def rel_err(method, A, r, q, p, seed=0):
 def rel_errs(A, r, q, p, seed, through_gram):
     """rel_err of tt_rsvd, tt_rsi and tt_rbki on the matrix A.
 
-    With through_gram the sweeps take G = A A^T wherever accuracy allows
-    (cost_free), and there sketch with R Omega''.  Without, the sweep's
+    With through_gram the sweeps take R, R R^T = A A^T, wherever accuracy
+    allows (cost_free), and there sketch with R Omega'', run the power
+    steps and the Ritz step on R and carry Q^T A.  Without, the sweep's
     one G decision (decompose._power_step_gram) is patched to decline, so
     every sketch is A Omega and every power step goes through the
     products A (A^T Z); the patched decision must be the one the sweep
@@ -302,7 +306,7 @@ def rel_errs(A, r, q, p, seed, through_gram):
     def draw(n, width, rng):
         return plain(n, width, rng) if rotate is None else rotate @ plain(rows, width, rng)
 
-    decline = mock.Mock(return_value=(None, None))
+    decline = mock.Mock(return_value=None)
     with mock.patch.object(decompose, "_power_step_gram", decline):
         with mock.patch.object(decompose, "gaussian_matrix", draw):
             errs = [rel_err(method, A, r, q, p, seed) for method in methods]
@@ -314,14 +318,14 @@ def rel_errs(A, r, q, p, seed, through_gram):
 @given(inputs=krylov_inputs())
 def test_krylov_branches_span_the_products_iteration(inputs):
     # both branches give orthonormal blocks from the same Z_0.  The
-    # products branch is the reference iteration itself; through G each
-    # block holds the energy the reference block holds up to G's rounding
-    # of about eps ||A||_F^2 per direction.  A Z_0 as wide as A has rows
-    # spans them: it is the only block, and it holds what every reference
-    # block holds
+    # products branch is the reference iteration itself; through R each
+    # block holds the energy the reference block holds up to R R^T's
+    # rounding of about eps ||A||_F^2 per direction.  A Z_0 as wide as A
+    # has rows spans them: it is the only block, and it holds what every
+    # reference block holds
     A, Om, q, p = inputs
     Z0 = start_block(A, Om)
-    blocks = krylov_blocks(A, Z0, q, sweep_gram(A, Om, q))
+    blocks = krylov_blocks(sweep_operand(A, Om, q), Z0, q)
     ref = reference_krylov_blocks(A, Z0, q)
     norm_sq = np.linalg.norm(A) ** 2
     spans_rows = Z0.shape[1] >= A.shape[0]
@@ -353,10 +357,12 @@ def test_row_space_sketch_is_the_gaussian_sketch_of_a(inputs):
     rows = A.shape[0]
     w = min(rows, Om.shape[1])
     with cost_free():
-        G, R = _power_step_gram(A, w, q)
-    if G is None:
+        R = _power_step_gram(A, w, q)
+    if R is None:
         return
-    assert np.array_equal(G, A @ A.T) and R.shape == (rows, rows)
+    G = A @ A.T
+    assert R.shape == (rows, rows)
+    assert np.linalg.norm(R @ R.T - G) <= 1e-13 * np.linalg.norm(A) ** 2
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] >= 1e-4 * s[0] and np.all(-np.diff(s) >= 1e-3 * s[0]):
         U, _, Vt = np.linalg.svd(A, full_matrices=False)
@@ -381,7 +387,7 @@ def test_krylov_basis_holds_the_krylov_space(inputs):
     # tt_rbki through one QR of the stacked blocks
     A, Om, q, p = inputs
     w = Om.shape[1]
-    S = krylov_basis(A, start_block(A, Om), q, sweep_gram(A, Om, q))
+    S = krylov_basis(sweep_operand(A, Om, q), start_block(A, Om), q)
     assert min(*A.shape, w) <= S.shape[1] <= min(*A.shape, (q + 1) * w)
     assert np.max(np.abs(S.T @ S - np.eye(S.shape[1]))) <= 1e-13
     K = A @ Om
@@ -398,20 +404,36 @@ def test_krylov_basis_holds_the_krylov_space(inputs):
         assert got <= 1.1 * want + ROUNDING_TAU, (got, want)
 
 
+def test_krylov_basis_is_orthonormal_where_a_kept_direction_is_barely_resolved():
+    # singular values in pairs, 1, 0.1, ..., 1e-4, at q 1 and w 5: the
+    # last direction of the power step's remainder is kept at about 5e-8
+    # of the block's scale, just above the 1e-8 where it would be
+    # orthonormalized again, and the two projections left it up to 4e-12
+    # off the basis (seed 49) until every kept block was projected once
+    # more.  Through A, and through R from the same Z_0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        A = spectrum_matrix(10.0 ** -(np.arange(10) // 2), 10, 18, rng)
+        Om = rng.standard_normal((18, 5))
+        for M in (A, sweep_operand(A, Om, 1)):
+            S = krylov_basis(M, start_block(A, Om), 1)
+            assert np.max(np.abs(S.T @ S - np.eye(S.shape[1]))) <= 1e-13, seed
+
+
 def test_krylov_basis_on_zero_rank_one_and_rank_deficient_input():
     # Z_0 is kept whole; a block that adds no direction ends the basis
     rng = np.random.default_rng(31)
     Om = rng.standard_normal((40, 4))
     Z0 = start_block(np.zeros((12, 40)), Om)
-    assert np.array_equal(krylov_basis(np.zeros((12, 40)), Z0, 3, None), Z0)
+    assert np.array_equal(krylov_basis(np.zeros((12, 40)), Z0, 3), Z0)
     u, v = rng.standard_normal(12), rng.standard_normal(40)
     A = np.outer(u, v)
-    S = krylov_basis(A, start_block(A, Om), 3, sweep_gram(A, Om, 3))
+    S = krylov_basis(sweep_operand(A, Om, 3), start_block(A, Om), 3)
     assert S.shape == (12, 4)
     assert np.linalg.norm(u - S @ (S.T @ u)) <= 1e-14 * np.linalg.norm(u)
     # rank 6: Z_0 holds 4 directions of the range, Z_1 the other 2
     A = spectrum_matrix(np.arange(6, 0, -1.0), 12, 40, rng)
-    S = krylov_basis(A, start_block(A, Om), 3, sweep_gram(A, Om, 3))
+    S = krylov_basis(sweep_operand(A, Om, 3), start_block(A, Om), 3)
     assert S.shape == (12, 6)
     assert np.linalg.norm(A - S @ (S.T @ A)) <= 1e-13 * np.linalg.norm(A)
 
@@ -427,7 +449,7 @@ def test_krylov_basis_drops_directions_not_columns():
     V = np.linalg.qr(rng.standard_normal((40, 12)))[0]
     A = (U * 2.0 ** -np.arange(12)) @ V.T
     Om = np.column_stack([V[:, 0], rng.standard_normal((40, 2))])
-    S = krylov_basis(A, start_block(A, Om), 2, sweep_gram(A, Om, 2))
+    S = krylov_basis(sweep_operand(A, Om, 2), start_block(A, Om), 2)
     assert S.shape == (12, 7)  # 3 + 2 + 2 directions
     K = A @ Om
     for _ in range(3):
@@ -581,12 +603,12 @@ def test_gram_rule_decisions_on_the_workloads_wide_shapes():
     for rows, cols, w, *wants in GRAM_RULE_DECISIONS:
         A = rng.standard_normal((rows, cols))
         for q, want in zip((0, 2), wants):
-            assert (_power_step_gram(A, w, q)[0] is not None) == want, (rows, cols, w, q)
+            assert (_power_step_gram(A, w, q) is not None) == want, (rows, cols, w, q)
     # never where Z_0 already spans the rows (w >= rows), nor on a tall A,
     # however cheap: cli-files' 4 x 1000 and 5 x 3125 steps at w 4 and 5
     for rows, cols, w in [(4, 1000, 4), (5, 3125, 5), (2000, 100, 22)]:
         A = rng.standard_normal((rows, cols))
-        assert all(_power_step_gram(A, w, q)[0] is None for q in range(4)), (rows, cols)
+        assert all(_power_step_gram(A, w, q) is None for q in range(4)), (rows, cols)
 
 
 def test_tail_energy_full_spectrum():
