@@ -31,21 +31,35 @@ tt_rsi takes S = Z_q from linalg.krylov_blocks, the power iteration
 Z_t = orth(A A^T Z_{t-1}) from Z_0; tt_rbki takes S from
 linalg.krylov_basis, which builds span([Z_0, ..., Z_q]) block by block
 (its docstring gives the drop and re-projection rules).  Both factor
-only rows x (r + p) blocks.
+only blocks of r + p columns.
 
 Once per step the sweep asks linalg._power_step_gram whether the step
-reads R, R R^T = G = A A^T, in place of A: one cost rule for all three
-sweeps, asked with the power steps each runs (0 for tt_rsvd, q for
-tt_rsi and tt_rbki), so tt_rsvd's cores do not depend on q.  The step
-then works on M, A or the rows x rows R: Y = M Omega for a Gaussian
-Omega with as many rows as M has columns, and the range finder and the
-Ritz step read M.  Every left-side quantity is the same through either,
-since M M^T = A A^T, and the sketch is too in distribution: A = U Sigma
-V^T makes A Omega = U Sigma (V^T Omega), and V^T Omega is itself a
-rows x (r + p) Gaussian, so R Omega'' = U Sigma Omega'' has exactly the
-distribution of A Omega and the Gaussian-sketch guarantees hold
-unchanged, for rows (r + p) normals instead of cols (r + p).  A step
-through R reads A once more, for its carry Q^T A.
+runs its range finder on the Gram factor M of the unfolding's short
+side in place of A: one gate for both orientations, by one cost rule for
+all three sweeps, asked with the power steps each runs (0 for tt_rsvd,
+q for tt_rsi and tt_rbki), so tt_rsvd's cores do not depend on q.  The
+step then works on M, A or that short x short factor: Y = M Omega for a
+Gaussian Omega with as many rows as M has columns, and the range finder
+and the Ritz step read M.
+
+- On a wide step M = R, rows x rows, with R R^T = G = A A^T.  Every
+  left-side quantity is the same through R as through A, and the sketch
+  is too in distribution: A = U Sigma V^T makes A Omega = U Sigma
+  (V^T Omega), and V^T Omega is itself a rows x (r + p) Gaussian, so
+  R Omega'' = U Sigma Omega'' has exactly the distribution of A Omega
+  and the Gaussian-sketch guarantees hold unchanged, for rows (r + p)
+  normals instead of cols (r + p).
+- On a tall step M = T = Sigma V^T = U^T A, cols x cols, from
+  H = A^T A = V Sigma^2 V^T: A in the coordinates of its left singular
+  vectors.  The step draws the cols x (r + p) Omega the products would,
+  and T Omega = U^T (A Omega), so the range finder and the Ritz step give
+  the coordinates Q_T of the basis A's would give, to rounding, factoring
+  cols x (r + p) blocks where A's are rows x (r + p).  The step lifts
+  them to Q = orth(A V Sigma^+ Q_T) = orth(U Q_T) with one Householder
+  QR, the only factorization with as many rows as A.
+
+After forming the Gram matrix, a step through the factor reads A only
+for its carry Q^T A and, on a tall step, the lift.
 
 Both keep Q = S V_r, V_r the top r eigenvectors of B B^T with
 B = S^T M: the best rank-r basis in span(S) (Rayleigh-Ritz), whose carry
@@ -58,10 +72,11 @@ trace; their squares sum to the final squared approximation error.  The
 norms behind them come from metrics' one sum of squares, which calls no
 BLAS, so the same cores give the same residuals at any BLAS thread
 count.  Two gaps remain: on some shapes OpenBLAS splits a GEMM whose
-inner dimension is an unfolding's long side across threads (tt_svd's
-Gram matrices A A^T and A^T A among them), and then the cores differ;
-and the steps that tt_svd's energy test refuses pass through LAPACK's
-threaded QR or thin SVD in linalg.svd.
+inner dimension is an unfolding's long side across threads (the Gram
+matrices A A^T and A^T A of tt_svd and of the randomized sweeps' Gram
+steps among them), and then the cores differ; and the steps that
+tt_svd's energy test refuses pass through LAPACK's threaded QR or thin
+SVD in linalg.svd.
 
 Every linearization is column-major (first index fastest): element
 (i_1, ..., i_N) of a tensor sits at offset sum_n i_n prod_{m<n} I_m, so
@@ -297,11 +312,12 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
 
 def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, SweepTrace]:
     """Shared randomized scaffold; basis(M, Z0, r) -> (Q, Q^T M), with
-    Q^T M F-contiguous, M the step's unfolding A or the R of
+    Q^T M F-contiguous, M the step's unfolding A or the R or T of
     _power_step_gram, and Z0 = svd(Y).U the basis of the step's sketch
     Y = M Omega.  q is the number of power steps basis runs.  The sketch
     is drawn and applied here and nowhere else, and _power_step_gram
-    decides here, once per step, whether M is R."""
+    decides here, once per step, whether M is A; a T step's basis is
+    lifted here, and every step through M carries Q^T A."""
     t, norm, e = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
@@ -311,13 +327,15 @@ def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, Sw
         rows, cols = A.shape
         width = min(r + cfg.p, cols)
         clamped = width < r + cfg.p
-        R = _power_step_gram(A, min(rows, width), q)
-        M = A if R is None else R  # R Omega'' is distributed as A Omega
+        gram = _power_step_gram(A, min(rows, width), q)
+        M, lift = (A, None) if gram is None else gram
         Z0 = svd(M @ gaussian_matrix(M.shape[1], width, rng)).U
         # Q has exactly r columns: r <= min(rows, width) (_check_ranks), and
         # Z0 and every Krylov block have that many
         Q, carry = basis(M, Z0, r)
-        if R is not None:  # the carry is Q^T A, not the Q^T R basis gave
+        if lift is not None:  # T's coordinates Q_T to orth(U Q_T)
+            Q = np.linalg.qr(A @ (lift @ Q))[0]
+        if M is not A:  # the carry is Q^T A, not the Q^T M basis gave
             carry = (A.T @ Q).T
         return _Basis(Q, carry, None, width, clamped)
 

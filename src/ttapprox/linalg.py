@@ -3,29 +3,31 @@
 Thin wrappers around LAPACK via numpy plus the pieces numpy does not
 ship: seeded Gaussian test matrices with a stable column layout, the
 left power iteration behind tt_rsi and the block Krylov basis behind
-tt_rbki.  The wide unfoldings that dominate a sweep (20 x 160000 at the
-first step of a 20^5 tensor) are never factored on their long side:
-tt_svd takes them through the Gram matrix G = A A^T, and the randomized
-sweeps, wherever _power_step_gram's cost rule says so, through its
-square root R, while the Krylov routines start from the sweep's sketch
-basis Z_0 and factor only blocks with as many rows as the unfolding,
-multiplying the long side.  That leaves svd the sketches Y, rows x
-(r + p), which are wide only where r + p exceeds the rows, and the
-steps the energy test refuses; its R-only QR of a wide matrix sees
-little else.
+tt_rbki.  No sweep factors an unfolding on its long side: tt_svd takes
+every step through the Gram matrix of the short side, and the randomized
+sweeps, wherever _power_step_gram's cost rule and energy test say so,
+run their range finder on that Gram matrix's factor M, short x short,
+while the Krylov routines start from the sweep's sketch basis Z_0 and
+factor only blocks with as many rows as their operand, multiplying the
+long side.  That leaves svd the sketches Y, rows x (r + p), which are
+wide only where r + p exceeds the rows, and the steps the energy test
+refuses; its R-only QR of a wide matrix sees little else.
 
-Every Gram matrix in the sweeps, G = A A^T, tt_svd's A^T A of a tall
-step and the Ritz step's B B^T, is formed with its descending
+Every Gram matrix in the sweeps, A A^T of a wide step, A^T A of a tall
+one and the Ritz step's B B^T, is formed with its descending
 eigendecomposition in _gram_eigh, and _gram_resolves, the one energy
-test, says whether G serves a step that keeps k directions.
-_power_step_gram decides, once per randomized sweep step and by one
-cost rule for all three randomized sweeps, whether the step reads R in
-place of A, asking the test at the sketch width w.  tt_svd asks the
-test at its rank r on every step, of the Gram matrix of the unfolding's
-short side: _gram_eigh(A) on a wide step, _gram_eigh(A^T), H = A^T A,
-on a tall one.  Where it passes, the step keeps the top r eigenvectors
-of G, or orthonormalizes A V_r from those of H; where it fails, the
-step has formed the Gram matrix for nothing and takes svd.
+test, says whether it serves a step that keeps k directions.
+_power_step_gram is the one short-side gate of the randomized sweeps:
+once per step, by one cost rule for both orientations and all three
+sweeps, it asks the test at the sketch width w and hands back
+M = R = U Sigma on a wide step (R R^T = A A^T), or M = T = Sigma V^T =
+U^T A with the lift V Sigma^+ on a tall one, whose basis Q_T the sweep
+lifts to orth(A V Sigma^+ Q_T) with one Householder QR.  tt_svd asks the
+test at its rank r on every step, of _gram_eigh(A) on a wide step and
+_gram_eigh(A^T), H = A^T A, on a tall one.  Where it passes, the step
+keeps the top r eigenvectors of G, or orthonormalizes A V_r from those
+of H; where it fails, the step has formed the Gram matrix for nothing
+and takes svd.
 """
 
 from __future__ import annotations
@@ -127,88 +129,145 @@ def _gram_resolves(lam, k: int) -> bool:
 
 
 # _power_step_gram's cost model of one sweep step, in ns.  Fitted on the
-# wide steps of the benchmark's workloads (20 x 160000 down to 15 x 25,
-# q 0 to 3), timed with the decision forced each way (2 vCPU, OpenBLAS
-# 0.3.31, three runs at 1 and 2 threads).  Of the steps whose faster side
-# all three runs agree on, it picks that side on all but four, each off
-# by about 1 ms or less: 40 x 2500 at q 2 and 3 and 30 x 1000 at q 3,
-# where an A that fits in cache makes the products cheaper than a pass,
-# and 80 x 8000 at q 1
+# steps of the benchmark's workloads, wide and tall, timed with the
+# decision forced each way (2 vCPU, OpenBLAS 0.3.31, three runs at 1 and
+# 2 threads): spectrum 100^3's 100 x 10000, 1000 x 100 and 2000 x 100,
+# powerfn 20^5's 20 x 160000 to 160 x 20, every step of the CLI workload's
+# nine shapes and a few tall shapes between them.  The constants of a
+# wide step at q 0, tt_rsvd's ask, are the earlier fit's, so none of
+# tt_rsvd's decisions moved; the pass, factorization and cache terms,
+# which act only at q > 0 or on a tall step, were fitted with them held.
+# The rule picks the faster side of every workload step at q 2 whose six
+# runs agreed.  The constants are fitted, not measured kernel costs: eigh
+# of n x n takes about 55 n^2 ns and a QR about 1 ns per m w^2
 _DRAW_NS = 19.0  # one standard normal
-_FLOP_NS = 0.02  # one flop of a product with A or of forming G
-_PASS_NS = 1.0  # one read of an entry of A by a product with a thin block
-_EIGH_NS = 250.0  # eigh(G) and R, per entry of G
+_FLOP_NS = 0.02  # one flop of a product with A or of forming a Gram matrix
+_PASS_NS = 1.5  # one read of an entry of A by a product, beyond the cache
+_CACHE_ENTRIES = 2**18  # float64 entries in 2 MiB, the L2 of one core there
+_FACTOR_NS = 4.0  # a QR or SVD of an m x w block, per m w^2
+_EIGH_NS = 250.0  # eigh of the short side's Gram matrix and M, per entry
 _GRAM_STEP_NS = 60e3  # the rest of the Gram side, once per step
 
 
 def _gram_is_cheaper(rows: int, cols: int, w: int, q: int) -> bool:
     """Whether a step with a sketch of width w and q power steps costs
-    less through R, R R^T = G = A A^T, than through a drawn sketch, A
-    rows x cols.
+    less through the Gram factor M of A's short side than through a drawn
+    sketch and the products, A rows x cols.  One model for both
+    orientations.
 
-    Drawn: cols w normals, the sketch A Omega (2 rows cols w flops), and
-    per power step the products A (A^T Z) (4 rows cols w flops, two
-    passes over A).  Through R: rows^2 cols flops for G, its eigh and a
-    fixed cost; the rows w normals and the products with the rows x rows
-    R are small enough to leave out.  The pass that forms A Omega and the
-    one that forms G cancel."""
-    drawn = cols * w * _DRAW_NS + rows * cols * ((2 + 4 * q) * w * _FLOP_NS + 2 * q * _PASS_NS)
-    gram = rows * rows * (cols * _FLOP_NS + _EIGH_NS) + _GRAM_STEP_NS
+    Drawn: the sketch A Omega (2 rows cols w flops), per power step the
+    products A (A^T Z) (4 rows cols w flops and two passes over A, priced
+    only for an A beyond the cache, whose passes cost little), q + 1
+    factorizations of rows x w blocks, and for q > 0 the Ritz step's
+    B B^T (2 w^2 cols flops).  Through M: short^2 long flops for the Gram
+    matrix, its eigh, a fixed cost and q + 1 factorizations of short x w
+    blocks.  A wide step draws cols w normals for the drawn sketch and
+    rows w, left out, for R's; a tall (or square) step draws the same
+    cols w through either and adds the lift, a product with A (2 rows
+    cols w flops, one pass) and one QR of a rows x w block.  Left out as
+    even: the pass that forms A Omega and the one that forms the Gram
+    matrix, the Ritz step's B = S^T A and the carry Q^T A through M, and
+    the products with M.  So a wide step's factorizations cancel, a tall
+    one's are what the Gram side saves, and at q = 0 a tall step costs
+    more through M by construction."""
+    short, long_ = sorted((rows, cols))
+    pass_ns = _PASS_NS if rows * cols > _CACHE_ENTRIES else 0.0
+    drawn = (
+        rows * cols * ((2 + 4 * q) * w * _FLOP_NS + 2 * q * pass_ns)
+        + (q + 1) * rows * w * w * _FACTOR_NS
+        + (q > 0) * 2 * w * w * cols * _FLOP_NS
+    )
+    gram = (
+        short * short * (long_ * _FLOP_NS + _EIGH_NS)
+        + _GRAM_STEP_NS
+        + (q + 1) * short * w * w * _FACTOR_NS
+    )
+    if rows < cols:
+        drawn += cols * w * _DRAW_NS
+    else:
+        gram += rows * cols * (2 * w * _FLOP_NS + pass_ns) + rows * w * w * _FACTOR_NS
     return gram < drawn
 
 
 def _power_step_gram(A, w: int, q: int):
-    """R with R R^T = G = A A^T when a sweep step with a sketch of width w
-    and q power steps reads R in place of A, else None.
+    """(M, lift) when a sweep step with a sketch of width w and q power
+    steps runs its range finder on the Gram factor M of A's short side in
+    place of A, else None.
 
-    One rule for all three randomized sweeps: tt_rsvd asks it with q = 0,
-    tt_rsi and tt_rbki with their q, so tt_rsvd's decision, and with it
-    its cores, does not depend on q.  R is rows x rows, and every
-    left-side quantity of the step, the sketch, the power steps and the
-    Ritz vectors, reads R as it would A: R R^T = A A^T.  So the step
-    reads the long side of A twice, to form G and for the carry, and
-    draws rows w normals in place of cols w.  R is taken when all hold:
+    One gate for both orientations and all three randomized sweeps:
+    tt_rsvd asks it with q = 0, tt_rsi and tt_rbki with their q, so
+    tt_rsvd's decision, and with it its cores, does not depend on q.  It
+    takes (lam, W) = _gram_eigh of the short side, A on a wide step and
+    A^T on a tall (or square) one, and with A = U Sigma V^T,
+    Sigma = sqrt(lam):
 
-    - A is wide and w < rows.  A Z_0 as wide as A has rows already spans
-      them, so the power steps cannot change the Ritz vectors, and with no
-      energy beyond w directions nothing bounds what G's rounding costs:
-      tt_rsvd, which keeps Z_0's leading columns with no Ritz step,
-      would carry it into exactly low-rank input (errors of 3e-9 to 1e-8
-      where the drawn sketch gives 1e-15).
+    - wide: M = R = U Sigma, rows x rows, and lift is None.  Every
+      left-side quantity of the step, the sketch, the power steps and the
+      Ritz vectors, reads R as it would A, since R R^T = A A^T, and the
+      step draws rows w normals in place of cols w.
+    - tall: M = T = Sigma V^T = U^T A, cols x cols, A in the coordinates
+      of its left singular vectors, and lift = V Sigma^+.  The step draws
+      the cols x w Omega the products would, T Omega = U^T (A Omega), so
+      the range finder and the Ritz step give the coordinates Q_T of the
+      basis A's would, and the sweep lifts them to Q = orth(A lift Q_T)
+      = orth(U Q_T) with one Householder QR.  Sigma^+ drops the singular
+      values at rounding level, lam_i at most cols eps lam_1, so a rank
+      deficient A lifts to no NaN.
+
+    Either way the step reads the long side of A to form the Gram matrix
+    and for the carry Q^T A, and, on a tall step, for the lift; every
+    factorization of the range finder is of a short x w block.  M is
+    taken when all hold:
+
+    - w < min(rows, cols).  A Z_0 as wide as the short side already spans
+      it, so the power steps cannot change the Ritz vectors, and with no
+      energy beyond w directions nothing bounds what the Gram matrix's
+      rounding costs: tt_rsvd, which keeps Z_0's leading columns with no
+      Ritz step, would carry it into exactly low-rank input (errors of
+      3e-9 to 1e-8 where the drawn sketch gives 1e-15).
     - _gram_is_cheaper(rows, cols, w, q).
     - _gram_resolves(lam, w), the energy test tt_svd shares: the energy
       of A beyond its top w singular directions is at least
       _GRAM_TAIL ||A||_F^2.  The products round to about eps ||A||
-      sigma_i along the i-th direction, G, and with it R, to about
-      eps ||A||_F^2 in every one, so without the test tt_rsi's residual
-      would floor at about 1e-9 ||A|| through R.
+      sigma_i along the i-th direction, the Gram matrix, and with it M,
+      to about eps ||A||_F^2 in every one, so without the test tt_rsi's
+      residual would floor at about 1e-9 ||A|| through M.
 
-    R = U sqrt(Lambda) comes from the one eigendecomposition
-    G = U Lambda U^T, _gram_eigh's, that also gives the energy test its
-    eigenvalues (negative rounding clamped to 0).  With A = U Sigma V^T,
+    The one eigendecomposition gives the energy test its eigenvalues
+    (negative rounding clamped to 0) and M.  On a wide step,
     A Omega = U Sigma (V^T Omega), and V^T Omega is itself a rows x w
     standard Gaussian for a cols x w Gaussian Omega: so R Omega'' for a
     rows x w Gaussian Omega'' has exactly the distribution of the sketch
     A Omega, and the sweep draws that one instead.
     """
     rows, cols = A.shape
-    if rows >= cols or w >= rows or not _gram_is_cheaper(rows, cols, w, q):
+    if w >= min(rows, cols) or not _gram_is_cheaper(rows, cols, w, q):
         return None
-    lam, U = _gram_eigh(A)
+    wide = rows < cols
+    lam, W = _gram_eigh(A if wide else A.T)
     if not _gram_resolves(lam, w):
         return None
-    # R keeps eigh's ascending column order, on which the seeded draws
-    # R Omega'' are defined
-    return U[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))
+    s = np.sqrt(np.maximum(lam, 0.0))
+    if wide:
+        # R keeps eigh's ascending column order, on which the seeded draws
+        # R Omega'' are defined
+        return W[:, ::-1] * s[::-1], None
+    # Sigma^+ keeps what eigh of the cols x cols H resolves: lam_i above
+    # cols eps lam_1
+    resolved = lam > cols * np.finfo(np.float64).eps * lam[0]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=resolved)
+    return s[:, None] * W.T, W * inv
 
 
 def krylov_blocks(M, Z0, q: int):
     """Orthonormal blocks Z_0, ..., Z_q of the power iteration, tt_rsi's
     range finder.
 
-    M is the step's unfolding A, or the R of _power_step_gram, which has
-    M M^T = A A^T.  Z0 is the sweep's orthonormal sketch basis, spanning
-    M Omega, and Z_t = orth(M M^T Z_{t-1}) spans (M M^T)^t M Omega.
+    M is the step's unfolding A, or the M of _power_step_gram: R, which
+    has M M^T = A A^T, or T = U^T A, whose blocks are A's in the
+    coordinates of its left singular vectors.  Z0 is the sweep's
+    orthonormal sketch basis, spanning M Omega, and
+    Z_t = orth(M M^T Z_{t-1}) spans (M M^T)^t M Omega.
     Every QR is of an m x w block, m the rows of M and w the width of
     Z0, so the long side of a wide M is never factored.  Without the QRs
     the higher powers would keep only the leading directions in float64.
@@ -241,7 +300,7 @@ def krylov_basis(M, Z0, q: int):
     span([M Omega, (M M^T) M Omega, ..., (M M^T)^q M Omega]), tt_rbki's
     range finder, built block by block.
 
-    M is A or R, as for krylov_blocks.  Z0 is the sweep's orthonormal
+    M is A, R or T, as for krylov_blocks.  Z0 is the sweep's orthonormal
     sketch basis, spanning M Omega, and is kept whole.  Each power step
     multiplies only the newest block, Y = M M^T Z_{t-1}, and projects Y
     against the basis so far twice: block classical Gram-Schmidt with
@@ -255,10 +314,10 @@ def krylov_basis(M, Z0, q: int):
     so every kept block is projected once more; if d is below 1e-8,
     about sqrt(eps), of that norm, the block is then orthonormalized
     again.  The basis stops at min(rows, cols, (q + 1) w) columns, w the
-    width of Z0, or at a block with no direction left; R, rows x rows,
-    gives the cap A would, since only a wide A has an R.  Every
-    factorization is of an m x w block, m the rows of M, and none is
-    repeated: the stack of all blocks is never factored.
+    width of Z0, or at a block with no direction left; R and T, square
+    on A's short side, give the cap A would.  Every factorization is of
+    an m x w block, m the rows of M, and none is repeated: the stack of
+    all blocks is never factored.
     """
     rows, cols = M.shape
     cap = min(rows, cols, (q + 1) * Z0.shape[1])

@@ -318,13 +318,16 @@ def test_rbki_q1_naive_spans_power_augmented_sketch(monkeypatch):
 
     monkeypatch.setattr(decompose, "gaussian_matrix", spy_draw)
     monkeypatch.setattr(decompose, "svd", spy_factor)
-    # step 0 is far too small for G to pay: take it wherever accuracy
-    # allows, as the wide steps of a large tensor do
+    # both steps are far too small for the Gram matrix to pay: take it
+    # wherever accuracy allows, as the steps of a large tensor do.  Step 1
+    # (27 x 8) is tall, so it goes through T = U^T A and draws the cols x w
+    # Omega the products would
     monkeypatch.setattr(linalg, "_gram_is_cheaper", lambda rows, cols, w, q: True)
     t = np.random.default_rng(12).standard_normal((10, 9, 8))
     A = np.reshape(t, (10, 72), order="F")
     tt, _ = tt_rbki(t, SketchConfig(ranks=(3, 3), p=1, q=1, seed=99))
     assert draws[0].shape == (10, 4)  # rows x w normals, not cols x w
+    assert draws[1].shape == (8, 4)
     Y = sketches[0]
     S = np.linalg.qr(np.hstack([Y, A @ (A.T @ Y)]))[0]
     assert S.shape[1] == 8  # fewer than the 10 rows: a proper subspace
@@ -341,8 +344,8 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
     # M.  tt_rsvd asks with no power steps, tt_rsi and tt_rbki with q.
     # Step 0 (4 x 5000, w 3) takes R for all three, so they draw the same
     # rows x w Omega'' and share Z_0; step 1 (5000 x 2, tall, the sketch
-    # clamped to 2 columns) takes none, and they draw the same cols x 2
-    # Omega
+    # clamped to 2 columns, so w is A's short side) takes no Gram factor,
+    # and they draw the same cols x 2 Omega
     t = np.random.default_rng(15).standard_normal((4, 2500, 2))
     cfg = SketchConfig(ranks=(2, 2), p=1, q=2, seed=4)
     seen = {method: [] for method in ALGS}  # per step: [asked, draw, Y, Z0]
@@ -350,9 +353,9 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
     draw, rule, factor = decompose.gaussian_matrix, decompose._power_step_gram, decompose.svd
 
     def spy_rule(A, w, q):
-        R = rule(A, w, q)
-        seen[method].append([(A.copy(order="K"), w, q, R)])
-        return R
+        gram = rule(A, w, q)
+        seen[method].append([(A.copy(order="K"), w, q, gram)])
+        return gram
 
     def spy_draw(*args):
         seen[method][-1].append(draw(*args))
@@ -379,22 +382,23 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
         sweeps[method] = sweep(t, cfg)[0]
     for method, steps in seen.items():
         assert len(steps) == 2, method  # one rule, draw and factorization per step
-        for n, ((A, w, q, R), Om, Y, Z0) in enumerate(steps):
+        for n, ((A, w, q, gram), Om, Y, Z0) in enumerate(steps):
             assert q == (0 if method == "rsvd" else cfg.q)
-            assert (w, R is None) == ((3, False) if n == 0 else (2, True)), (method, n)
-            if R is None:
+            assert (w, gram is None) == ((3, False) if n == 0 else (2, True)), (method, n)
+            if gram is None:
                 assert Om.shape == (A.shape[1], 2) and np.array_equal(Y, A @ Om)
             else:
-                assert R.shape == (4, 4)
+                R, lift = gram
+                assert lift is None and R.shape == (4, 4)  # wide: no lift
                 assert np.linalg.norm(R @ R.T - A @ A.T) <= 1e-13 * np.linalg.norm(A) ** 2
                 assert Om.shape == (A.shape[0], 3) and np.array_equal(Y, R @ Om)
     for method in ("rsi", "rbki"):
         for n in range(2):
             assert np.array_equal(seen[method][n][1], seen["rsvd"][n][1])  # Omega'', Omega
             Z0, M = starts[method][n]
-            A, _, _, R = seen[method][n][0]
+            A, _, _, gram = seen[method][n][0]
             assert np.array_equal(Z0, seen[method][n][3])
-            assert np.array_equal(M, A if R is None else R)
+            assert np.array_equal(M, A if gram is None else gram[0])
         assert np.array_equal(seen[method][0][3], seen["rsvd"][0][3])  # one Z_0 on step 0
     for n, core in enumerate(sweeps["rsvd"].cores[:2]):
         Q = np.reshape(core, (-1, 2), order="F")

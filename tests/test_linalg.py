@@ -111,26 +111,34 @@ def start_block(A, Omega):
 
 def cost_free():
     """_power_step_gram with its cost test passed, so it decides on
-    accuracy alone: A wide, w < rows and the energy test.  The matrices
-    below are far too small for G to pay, so the tests of the G branch
-    take it wherever accuracy allows; the cost test is pinned by
-    test_gram_rule_decisions_on_the_workloads_wide_shapes."""
+    accuracy alone: w below the short side and the energy test.  The
+    matrices below are far too small for the Gram matrix to pay, so the
+    tests of the Gram branches take them wherever accuracy allows; the
+    cost test is pinned by test_gram_rule_decisions_on_the_workloads_shapes."""
     return mock.patch.object(linalg, "_gram_is_cheaper", lambda rows, cols, w, q: True)
 
 
-def sweep_operand(A, Omega, q):
-    """R, R R^T = A A^T, where a step with blocks as wide as Omega and q
-    power steps may go through it, else A: the M the sweep passes to the
-    Krylov routines once the cost test agrees.  Started from the same
-    Z_0, the routines span the same space through either, since
-    M M^T = A A^T."""
+def gram_step(A, w, q):
+    """_power_step_gram(A, w, q) with its cost test passed: (M, lift) or
+    None."""
     with cost_free():
-        R = _power_step_gram(A, Omega.shape[1], q)
-    return A if R is None else R
+        return _power_step_gram(A, w, q)
+
+
+def sweep_operand(A, Omega, q):
+    """R, R R^T = A A^T, where a wide step with blocks as wide as Omega
+    and q power steps may go through it, else A: the M the sweep passes
+    to the Krylov routines once the cost test agrees.  Started from the
+    same Z_0, the routines span the same space through either, since
+    M M^T = A A^T.  A tall step's T = U^T A works in the coordinates of
+    A's left singular vectors, not in A's rows, and is tested through
+    the sweep (test_tall_gram_step_matches_the_products_basis)."""
+    gram = gram_step(A, Omega.shape[1], q)
+    return A if gram is None or gram[1] is not None else gram[0]
 
 
 def takes_gram(A, Omega, q):
-    """Whether a step with blocks as wide as Omega may go through R."""
+    """Whether a wide step with blocks as wide as Omega may go through R."""
     return sweep_operand(A, Omega, q) is not A
 
 
@@ -231,8 +239,9 @@ def spectrum_matrix(s, rows, cols, rng):
 
 
 @st.composite
-def krylov_inputs(draw):
-    """(A, Omega, q, p): A wide or tall with singular values graded
+def krylov_inputs(draw, tall=False):
+    """(A, Omega, q, p): A wide or tall (with tall, always tall: the
+    transpose of a wide draw, up to 3000 x 30) with singular values graded
     geometrically from ||A|| down to as little as 1e-30 ||A||; with a flat
     tail of 1e-3 to 1e-8 ||A|| under 1 to 3 leading values, which puts the
     energy beyond the top w singular directions on both sides of the Gram
@@ -242,7 +251,8 @@ def krylov_inputs(draw):
     w = r + p columns."""
     q, w = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     rows = draw(st.integers(1, 30))
-    cols = draw(st.integers(rows + 1, 3000) | st.integers(1, rows))
+    wide = st.integers(rows + 1, 3000)
+    cols = draw(wide if tall else wide | st.integers(1, rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["graded", "flat", "plateau", "noisy", "deficient", "zero", "rank1"]))
     k = min(rows, cols)
@@ -262,7 +272,9 @@ def krylov_inputs(draw):
     if kind == "noisy":
         A += rng.standard_normal((rows, cols)) * 10.0 ** -draw(st.floats(1, 6)) / np.sqrt(max(rows, cols))
     A *= 10.0 ** draw(st.integers(-3, 3))
-    return A, rng.standard_normal((cols, w)), q, draw(st.integers(0, min(2, w - 1)))
+    if tall:
+        A = A.T
+    return A, rng.standard_normal((A.shape[1], w)), q, draw(st.integers(0, min(2, w - 1)))
 
 
 # criterion 5's allowance for float64 rounding (tests/test_acceptance.py)
@@ -356,10 +368,10 @@ def test_row_space_sketch_is_the_gaussian_sketch_of_a(inputs):
     A, Om, q, p = inputs
     rows = A.shape[0]
     w = min(rows, Om.shape[1])
-    with cost_free():
-        R = _power_step_gram(A, w, q)
-    if R is None:
+    gram = gram_step(A, w, q)
+    if gram is None or gram[1] is not None:  # no R: refused, or tall
         return
+    R = gram[0]
     G = A @ A.T
     assert R.shape == (rows, rows)
     assert np.linalg.norm(R @ R.T - G) <= 1e-13 * np.linalg.norm(A) ** 2
@@ -557,58 +569,183 @@ def test_tt_svd_tall_gram_step_at_workload_scale(rows, kind):
         assert err <= (eps + ROUNDING_TAU) * norm, (eps, r, err / norm)
 
 
-# (rows, cols, w, G at q 0 as tt_rsvd asks, G at q 2 as tt_rsi and
-# tt_rbki ask), with the model's costs in ms, drawn at q 0 / drawn at
-# q 2 / through G
+def step_basis(method, A, r, q, p, through_gram):
+    """Q of one sweep step of the matrix A at rank r, the first core as a
+    rows x r matrix: with through_gram wherever accuracy allows
+    (cost_free), else with the sweep's one Gram decision declined, so
+    every sketch is A Omega and every power step goes through the
+    products.  Either way the sweep draws the same Omega at seed 0 on a
+    tall step."""
+    gate = cost_free() if through_gram else mock.patch.object(decompose, "_power_step_gram", return_value=None)
+    with gate:
+        tt, _ = decompose.run_method(method, A, (r,), p=p, q=q, seed=0)
+    Q = np.reshape(tt.cores[0], (A.shape[0], r), order="F")
+    assert np.all(np.isfinite(Q))
+    assert np.max(np.abs(Q.T @ Q - np.eye(r))) <= 1e-13
+    return Q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inputs=krylov_inputs(tall=True))
+def test_tall_gram_step_matches_the_products_basis(inputs):
+    # where the gate passes on a tall step, tt_rsi and tt_rbki run their
+    # range finder on T = U^T A, from the cols x w Omega the products
+    # path draws at the same seed (T Omega = U^T (A Omega)), and lift its
+    # basis with one QR of A V Sigma^+ Q_T.  The two bases then hold the
+    # same energy to rounding, and the same subspace up to what the Gram
+    # matrix resolves, about sqrt(eps) ||A||, over the gap at r
+    # (Davis-Kahan); on a plateau that straddles r, or on a zero A, any
+    # basis of it is as good, and only the energy is compared
+    A, Om, q, p = inputs
+    rows, cols = A.shape
+    r = Om.shape[1] - p
+    if r > cols or gram_step(A, min(cols, r + p), q) is None:
+        return
+    norm_sq = np.linalg.norm(A) ** 2
+    s = np.linalg.svd(A, compute_uv=False)
+    gap = s[r - 1] - (s[r] if r < cols else 0.0)
+    for method in ("rsi", "rbki"):
+        got, want = (step_basis(method, A, r, q, p, g) for g in (True, False))
+        held = np.linalg.norm(got.T @ A) ** 2 - np.linalg.norm(want.T @ A) ** 2
+        assert abs(held) <= 16 * r * np.finfo(float).eps * norm_sq, method
+        # ||Q Q^T - Q' Q'^T||_2, the sine of the largest principal angle
+        apart = np.linalg.norm(got - want @ (want.T @ got), 2)
+        assert apart * gap <= np.sqrt(np.finfo(float).eps) * s[0], (method, apart, gap)
+
+
+def tall_tail_spectrum(f, rows, r, w, rng):
+    """A rows x 100 matrix whose top r singular values fall from 1 to
+    1e-3, the next w - r sit at 1e-5, and whose energy beyond the top w
+    directions, a flat tail, is f ||A||_F^2."""
+    cols = 100
+    s = np.concatenate([10.0 ** (-3 * np.arange(r) / (r - 1)), np.full(w - r, 1e-5)])
+    # cols - w values tau beyond w: (cols - w) tau^2 = f (sum s^2 + (cols - w) tau^2)
+    tau = np.sqrt(f * np.sum(s**2) / ((cols - w) * (1 - f)))
+    return spectrum_matrix(np.concatenate([s, np.full(cols - w, tau)]), rows, cols, rng)
+
+
+@pytest.mark.parametrize("r", [10, 20])
+def test_tall_gram_step_at_the_energy_test_boundary(r):
+    # spectrum 100^3's step 1 shapes, 1000 x 100 and 2000 x 100 at ranks
+    # 10 and 20, p 2, with the energy beyond w at half and twice
+    # _GRAM_TAIL ||A||_F^2: the gate refuses the first and takes the
+    # second, and tt_rsi and tt_rbki stay within 1.1x of the optimum
+    # through either
+    rng = np.random.default_rng(r)
+    w = r + 2
+    for factor in (0.5, 2.0):
+        A = tall_tail_spectrum(factor * linalg._GRAM_TAIL, 100 * r, r, w, rng)
+        s = np.linalg.svd(A, compute_uv=False)
+        best = np.sqrt(np.sum(s[r:] ** 2))
+        for q in (1, 2):
+            assert (gram_step(A, w, q) is not None) == (factor > 1), (factor, q)
+            for method in ("rsi", "rbki"):
+                Q = step_basis(method, A, r, q, 2, True)
+                err = np.linalg.norm(A - Q @ (Q.T @ A))
+                assert err <= 1.1 * best + ROUNDING_TAU * np.linalg.norm(A), (factor, q, method, err, best)
+
+
+def test_tall_gram_step_on_rank_deficient_input():
+    # 2000 x 100 of rank 40, singular values exactly zero beyond 40 > w:
+    # the gate passes at w 22 (by the fitted cost rule at q 2), Sigma^+ drops
+    # the singular values at rounding level, and the lifted basis is
+    # finite, orthonormal and within 1.1x of the optimum
+    rng = np.random.default_rng(41)
+    s = np.concatenate([10.0 ** (-2 * np.arange(40) / 39), np.zeros(60)])
+    A = spectrum_matrix(s, 2000, 100, rng)
+    norm = np.linalg.norm(A)
+    assert _power_step_gram(A, 22, 2) is not None
+    for q in (1, 2):
+        lift = gram_step(A, 22, q)[1]
+        # V Sigma^+: the 60 rounding-level singular values are dropped
+        assert np.all(np.isfinite(lift)) and np.count_nonzero(np.any(lift, axis=0)) == 40
+        for method in ("rsi", "rbki"):
+            with cost_free():
+                tt, _ = decompose.run_method(method, A, (20,), p=2, q=q, seed=3)
+            Q = np.reshape(tt.cores[0], (2000, 20), order="F")
+            assert np.all(np.isfinite(Q))
+            assert np.max(np.abs(Q.T @ Q - np.eye(20))) <= 1e-13
+            err = np.linalg.norm(A - tt_reconstruct(tt))
+            assert err <= 1.1 * np.sqrt(np.sum(s[20:] ** 2)) + ROUNDING_TAU * norm, (q, method)
+
+
+# (rows, cols, w, M at q 0 as tt_rsvd asks, M at q 2 as tt_rsi and
+# tt_rbki ask), with the model's costs in ms: drawn at q 0 / drawn at
+# q 2 / through M (at q 2 where it differs)
 GRAM_RULE_DECISIONS = [
     # powerfn5-clean, 20^5 at ranks 4 and 8, steps 0 to 2.  Step 0: the
-    # cols w normals dwarf G, whose 20 rows read A once (19 / 35 / 1.4,
-    # and 32 / 50 / 1.4 at w 10)
+    # cols w normals dwarf G, whose 20 rows read A once (19 / 42 / 1.4,
+    # and 32 / 57 / 1.5 at w 10)
     (20, 160000, 6, True, True),
     (20, 160000, 10, True, True),
-    # 80 x 8000: eigh(80) outweighs 48000 normals, until the q 2 power
-    # steps' four passes over A are counted (1.1 / 4.2 / 2.7)
+    # 80 x 8000: G and eigh(80) outweigh 48000 normals, until the q 2
+    # power steps' four passes over A are counted (1.1 / 5.6 / 2.7)
     (80, 8000, 6, False, True),
-    # 160 x 8000: G's 205M flops and eigh(160) (2.0 / 9.2 / 10.6)
-    (160, 8000, 10, False, False),
-    # 80 x 400: eigh(80) against 2400 normals (0.05 / 0.21 / 1.7)
+    # 160 x 8000: G's 205M flops and eigh(160) against the draw, and at
+    # q 2 the power steps (2.1 / 12.0 / 10.7); forced each way, a step
+    # through R was 0.3 to 2.5 ms faster at q 2
+    (160, 8000, 10, False, True),
+    # 80 x 400: eigh(80) against 2400 normals (0.06 / 0.12 / 1.7)
     (80, 400, 6, False, False),
     (160, 400, 10, False, False),
     # spectrum3-noisy, 100^3 at ranks 10 and 20, step 0: at w 12 G's 1e8
     # flops and eigh(100) outweigh the draw, but not the q 2 power steps
-    # (2.8 / 8.7 / 4.6); at w 22 the draw alone (5.1 / 12.6 / 4.6)
+    # (2.8 / 10.9 / 4.6); at w 22 the draw alone (5.2 / 15.4 / 4.8)
     (100, 10000, 12, False, True),
     (100, 10000, 22, True, True),
-    # powerfn 10^5 and 10^6 at ranks 3, step 0: 10 rows (1.0 / 1.5 / 0.1,
-    # and 9.7 / 14.5 / 0.3 at 10^6)
+    # powerfn 10^5 and 10^6 at ranks 3, step 0: 10 rows (0.97 / 1.1 /
+    # 0.11, and 9.7 / 17 / 0.29 at 10^6)
     (10, 10000, 5, True, True),
     (10, 100000, 5, True, True),
-    # cli-files' 30 x 1000 (10^5 and 10^6, step 1): eigh(30) and the
-    # per-step cost outweigh 5000 normals and the small products
-    # (0.10 / 0.24 / 0.30)
+    # cli-files' 30 x 1000 (10^5 and 10^6, step 1) and 40 x 2500 (40 x 50
+    # x 50, step 0): A fits in cache, so the power steps cost their flops
+    # alone (0.10 / 0.14 / 0.31 and 0.26 / 0.35 / 0.54); forced each way,
+    # tt_rsi through the products was 0.02 to 0.1 ms faster on both, in
+    # all six runs (tt_rbki on 40 x 2500 within 0.06 ms either way)
     (30, 1000, 5, False, False),
-    # cli-files' 40 x 2500 (40 x 50 x 50, step 0): taken at q 2 (0.26 /
-    # 0.74 / 0.54), where measured the products win by about 0.1 ms: this
-    # A fits in cache, so a pass costs less than the model's
-    (40, 2500, 5, False, True),
+    (40, 2500, 5, False, False),
+    # spectrum3-noisy, step 1, tall: H = A^T A, eigh(100) and the lift
+    # against q + 1 factorizations of 1000 x 12 (0.62 / 2.0 / 3.6), and
+    # of 2000 x 22 (4.1 / 12.5 / 7.6)
+    (1000, 100, 12, False, False),
+    (2000, 100, 22, False, True),
+    # powerfn 20^5's last step, 80 x 20 and 160 x 20 (0.01 / 0.04 / 0.18,
+    # and 0.07 / 0.20 / 0.25)
+    (80, 20, 6, False, False),
+    (160, 20, 10, False, False),
+    # cli-files' tall steps: the fixed cost alone exceeds the products
+    # (at most 0.05 ms drawn against 0.08 to 0.72 through M)
+    (30, 10, 5, False, False),
+    (75, 20, 5, False, False),
+    (150, 50, 5, False, False),
+    (54, 18, 5, False, False),
+    (15, 8, 5, False, False),
 ]
 
 
-def test_gram_rule_decisions_on_the_workloads_wide_shapes():
-    # one rule for the three sweeps: tt_rsvd asks it with no power steps,
-    # tt_rsi and tt_rbki with their q.  Its cost model is fixed constants,
-    # so these decisions do not depend on the machine; the random inputs
-    # pass the energy test
+def test_gram_rule_decisions_on_the_workloads_shapes():
+    # one rule for the three sweeps and both orientations: tt_rsvd asks
+    # it with no power steps, tt_rsi and tt_rbki with their q.  Its cost
+    # model is fixed constants, so these decisions do not depend on the
+    # machine; the random inputs pass the energy test.  A wide step
+    # through M gets R, a tall one T and its lift
     rng = np.random.default_rng(32)
     for rows, cols, w, *wants in GRAM_RULE_DECISIONS:
         A = rng.standard_normal((rows, cols))
         for q, want in zip((0, 2), wants):
-            assert (_power_step_gram(A, w, q) is not None) == want, (rows, cols, w, q)
-    # never where Z_0 already spans the rows (w >= rows), nor on a tall A,
-    # however cheap: cli-files' 4 x 1000 and 5 x 3125 steps at w 4 and 5
-    for rows, cols, w in [(4, 1000, 4), (5, 3125, 5), (2000, 100, 22)]:
+            gram = _power_step_gram(A, w, q)
+            assert (gram is not None) == want, (rows, cols, w, q)
+            if gram is not None:
+                short = min(rows, cols)
+                assert gram[0].shape == (short, short)
+                assert (gram[1] is None) == (rows < cols), (rows, cols)
+    # never where Z_0 already spans the short side (w >= min(rows, cols)),
+    # however cheap: cli-files' 4 x 1000, 5 x 3125 and 15 x 5 steps at
+    # w 4, 5 and 5
+    for rows, cols, w in [(4, 1000, 4), (5, 3125, 5), (15, 5, 5)]:
         A = rng.standard_normal((rows, cols))
-        assert all(_power_step_gram(A, w, q) is None for q in range(4)), (rows, cols)
+        with cost_free():
+            assert all(_power_step_gram(A, w, q) is None for q in range(4)), (rows, cols)
 
 
 def test_tail_energy_full_spectrum():

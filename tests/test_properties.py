@@ -3,7 +3,9 @@ to min(rows, cols) at some step.
 
 The residual identity ||A - Ahat||^2 = sum_n rho_n^2 must hold for all
 four sweeps, the randomized sweeps must return exactly the requested
-ranks also on zero and rank-1 tensors, one tt_rbki step must leave no
+ranks also on zero and rank-1 tensors, and keep them, the identity and
+left-orthonormal cores where their steps take the Gram factor of the
+short side, one tt_rbki step must leave no
 larger residual than tt_rsi or tt_rsvd with the same sketch, linalg.svd
 must agree with LAPACK's singular values on wide, zero and
 rank-deficient matrices, both file formats must round-trip bit for bit
@@ -14,6 +16,7 @@ block.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from ttapprox import (
     InvalidArgumentError,
     TTTensor,
     error_metrics,
+    linalg,
     psnr,
     relative_error,
     tensor_load,
@@ -141,6 +145,50 @@ def rank_deficient_tensors(draw):
 def test_rank_deficient_unfoldings_keep_requested_ranks(t, method, p, q, seed):
     ranks = max_ranks(t.shape)
     tt, trace = run_method(method, t, ranks, p=p, q=q, seed=seed)
+    assert tt.ranks == (1,) + ranks + (1,)
+    assert validate(tt).ok
+    err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
+    assert abs(err_sq - trace.residual_sq_sum) <= 64 * EPS * float(np.sum(t * t))
+
+
+@st.composite
+def gram_inputs(draw):
+    """A Gaussian, zero or rank-1 tensor of order 2 to 4 with modes of 2
+    to 10, and ranks up to half their caps, so that many steps' sketches
+    are narrower than their unfolding's short side."""
+    dims = tuple(draw(st.lists(st.integers(2, 10), min_size=2, max_size=4)))
+    rng = np.random.default_rng(draw(seed_st))
+    kind = draw(st.sampled_from(["gaussian", "zero", "rank1"]))
+    if kind == "gaussian":
+        t = rng.standard_normal(dims)
+    else:
+        t = np.ones(())
+        for d in dims:
+            t = np.multiply.outer(t, rng.standard_normal(d) if kind == "rank1" else np.zeros(d))
+    ranks, r = [], 1
+    for n in range(len(dims) - 1):
+        r = draw(st.integers(1, max(1, min(r * dims[n], int(np.prod(dims[n + 1 :]))) // 2)))
+        ranks.append(r)
+    return t, tuple(ranks)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    inputs=gram_inputs(),
+    method=st.sampled_from(["rsvd", "rsi", "rbki"]),
+    p=st.integers(0, 3),
+    q=st.integers(1, 2),
+    seed=seed_st,
+)
+def test_gram_steps_keep_identity_and_orthonormal_cores(inputs, method, p, q, seed):
+    # with the Gram gate's cost test passed, every step whose sketch is
+    # narrower than its short side and whose energy test holds runs the
+    # range finder on R (wide) or T (tall, lifted by one QR): the cores
+    # keep the requested ranks and stay left-orthonormal, on zero and
+    # rank-1 tensors too, and the residual identity holds
+    t, ranks = inputs
+    with mock.patch.object(linalg, "_gram_is_cheaper", lambda rows, cols, w, q: True):
+        tt, trace = run_method(method, t, ranks, p=p, q=q, seed=seed)
     assert tt.ranks == (1,) + ranks + (1,)
     assert validate(tt).ok
     err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
