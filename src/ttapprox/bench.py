@@ -1,11 +1,16 @@
 """Benchmark harness: sweep methods x ranks x q x noise x seeds over one
 dataset, time the decompositions and emit machine-readable records.
 
-Noising is applied once per (snr, seed) pair and shared by every method
-in that cell so comparisons are paired; metrics are always computed
-against the clean tensor.  Every noisy input is made before the first
-cell runs, so a noise level that add_awgn refuses fails the plan before
-any cell has.  Wall time covers the decomposition call only, also in
+The clean tensor is summed once per plan (metrics._sum_sq).  That sum
+sets the signal power of every noise level and is the reference of
+every cell's metrics pass, which then reads only the error and the
+reconstruction's peak.  Noise takes one Gaussian draw per seed, scaled
+to each SNR level (datagen._awgn_levels), and each noisy input is
+shared by every method in its cells so comparisons are paired; metrics
+are always computed against the clean tensor.  Every noisy input is
+made before the first cell runs, so a noise level that add_awgn would
+refuse, or a clean tensor with a NaN or Inf entry, fails a noisy plan
+before any cell has.  Wall time covers the decomposition call only, also in
 rows whose decomposition or metrics fail.  The deterministic
 svd sweep runs once per (ranks, input), and every svd row of that input
 reports its one measured wall time (see run_bench).
@@ -30,10 +35,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import decompose
-from .datagen import add_awgn, power_function_tensor, spectrum_decay_tensor, tensor_load
+from .datagen import _awgn_levels, power_function_tensor, spectrum_decay_tensor, tensor_load
 from .decompose import SketchConfig
 from .errors import InvalidArgumentError, ParseError, _int, _number
-from .metrics import error_metrics
+from .metrics import _error_metrics, _sum_sq
 from .tt import tt_reconstruct
 
 
@@ -208,13 +213,20 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     """
     spec = dict(plan.dataset)
     base, dataset_id = _DATASETS[spec.pop("kind")][1](**spec)
+    # every kind is built column-major, so this copies nothing; it makes
+    # each metrics pass walk base in the blocks that _sum_sq summed
+    base = np.asfortranarray(base)
+    _, sum_sq, e = _sum_sq(base)
     rank_tuples = [_normalize_ranks(r, base.ndim) for r in plan.ranks]
     snr_list = plan.snr_db if plan.snr_db is not None else [None]
-    # every noisy input before the first cell, so an SNR that add_awgn
-    # refuses fails the plan before any cell has run
-    noisy = {
-        (snr, seed): add_awgn(base, snr, seed) for snr in snr_list if snr is not None for seed in plan.seeds
-    }
+    levels = [snr for snr in snr_list if snr is not None]
+    # every noisy input before the first cell, so a refused SNR fails the
+    # plan before any cell has run; one draw per seed, alive for its levels
+    noisy = {}
+    if levels:
+        for seed in plan.seeds:
+            for snr, t in zip(levels, _awgn_levels(base, levels, seed, sum_sq, e)):
+                noisy[snr, seed] = t
     svd_rows = {}  # (ranks, input key) -> the svd record measured on that input
     records = []
     cells = itertools.product(plan.methods, rank_tuples, plan.q, snr_list, plan.seeds)
@@ -224,7 +236,7 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
             records.append(replace(svd_rows[ranks, key], q=q, seed=seed))
             continue
         cell = BenchRecord(method, dataset_id, ranks, plan.p, q, seed, snr)
-        records.append(_run_cell(cell, noisy.get(key, base), base))
+        records.append(_run_cell(cell, noisy.get(key, base), base, (sum_sq, e)))
         if method == "svd":
             svd_rows[ranks, key] = records[-1]
     records.sort(
@@ -233,9 +245,9 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     return records
 
 
-def _run_cell(cell: BenchRecord, inp, base) -> BenchRecord:
-    """Fill in cell's metrics, or its error when the decomposition or the
-    metrics fail."""
+def _run_cell(cell: BenchRecord, inp, base, ref) -> BenchRecord:
+    """Fill in cell's metrics against base, whose _sum_sq is ref, or its
+    error when the decomposition or the metrics fail."""
     t0 = time.perf_counter()
     try:
         try:
@@ -245,8 +257,7 @@ def _run_cell(cell: BenchRecord, inp, base) -> BenchRecord:
         finally:
             # the decomposition only, also when it or the metrics fail
             cell.wall_time_s = time.perf_counter() - t0
-        rec = tt_reconstruct(tt)
-        cell.rel_err, cell.psnr = error_metrics(base, rec)
+        cell.rel_err, cell.psnr = _error_metrics(base, tt_reconstruct(tt), ref)
         cell.trace_sum_sq = trace.residual_sq_sum
     except (InvalidArgumentError, np.linalg.LinAlgError, FloatingPointError) as exc:
         cell.rel_err = cell.psnr = cell.trace_sum_sq = None

@@ -7,16 +7,21 @@ of them is copied on its way into a decomposition.
 
 add_awgn measures the signal power with the package's one sum of
 squares (metrics), so the noise of a given seed does not depend on the
-BLAS thread count.
+BLAS thread count.  It is the one-level case of _awgn_levels, which
+makes every SNR level of one seed from one Gaussian draw and a power
+the caller has summed: a bench plan sums its clean tensor once and
+draws once per seed.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 import numpy as np
 
 from ._container import Format
 from .errors import InvalidArgumentError, _check_indexable, _int, _ints, _number
-from .metrics import _sum_sq
+from .metrics import _finite, _sum_sq
 
 _DTEN = Format(
     "dten",
@@ -73,27 +78,42 @@ def add_awgn(t, snr_db: float, seed: int) -> np.ndarray:
     has it measured on t 2^-e: the noise of t 2^j is exactly 2^j times
     the noise of t while no entry leaves the normal range.
 
-    An snr_db so high that the noise level underflows adds zero noise;
-    one so low that the noise, or t plus it, leaves float64's range
-    raises InvalidArgumentError.
+    A t with a NaN or Inf entry raises FloatingPointError, as the sweeps
+    do.  An snr_db so high that the noise level underflows adds zero
+    noise; one so low that the noise, or t plus it, leaves float64's
+    range raises InvalidArgumentError.
     """
-    snr_db, seed = _number(snr_db, "snr_db"), _int(seed, "seed", 0)
     t = np.asarray(t, dtype=np.float64)
-    # sigma of t 2^-e scaled back by 2^e: exact, so the noise is the same
-    # at every scale
     _, sum_sq, e = _sum_sq(t)
-    power = sum_sq / t.size
-    if power == 0.0:
+    return _awgn_levels(t, [snr_db], seed, sum_sq, e)[0]
+
+
+def _awgn_levels(t, snrs, seed, sum_sq: float, e: int) -> List[np.ndarray]:
+    """add_awgn(t, snr_db, seed) for every snr_db in snrs, from one draw.
+
+    t is a float64 array and (sum_sq, e) its metrics._sum_sq.  Each level
+    scales the draw into its own column-major output and adds t there, so
+    the draw and the outputs are the only arrays of t's size."""
+    snrs, seed = [_number(v, "snr_db") for v in snrs], _int(seed, "seed", 0)
+    if _finite(sum_sq) == 0.0:
         raise InvalidArgumentError("signal power is zero, SNR undefined")
-    with np.errstate(over="ignore"):  # 10^(snr_db/10) past float64: sigma is 0
-        ratio = np.float64(10.0) ** (snr_db / 10.0)
+    power = sum_sq / t.size
     noise = np.random.default_rng(seed).standard_normal(t.size).reshape(t.shape, order="F")
-    with np.errstate(over="raise", divide="raise"):
-        try:
-            sigma = np.ldexp(np.sqrt(power / ratio), e)
-            return np.add(t, sigma * noise, order="F")  # F whatever t's layout
-        except FloatingPointError:
-            raise InvalidArgumentError(f"at snr_db {snr_db} the noise is past float64's range") from None
+    levels = []
+    for snr_db in snrs:
+        with np.errstate(over="ignore"):  # 10^(snr_db/10) past float64: sigma is 0
+            ratio = np.float64(10.0) ** (snr_db / 10.0)
+        y = np.empty(t.shape, order="F")  # F whatever t's layout
+        with np.errstate(over="raise", divide="raise"):
+            try:
+                # sigma of t 2^-e scaled back by 2^e: exact, so the noise is
+                # the same at every scale
+                sigma = np.ldexp(np.sqrt(power / ratio), e)
+                np.multiply(noise, sigma, out=y)
+                levels.append(np.add(t, y, out=y))
+            except FloatingPointError:
+                raise InvalidArgumentError(f"at snr_db {snr_db} the noise is past float64's range") from None
+    return levels
 
 
 def tensor_save(t, path):

@@ -111,7 +111,7 @@ from .linalg import (
     rank_from_tail,
     svd,
 )
-from .metrics import _sum_sq, frobenius_norm
+from .metrics import _finite, _sum_sq, frobenius_norm
 from .tt import TTTensor
 
 
@@ -181,9 +181,7 @@ def _as_input(t) -> Tuple[np.ndarray, float, int]:
     if t.ndim < 1:
         raise InvalidArgumentError("input tensor must have order >= 1")
     t, sum_sq, e = _sum_sq(t)
-    if not math.isfinite(sum_sq):
-        raise FloatingPointError("input tensor has NaN or Inf entries")
-    return t, math.sqrt(sum_sq), e
+    return t, math.sqrt(_finite(sum_sq)), e
 
 
 def _scale_back(result, e: int) -> Tuple[TTTensor, SweepTrace]:

@@ -19,7 +19,11 @@ memory layout is walked in that order, so an F- or C-contiguous pair is
 read in place; a pair whose layouts differ is walked in column-major
 order, and np.ravel copies whichever tensor is not F-contiguous.  Out of
 range both tensors are scaled by the reference's 2^-e, which leaves the
-two ratios exact.
+two ratios exact.  A caller that scores many tensors against one
+column-major reference (bench) hands the pass the reference's _sum_sq,
+taken once: the pass then reads only ||a - ahat||^2 and max|ahat|, and
+since _sum_sq walks a column-major a in the same blocks, the metrics are
+bit-identical to the fused pass.
 """
 
 from __future__ import annotations
@@ -83,6 +87,14 @@ def _sum_sq(t: np.ndarray) -> Tuple[np.ndarray, float, int]:
     return (*_sum_sq(np.ldexp(t, -e))[:2], e) if e else (t, s, 0)
 
 
+def _finite(sum_sq: float) -> float:
+    """sum_sq, a sum from _sum_sq, after the check that every input
+    contract shares: a sum that is not finite proves a NaN or Inf entry."""
+    if not math.isfinite(sum_sq):
+        raise FloatingPointError("input tensor has NaN or Inf entries")
+    return sum_sq
+
+
 def frobenius_norm(t) -> float:
     """||t||_F, the 2-norm of all entries of a tensor of any order, at
     any scale: frobenius_norm(t 2^j) is 2^j frobenius_norm(t) exactly.
@@ -99,30 +111,41 @@ class _Sums(NamedTuple):
     peak: float  # max |ahat|, 0 for empty tensors
 
 
-def _sums(a, ahat) -> _Sums:
+def _sums(a, ahat, ref=None) -> _Sums:
     """The sums behind every metric, from one blocked pass over a and ahat
     or, when ||a|| is out of range, over a 2^-e and ahat 2^-e: the sums
     then overflow or underflow, while relative_error and psnr are ratios
-    that the exact scaling leaves bit-identical."""
+    that the exact scaling leaves bit-identical.
+
+    ref, when given, is a's (||a 2^-e||^2, e) from _sum_sq: the pass
+    then skips the ||a||^2 term and goes straight to the scaled pair."""
     a = np.asarray(a, dtype=np.float64)
     ahat = np.asarray(ahat, dtype=np.float64)
     if a.shape != ahat.shape:
         raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {ahat.shape}")
-    with np.errstate(over="ignore"):  # an overflow is rescaled below
-        s = _blocked_pass(a, ahat)
-    e = _exponent(a, s.ref_sq)
-    return _blocked_pass(np.ldexp(a, -e), np.ldexp(ahat, -e)) if e else s
+    if ref is None:
+        with np.errstate(over="ignore"):  # an overflow is rescaled below
+            s = _blocked_pass(a, ahat)
+        e = _exponent(a, s.ref_sq)
+        return _blocked_pass(np.ldexp(a, -e), np.ldexp(ahat, -e)) if e else s
+    ref_sq, e = ref
+    if e:
+        a, ahat = np.ldexp(a, -e), np.ldexp(ahat, -e)
+    with np.errstate(over="ignore"):  # an error past float64 sums to inf
+        return _blocked_pass(a, ahat, ref_sq)
 
 
-def _blocked_pass(a, ahat) -> _Sums:
-    ref_sq = err_sq = 0.0
+def _blocked_pass(a, ahat, ref_sq=None) -> _Sums:
+    """_Sums of a and ahat; a given ref_sq stands for ||a||^2, unsummed."""
+    sq = err_sq = 0.0
     peak = np.float64(0.0)
     for d, x, y in _blocks(a, ahat):
-        ref_sq += _sq(x, d)
+        if ref_sq is None:
+            sq += _sq(x, d)
         err_sq += _sq(np.subtract(x, y, out=d), d)
         # np.maximum keeps a NaN once seen, as np.max(np.abs(ahat)) would
         peak = np.maximum(peak, max(y.max(), -y.min()))
-    return _Sums(a.size, ref_sq, err_sq, float(peak))
+    return _Sums(a.size, sq if ref_sq is None else ref_sq, err_sq, float(peak))
 
 
 def _relative_error(s: _Sums) -> float:
@@ -142,7 +165,12 @@ def _psnr(s: _Sums) -> float:
 def error_metrics(a, ahat) -> Tuple[float, float]:
     """(relative_error(a, ahat), psnr(a, ahat)) from one pass over both
     tensors; raises InvalidArgumentError when a has zero norm."""
-    s = _sums(a, ahat)
+    return _error_metrics(a, ahat)
+
+
+def _error_metrics(a, ahat, ref=None) -> Tuple[float, float]:
+    """error_metrics, given a's _sum_sq as ref when it is known (_sums)."""
+    s = _sums(a, ahat, ref)
     return _relative_error(s), _psnr(s)
 
 

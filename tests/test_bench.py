@@ -15,13 +15,13 @@ from ttapprox import (
     TruncationSpec,
     add_awgn,
     emit,
+    error_metrics,
     load_records,
-    relative_error,
+    power_function_tensor,
     run_bench,
     spectrum_decay_tensor,
     tensor_save,
     tt_reconstruct,
-    tt_rsvd,
     tt_svd,
 )
 from ttapprox import bench, decompose
@@ -148,20 +148,77 @@ def test_record_count_and_sort_order():
     assert records[0].method == "rbki"  # alphabetical within a dataset
 
 
+def _assert_rows_are_their_cells(records, base):
+    """Every row's metrics are error_metrics(base, tt_reconstruct(tt)) of
+    its cell, bit for bit, tt the sweep of the clean tensor or of
+    add_awgn(base, snr, seed): so every method of one (snr, seed) saw the
+    same noisy input, and metrics are taken against the clean one."""
+    assert records and all(r.error is None for r in records)
+    for r in records:
+        inp = base if r.snr_db is None else add_awgn(base, r.snr_db, r.seed)
+        tt, trace = decompose.run_method(r.method, inp, r.ranks, p=r.p, q=r.q, seed=r.seed)
+        assert (r.rel_err, r.psnr) == error_metrics(base, tt_reconstruct(tt)), r
+        assert r.trace_sum_sq == trace.residual_sq_sum
+
+
 def test_noise_is_paired_across_methods():
-    # both methods must see the identical noisy tensor, metrics are
-    # always taken against the clean one
-    plan = small_plan(methods=["rsvd", "rbki"], ranks=[[2, 2]], q=[2], snr_db=[5.0], seeds=[3], p=1)
+    plan = small_plan(
+        methods=list(decompose.METHODS), ranks=[[2, 2]], q=[2], snr_db=[5.0, 20.0], seeds=[3, 4], p=1
+    )
     records = run_bench(plan)
-    base = spectrum_decay_tensor(8, 2, 1.0)
-    noisy = add_awgn(base, 5.0, 3)
-    cfg = SketchConfig(ranks=(2, 2), p=1, q=2, seed=3)
-    tt, trace = tt_rsvd(noisy, cfg)
-    want = relative_error(base, tt_reconstruct(tt))
-    got = [r for r in records if r.method == "rsvd"][0]
-    assert got.rel_err == want
-    assert got.trace_sum_sq == trace.residual_sq_sum
-    assert got.snr_db == 5.0
+    assert len(records) == 4 * 2 * 2
+    _assert_rows_are_their_cells(records, spectrum_decay_tensor(8, 2, 1.0))
+
+
+def test_rows_are_their_cells_metrics_on_clean_and_rescaled_inputs(tmp_path):
+    # a clean powerfn plan, and a file dataset near 1e200, whose squared
+    # norm is past float64's range, so every sum is taken on base 2^-e
+    methods = list(decompose.METHODS)
+    plan = small_plan(dataset={"kind": "powerfn", "dims": [4, 5, 6], "h": 2.0}, methods=methods,
+                      ranks=[2, 3], q=[1, 2], seeds=[0, 1])
+    _assert_rows_are_their_cells(run_bench(plan), power_function_tensor((4, 5, 6), 2.0))
+    big = 1e200 * np.random.default_rng(7).standard_normal((6, 5, 4))
+    path = tmp_path / "big.dten"
+    tensor_save(big, path)
+    plan = small_plan(dataset={"kind": "file", "path": str(path)}, methods=methods, ranks=[2],
+                      seeds=[0, 1], snr_db=[None, 5.0])
+    _assert_rows_are_their_cells(run_bench(plan), big)
+
+
+def test_a_plan_draws_one_gaussian_stream_per_seed(monkeypatch):
+    # S levels x K seeds of noise come from K draws, one per seed; tt_svd
+    # draws nothing, so every generator made here is the noise's
+    real, seeds = np.random.default_rng, []
+
+    def spy(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    records = run_bench(small_plan(snr_db=[1.0, 5.0, 20.0], seeds=[4, 0]))
+    assert len(records) == 3 * 2
+    assert seeds == [4, 0]
+
+
+def test_non_finite_file_fails_a_noisy_plan_before_any_cell(monkeypatch, tmp_path):
+    # the sweeps' error from the one power sum: the library raises it, the
+    # CLI exits 4 and writes nothing; a clean plan keeps its error rows
+    calls = []
+    real = decompose.run_method
+    monkeypatch.setattr(decompose, "run_method", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    t = spectrum_decay_tensor(8, 2, 1.0)
+    t[1, 2, 3] = np.nan
+    path = tmp_path / "nan.dten"
+    tensor_save(t, path)
+    plan = dict(dataset={"kind": "file", "path": str(path)}, methods=["svd"], ranks=[2], seeds=[0], snr_db=[5])
+    with pytest.raises(FloatingPointError, match="NaN or Inf"):
+        run_bench(BenchPlan.from_dict(plan))
+    plan_path, out = tmp_path / "plan.json", tmp_path / "out.csv"
+    plan_path.write_text(json.dumps(plan))
+    assert cli_main(["bench", "--plan", str(plan_path), "-o", str(out)]) == 4
+    assert calls == [] and not out.exists()
+    (row,) = run_bench(BenchPlan.from_dict({**plan, "snr_db": None}))
+    assert "NaN or Inf" in row.error and row.rel_err is None
 
 
 def test_svd_rows_identical_across_seeds():

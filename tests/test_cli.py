@@ -53,6 +53,17 @@ def test_noise_matches_library(tmp_path):
     assert np.array_equal(tensor_load(dst), add_awgn(t, 10.0, 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_noise_on_non_finite_input_exits_4(tmp_path, capsys, bad):
+    src, dst = tmp_path / "a.dten", tmp_path / "b.dten"
+    t = spectrum_decay_tensor(5, 1, 1.0)
+    t[0, 1, 2] = bad
+    tensor_save(t, src)
+    assert run("noise", "--snr", 10.0, "--seed", 3, "-i", src, "-o", dst) == 4
+    assert "NaN or Inf" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_decompose_svd_writes_expected_cores(tmp_path):
     src, dst = tmp_path / "a.dten", tmp_path / "a.ttc"
     t = np.random.default_rng(0).standard_normal((6, 6, 6))

@@ -192,6 +192,18 @@ def test_awgn_in_range_keeps_its_formula():
 def test_awgn_zero_signal_rejected():
     with pytest.raises(InvalidArgumentError):
         add_awgn(np.zeros((3, 3)), 10.0, 0)
+    # an empty tensor has no power either
+    with pytest.raises(InvalidArgumentError, match="signal power is zero"):
+        add_awgn(np.zeros((0, 3)), 10.0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_awgn_non_finite_input_rejected(bad):
+    # the sweeps' error, from the power sum: no NaN tensor, no warning
+    t = np.ones((3, 4, 5))
+    t[1, 2, 3] = bad
+    with pytest.raises(FloatingPointError, match="input tensor has NaN or Inf entries"):
+        add_awgn(t, 10.0, 0)
 
 
 def test_awgn_negative_seed_rejected():

@@ -10,9 +10,10 @@ larger residual than tt_rsi or tt_rsvd with the same sketch, linalg.svd
 must agree with LAPACK's singular values on wide, zero and
 rank-deficient matrices, both file formats must round-trip bit for bit
 from either layout into owned column-major arrays, the
-memory layout of the input must not change any result, and the blocked
+memory layout of the input must not change any result, the blocked
 metric pass must agree with the unblocked formulas on sizes around its
-block.
+block, and the noise levels drawn once per seed must be add_awgn's, bit
+for bit.
 """
 
 import math
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from ttapprox import (
     InvalidArgumentError,
     TTTensor,
+    add_awgn,
     error_metrics,
     linalg,
     psnr,
@@ -37,9 +39,10 @@ from ttapprox import (
     tt_save,
     validate,
 )
+from ttapprox.datagen import _awgn_levels
 from ttapprox.decompose import METHODS, run_method
 from ttapprox.linalg import svd
-from ttapprox.metrics import _BLOCK
+from ttapprox.metrics import _BLOCK, _error_metrics, _sum_sq
 
 EPS = np.finfo(np.float64).eps
 
@@ -320,6 +323,10 @@ def test_blocked_metrics_match_unblocked_formulas(n, layouts, log_mag, log_err, 
     want_psnr = 10.0 * math.log10(n * np.max(np.abs(ahat)) ** 2 / err_sq)
     rel, db = error_metrics(A, H)
     assert abs(rel - want_rel) <= 4 * EPS * want_rel
+    # a column-major reference's own sum, taken once, gives the fused pass's
+    # metrics bit for bit, also on the rescaled path (|a| near 1e100)
+    Fa = np.asfortranarray(A)
+    assert _error_metrics(Fa, H, _sum_sq(Fa)[1:]) == error_metrics(Fa, H)
     # 4 ulp of the ratio inside the log, and of the result
     assert abs(db - want_psnr) <= 4 * EPS * (10.0 / math.log(10.0) + abs(want_psnr))
     assert (relative_error(A, H), psnr(A, H)) == (rel, db)
@@ -332,3 +339,38 @@ def test_blocked_metrics_match_unblocked_formulas(n, layouts, log_mag, log_err, 
     for metric in (relative_error, error_metrics):
         with pytest.raises(InvalidArgumentError, match="zero norm"):
             metric(zero, H)
+
+
+# 4000 dB: sigma underflows to 0 and t comes back unchanged; -4000 dB:
+# 10^(snr/10) underflows, so the noise is past float64's range
+snr_st = st.sampled_from([-4000.0, -20.0, -3.0, 0.0, 5.0, 20.0, 300.0, 4000.0]) | st.floats(-60, 60)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dims=dims_st,
+    seed=seed_st,
+    layout=st.sampled_from([np.asfortranarray, np.ascontiguousarray]),
+    j=st.sampled_from([0, 600, -600]),
+    snrs=st.lists(snr_st, min_size=1, max_size=5),
+)
+def test_shared_draw_levels_are_add_awgn(dims, seed, layout, j, snrs):
+    # every level of one draw is add_awgn(t, snr, seed) bit for bit, at
+    # scales 2^+-600 (sums rescaled) and from either layout; a level
+    # add_awgn refuses fails the whole call with the same error
+    t = layout(np.ldexp(np.random.default_rng(seed).standard_normal(dims), j))
+    _, sum_sq, e = _sum_sq(t)
+    want = {}
+    for snr in snrs:
+        try:
+            want[snr] = add_awgn(t, snr, seed)
+        except InvalidArgumentError:
+            pass
+    kept = [snr for snr in snrs if snr in want]
+    if len(kept) < len(snrs):
+        with pytest.raises(InvalidArgumentError, match="past float64's range"):
+            _awgn_levels(t, snrs, seed, sum_sq, e)
+    for snr, y in zip(kept, _awgn_levels(t, kept, seed, sum_sq, e)):
+        assert y.flags.f_contiguous and y.tobytes(order="F") == want[snr].tobytes(order="F")
+    if 4000.0 in kept:
+        assert np.array_equal(want[4000.0], t)
