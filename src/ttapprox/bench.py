@@ -302,21 +302,27 @@ def emit(records: List[BenchRecord], format: str, path):
 def load_records(path, format: str = "csv") -> List[BenchRecord]:
     """Read back what emit wrote.  A value that is missing or does not
     decode raises ParseError naming its row (1 for the first record) and
-    its column."""
-    if format == "csv":
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None:  # emit writes the header even for no records
-                raise ParseError("empty file, not even a header row", offset=0)
-            objs = [dict(zip(header, row)) for row in reader]
-    elif format == "json":
-        with open(path) as f:
-            objs = json.load(f)
-        if not isinstance(objs, list):
-            raise ParseError(f"expected a list of records, got {type(objs).__name__}")
-    else:
-        raise InvalidArgumentError(f"unknown format {format!r}")
+    its column; so does a file that does not decode as text or, in
+    format json, does not parse, with the decoder's message."""
+    try:
+        if format == "csv":
+            with open(path, newline="") as f:
+                # strict: a save cut inside a quoted field is an error
+                reader = csv.reader(f, strict=True)
+                header = next(reader, None)
+                if header is None:  # emit writes the header even for no records
+                    raise ParseError("empty file, not even a header row", offset=0)
+                objs = [dict(zip(header, row)) for row in reader]
+        elif format == "json":
+            with open(path) as f:
+                objs = json.load(f)
+            if not isinstance(objs, list):
+                raise ParseError(f"expected a list of records, got {type(objs).__name__}")
+        else:
+            raise InvalidArgumentError(f"unknown format {format!r}")
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
+        # no byte offset: JSONDecodeError.pos counts characters, not bytes
+        raise ParseError(f"{format} file does not parse: {exc}") from None
     return [_decode(o, row) for row, o in enumerate(objs, 1)]
 
 

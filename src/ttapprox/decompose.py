@@ -3,7 +3,8 @@
 All four algorithms share one scaffold: unfold the carried tensor to
 (r_{n-1} I_n) x (I_{n+1}...I_N), pick an orthonormal column basis Q of
 target width r_n, store Q reshaped as the next core, carry Q^T A into
-the next step.  They differ only in how Q is found:
+the next step.  _sweep forms that carry itself, so they differ only in
+how Q is found:
 
   tt_svd   truncated SVD of the unfolding (deterministic)
   tt_rsvd  top r left singular vectors of the sketch A Omega
@@ -59,13 +60,13 @@ and the Ritz step read M.
   QR, the only factorization with as many rows as A.
 
 After forming the Gram matrix, a step through the factor reads A only
-for its carry Q^T A and, on a tall step, the lift.
+for the carry Q^T A and, on a tall step, the lift.
 
 Both keep Q = S V_r, V_r the top r eigenvectors of B B^T with
-B = S^T M: the best rank-r basis in span(S) (Rayleigh-Ritz), whose carry
-is V_r^T B = Q^T M.  So one tt_rbki step leaves no larger residual than
-tt_rsi or tt_rsvd would from the same Y, up to rounding.  Every core has
-exactly the requested rank.
+B = S^T M: the best rank-r basis in span(S) (Rayleigh-Ritz), which needs
+nothing from the range finder but S.  So one tt_rbki step leaves no
+larger residual than tt_rsi or tt_rsvd would from the same Y, up to
+rounding.  Every core has exactly the requested rank.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
 trace; their squares sum to the final squared approximation error.  The
@@ -81,10 +82,10 @@ SVD in linalg.svd.
 Every linearization is column-major (first index fastest): element
 (i_1, ..., i_N) of a tensor sits at offset sum_n i_n prod_{m<n} I_m, so
 unfoldings and cores are numpy reshapes with order="F", and the file
-formats store values in the same order.  The carry is written in that
-layout too, as (A^T Q)^T, an F-contiguous r_n x (I_{n+1}...I_N) array,
-so on an F-contiguous input every unfold is a view and no step copies
-the tensor.  Any other input layout pays one copy at step 0.
+formats store values in the same order.  _sweep writes the carry in
+that layout too, so on an F-contiguous input every unfold is a view and
+no step copies the tensor.  Any other input layout pays one copy at
+step 0.
 
 METHODS names the four sweeps; run_method dispatches on it for the
 bench harness and the CLI.
@@ -217,7 +218,6 @@ class _Basis(NamedTuple):
     """What one step's basis choice hands back to the scaffold."""
 
     Q: np.ndarray
-    carry: np.ndarray
     residual: Optional[float]  # None: taken by _sweep from the carried norms
     sketch_width: Optional[int] = None
     clamped: bool = False
@@ -226,9 +226,17 @@ class _Basis(NamedTuple):
 def _sweep(t: np.ndarray, norm: float, pick_basis) -> Tuple[TTTensor, SweepTrace]:
     """Shared scaffold; pick_basis(A, n) -> _Basis, norm = ||t||_F.
 
+    Every step carries C = Q^T A, formed here and nowhere else as
+    (A^T Q)^T, an F-contiguous r_n x (I_{n+1}...I_N) array, whatever
+    matrix the basis was found on.  Q^T A, not the diag(S) V^T of an SVD
+    or the V_r^T B of a Ritz step: equal in exact arithmetic, but LAPACK's
+    U S V^T misses A by ~1e-14 ||A||, which would floor the error, and a
+    basis found through a Gram factor M has V_r^T B = Q^T M, not Q^T A.
+
     A _Basis without a residual gets rho^2 = ||A||^2 - ||Q^T A||^2,
     clamped against cancellation, with ||A|| carried from step to step:
-    the input's norm at step 0, then the previous carry's."""
+    the input's norm at step 0, then the previous carry's.  The carry
+    and its norm are timed as part of the step."""
     dims = t.shape
     cores = []
     trace = SweepTrace()
@@ -238,13 +246,13 @@ def _sweep(t: np.ndarray, norm: float, pick_basis) -> Tuple[TTTensor, SweepTrace
         t0 = time.perf_counter()  # the unfold may copy, so it is timed too
         A = np.reshape(C, (r_prev * dims[n], -1), order="F")
         b = pick_basis(A, n)
-        carry_norm = frobenius_norm(b.carry)
+        C = (A.T @ b.Q).T
+        carry_norm = frobenius_norm(C)
         residual = b.residual
         if residual is None:
             residual = math.sqrt(max(norm**2 - carry_norm**2, 0.0))
         norm = carry_norm
         elapsed = time.perf_counter() - t0
-        C = b.carry
         r_n = b.Q.shape[1]
         cores.append(np.reshape(b.Q, (r_prev, dims[n], r_n), order="F"))
         trace.steps.append(SweepStep(n, r_n, residual, elapsed, b.sketch_width, b.clamped))
@@ -288,8 +296,6 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     def rank(s, n):
         return ranks[n] if ranks is not None else rank_from_tail(s, delta)
 
-    # Q^T A, not diag(S) V^T: equal in exact arithmetic, but LAPACK's
-    # U S V^T misses A by ~1e-14 ||A||, which would floor the error
     def pick(A, n):
         wide = A.shape[0] <= A.shape[1]
         # the Gram of the short side: A A^T (eigenvectors U), or A^T A
@@ -298,24 +304,22 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         r = rank(np.sqrt(np.maximum(lam, 0.0)), n)
         if _gram_resolves(lam, r):  # residual from the carried norms
             Q = W[:, :r].copy(order="F") if wide else np.linalg.qr(A @ W[:, :r])[0]
-            Q = _fix_signs(Q)
-            return _Basis(Q, (A.T @ Q).T, None)
+            return _Basis(_fix_signs(Q), None)
         U, s = svd(A)
         r = rank(s, n)
-        Q = U[:, :r]
-        return _Basis(Q, (A.T @ Q).T, frobenius_norm(s[r:]))
+        return _Basis(U[:, :r], frobenius_norm(s[r:]))
 
     return _scale_back(_sweep(t, norm, pick), e)
 
 
 def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, SweepTrace]:
-    """Shared randomized scaffold; basis(M, Z0, r) -> (Q, Q^T M), with
-    Q^T M F-contiguous, M the step's unfolding A or the R or T of
+    """Shared randomized scaffold; basis(M, Z0, r) -> Q, r orthonormal
+    columns, with M the step's unfolding A or the R or T of
     _power_step_gram, and Z0 = svd(Y).U the basis of the step's sketch
     Y = M Omega.  q is the number of power steps basis runs.  The sketch
     is drawn and applied here and nowhere else, and _power_step_gram
     decides here, once per step, whether M is A; a T step's basis is
-    lifted here, and every step through M carries Q^T A."""
+    lifted here.  _sweep forms the carry Q^T A from the Q this returns."""
     t, norm, e = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
@@ -330,22 +334,18 @@ def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, Sw
         Z0 = svd(M @ gaussian_matrix(M.shape[1], width, rng)).U
         # Q has exactly r columns: r <= min(rows, width) (_check_ranks), and
         # Z0 and every Krylov block have that many
-        Q, carry = basis(M, Z0, r)
+        Q = basis(M, Z0, r)
         if lift is not None:  # T's coordinates Q_T to orth(U Q_T)
             Q = np.linalg.qr(A @ (lift @ Q))[0]
-        if M is not A:  # the carry is Q^T A, not the Q^T M basis gave
-            carry = (A.T @ Q).T
-        return _Basis(Q, carry, None, width, clamped)
+        return _Basis(Q, None, width, clamped)
 
     return _scale_back(_sweep(t, norm, pick), e)
 
 
 def _ritz(M, S, r):
     """The top r Ritz vectors Q = S V_r of M in span(S), S orthonormal,
-    and Q^T M = V_r^T B, from the eigenvectors of B B^T, B = S^T M."""
-    B = S.T @ M
-    V = _gram_eigh(B)[1][:, :r]
-    return S @ V, (B.T @ V).T
+    V_r the top r eigenvectors of B B^T, B = S^T M."""
+    return S @ _gram_eigh(S.T @ M)[1][:, :r]
 
 
 def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
@@ -353,8 +353,7 @@ def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     the top r left singular vectors of A Omega."""
 
     def basis(M, Z0, r):
-        Q = Z0[:, :r]
-        return Q, (M.T @ Q).T
+        return Z0[:, :r]
 
     return _randomized_sweep(t, cfg, basis, 0)
 

@@ -166,10 +166,10 @@ def _gram_is_cheaper(rows: int, cols: int, w: int, q: int) -> bool:
     cols w through either and adds the lift, a product with A (2 rows
     cols w flops, one pass) and one QR of a rows x w block.  Left out as
     even: the pass that forms A Omega and the one that forms the Gram
-    matrix, the Ritz step's B = S^T A and the carry Q^T A through M, and
-    the products with M.  So a wide step's factorizations cancel, a tall
-    one's are what the Gram side saves, and at q = 0 a tall step costs
-    more through M by construction."""
+    matrix, the Ritz step's B = S^T A, the carry Q^T A, which both form
+    from A, and the products with M.  So a wide step's factorizations
+    cancel, a tall one's are what the Gram side saves, and at q = 0 a tall
+    step costs more through M by construction."""
     short, long_ = sorted((rows, cols))
     pass_ns = _PASS_NS if rows * cols > _CACHE_ENTRIES else 0.0
     drawn = (

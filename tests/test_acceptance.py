@@ -195,9 +195,18 @@ def test_criterion_05_spectrum_tensor_sweep():
     ]
     elapsed = time.perf_counter() - t0
     ok = not failed and elapsed < 120.0
+
+    def limit(k):  # the tightest bound rbki's median must meet in group k
+        return min(f * med[m][k] + FLOAT64_TAU for kk, m, f in checks if kk == k)
+
+    # r = 30 and 35 sit near the float64 floor, where the margins are thin
+    thin = sorted((k[0][0], k) for k in med["svd"] if k[0][0] in (30, 35))
     detail = (
         f"spectrum 100^3 sweep: rbki within 1.1x of svd at all 8 ranks "
-        f"and <= rsvd for r >= 15 (+ tau {FLOAT64_TAU:.1e}), {elapsed:.0f}s"
+        f"and <= rsvd for r >= 15 (+ tau {FLOAT64_TAU:.1e}), {elapsed:.0f}s; "
+        + ", ".join(
+            f"r={r} rbki {med['rbki'][k]:.3e} vs limit {limit(k):.3e}" for r, k in thin
+        )
     )
     if failed:
         k, m, f = failed[0]
@@ -335,18 +344,23 @@ def test_criterion_11_determinism():
 
 
 def test_criterion_12_wall_time_ordering(spectrum100):
-    def med_time(fn):
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return statistics.median(times)
-
     t = spectrum100
-    t_svd = med_time(lambda: tt_svd(t, TruncationSpec(ranks=(20, 20))))
-    t_rsvd = med_time(lambda: tt_rsvd(t, SketchConfig(ranks=(20, 20), p=2, q=1, seed=0)))
-    t_rbki = med_time(lambda: tt_rbki(t, SketchConfig(ranks=(20, 20), p=2, q=2, seed=0)))
+    sweeps = {
+        "svd": lambda: tt_svd(t, TruncationSpec(ranks=(20, 20))),
+        "rsvd": lambda: tt_rsvd(t, SketchConfig(ranks=(20, 20), p=2, q=1, seed=0)),
+        "rbki": lambda: tt_rbki(t, SketchConfig(ranks=(20, 20), p=2, q=2, seed=0)),
+    }
+    for sweep in sweeps.values():  # one untimed warm-up each
+        sweep()
+    # the three interleaved in every repeat, so a slow spell of the
+    # machine or the allocator falls on all of them, not on one block
+    times = {name: [] for name in sweeps}
+    for _ in range(5):
+        for name, sweep in sweeps.items():
+            t0 = time.perf_counter()
+            sweep()
+            times[name].append(time.perf_counter() - t0)
+    t_svd, t_rsvd, t_rbki = (statistics.median(times[m]) for m in ("svd", "rsvd", "rbki"))
     ok = t_rsvd < t_rbki < t_svd
     _report(
         12,

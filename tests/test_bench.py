@@ -391,6 +391,20 @@ def test_csv_empty_sweep_is_header_only(tmp_path):
         load_records(path, "csv")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_load_records_raises_parse_error_on_an_empty_torn_or_undecodable_file(tmp_path, fmt):
+    path = tmp_path / f"out.{fmt}"
+    emit(gnarly_records(), fmt, path)
+    whole = path.read_bytes()
+    # zero bytes and a save cut short, as a crash can leave them (the
+    # last cut lands inside the quoted error text of the last record),
+    # and a file that is not UTF-8 text
+    for data in (b"", whole[: len(whole) // 2], whole[:-3], b"\xff" + whole):
+        path.write_bytes(data)
+        with pytest.raises(ParseError):
+            load_records(path, fmt)
+
+
 def test_round_trip_preserves_every_field(tmp_path):
     recs = gnarly_records()
     for fmt in ("csv", "json"):

@@ -266,7 +266,7 @@ def test_tt_rsi_takes_no_power_step_where_the_sketch_spans_the_rows(monkeypatch)
     assert draws[0] == (1000, 5) and len(draws) == 4
     # M^T Z then M (M^T Z), twice per step but on step 0
     assert products[0] == [] and products[1] == [(200, 15), (15, 200)] * 2
-    Q, _ = decompose._ritz(np.reshape(t, (4, 1000), order="F"), starts[0], 3)
+    Q = decompose._ritz(np.reshape(t, (4, 1000), order="F"), starts[0], 3)
     assert np.array_equal(np.reshape(tt.cores[0], (4, 3), order="F"), Q)
 
 

@@ -1,5 +1,6 @@
 """The memory-layout contract: producers return column-major arrays and,
-on column-major input, no sweep step copies the tensor."""
+on column-major input, no sweep step copies the tensor; every step
+carries (A^T Q)^T, whatever matrix its basis Q was found on."""
 
 import numpy as np
 import pytest
@@ -46,23 +47,45 @@ def test_power_function_values_match_the_c_ordered_build():
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_every_unfold_is_a_view_on_column_major_input(monkeypatch, method):
-    seen = []  # (unfolding, carry) of every step
-    sweep = decompose._sweep
+    # powerfn 10^5 at ranks 3, p 2, q 2: rsi's and rbki's step 0
+    # (10 x 10000) goes through R and step 1 (30 x 1000) through the
+    # products, so the one carry rule is checked on both kinds of step
+    seen = []  # (unfolding, Q) of every step
+    carries = []  # the 2-D arrays _sweep takes norms of: its carries
+    through_gram = []  # per randomized step: did M replace A?
+    sweep, norm, rule = decompose._sweep, decompose.frobenius_norm, decompose._power_step_gram
 
-    def spy(t, norm, pick_basis):
+    def spy_sweep(t, t_norm, pick_basis):
         def pick(A, n):
             b = pick_basis(A, n)
-            seen.append((A, b.carry))
+            seen.append((A, b.Q))
             return b
 
-        return sweep(t, norm, pick)
+        return sweep(t, t_norm, pick)
 
-    monkeypatch.setattr(decompose, "_sweep", spy)
-    t = power_function_tensor((5, 4, 6, 3), 2.0)
-    tt, _ = run_method(method, t, (3, 4, 2), p=1, q=1, seed=0)
-    sources = [t] + [carry for _, carry in seen]
-    assert len(seen) == t.ndim - 1
-    for n, (A, carry) in enumerate(seen):
-        assert np.shares_memory(A, sources[n]), n
-        assert carry.flags.f_contiguous, n
-    assert np.shares_memory(tt.cores[-1], seen[-1][1])
+    def spy_norm(x):
+        if x.ndim == 2:
+            carries.append(x)
+        return norm(x)
+
+    def spy_rule(*args):
+        gram = rule(*args)
+        through_gram.append(gram is not None)
+        return gram
+
+    monkeypatch.setattr(decompose, "_sweep", spy_sweep)
+    monkeypatch.setattr(decompose, "frobenius_norm", spy_norm)
+    monkeypatch.setattr(decompose, "_power_step_gram", spy_rule)
+    t = power_function_tensor((10,) * 5, 5.0)
+    tt, _ = run_method(method, t, (3, 3, 3, 3), p=2, q=2, seed=0)
+    if method in ("rsi", "rbki"):
+        assert through_gram[:2] == [True, False]
+    assert len(seen) == len(carries) == t.ndim - 1
+    sources = [t] + carries
+    unfolds = [A for A, _ in seen[1:]] + [tt.cores[-1]]
+    for n, (A, Q) in enumerate(seen):
+        assert np.shares_memory(A, sources[n]), n  # a view, no copy
+        assert carries[n].flags.f_contiguous, n
+        want = np.reshape((A.T @ Q).T, unfolds[n].shape, order="F")
+        assert np.array_equal(unfolds[n], want), n
+    assert np.shares_memory(tt.cores[-1], carries[-1])
