@@ -26,8 +26,10 @@ truncation the randomized sweeps have; any other value is an error.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
@@ -303,16 +305,22 @@ def load_records(path, format: str = "csv") -> List[BenchRecord]:
     """Read back what emit wrote.  A value that is missing or does not
     decode raises ParseError naming its row (1 for the first record) and
     its column; so does a file that does not decode as text or, in
-    format json, does not parse, with the decoder's message."""
+    format json, does not parse, with the decoder's message.  A CSV that
+    does not end in a line terminator, as every row emit writes does,
+    was cut short: ParseError at its byte length."""
     try:
         if format == "csv":
             with open(path, newline="") as f:
-                # strict: a save cut inside a quoted field is an error
-                reader = csv.reader(f, strict=True)
-                header = next(reader, None)
-                if header is None:  # emit writes the header even for no records
-                    raise ParseError("empty file, not even a header row", offset=0)
-                objs = [dict(zip(header, row)) for row in reader]
+                text = f.read()
+                size = os.fstat(f.fileno()).st_size
+            if not text:  # emit writes the header even for no records
+                raise ParseError("empty file, not even a header row", offset=0)
+            if not text.endswith("\n"):
+                raise ParseError("file ends inside a row: the save was cut short", offset=size)
+            # strict: a save cut inside a quoted field is an error
+            reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+            header = next(reader)
+            objs = [dict(zip(header, row)) for row in reader]
         elif format == "json":
             with open(path) as f:
                 objs = json.load(f)

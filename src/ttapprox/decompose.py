@@ -70,14 +70,14 @@ rounding.  Every core has exactly the requested rank.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
 trace; their squares sum to the final squared approximation error.  The
-norms behind them come from metrics' one sum of squares, which calls no
-BLAS, so the same cores give the same residuals at any BLAS thread
-count.  Two gaps remain: on some shapes OpenBLAS splits a GEMM whose
-inner dimension is an unfolding's long side across threads (the Gram
-matrices A A^T and A^T A of tt_svd and of the randomized sweeps' Gram
-steps among them), and then the cores differ; and the steps that
-tt_svd's energy test refuses pass through LAPACK's threaded QR or thin
-SVD in linalg.svd.
+norms behind them come from metrics' one sum of squares, single-threaded
+ddot on slices of at most 8192 entries, so with numpy's OpenBLAS the
+same cores give the same residuals at any BLAS thread count.  Two gaps
+remain: on some shapes OpenBLAS splits a GEMM whose inner dimension is
+an unfolding's long side across threads (the Gram matrices A A^T and
+A^T A of tt_svd and of the randomized sweeps' Gram steps among them),
+and then the cores differ; and the steps that tt_svd's energy test
+refuses pass through LAPACK's threaded QR or thin SVD in linalg.svd.
 
 Every linearization is column-major (first index fastest): element
 (i_1, ..., i_N) of a tensor sits at offset sum_n i_n prod_{m<n} I_m, so

@@ -1,11 +1,15 @@
 """Reconstruction quality metrics and the package's one sum of squares.
 
 Every sum of squares in the package, ||t||_F behind frobenius_norm, the
-sweeps' input norm and add_awgn's signal power, and ||a||^2 and
-||a - ahat||^2 behind the metrics, goes through one kernel (_sq): numpy's
-pairwise sum of x*x over a block of at most _BLOCK entries, added up
-block by block.  It does not use BLAS, so norms, step residuals, noise
-levels and the metrics do not depend on the BLAS thread count, and no
+sweeps' input and carry norms and add_awgn's signal power, and ||a||^2
+and ||a - ahat||^2 behind the metrics, goes through one kernel (_sq):
+BLAS ddot, np.dot(v, v), over consecutive slices v of at most _DOT
+entries of a block of at most _BLOCK entries, added up in sequence, and
+the blocks added up in sequence.  OpenBLAS (numpy's wheels) runs a ddot
+of up to 10000 entries on one thread, so with it norms, step residuals,
+noise levels and the metrics do not depend on the BLAS thread count.
+OpenBLAS picks its ddot kernel for the CPU it runs on, so their last
+bits may differ between machines; other BLAS builds are not covered.  No
 temporary the size of the tensor is formed.  One range rule (_exponent)
 keeps the squares in float64: a tensor whose squared norm lies outside
 [2^-512, 2^512] is summed again as t 2^-e, e the binary exponent of
@@ -38,12 +42,21 @@ from .errors import InvalidArgumentError
 # entries per block of every sum of squares: the scratch buffer (256 KB)
 # and the input blocks stay in cache between the sweeps over the block
 _BLOCK = 1 << 15
+# entries per ddot inside a block: OpenBLAS 0.3 runs ddot on one thread
+# up to 10000 entries (its x86_64 ddot.c), so a slice of at most _DOT
+# gives the same bits at every thread count; the metrics pass measured
+# faster over 2^15-entry blocks of 4 slices than over 8192-entry blocks
+_DOT = 8192
 
 
-def _sq(x, out) -> float:
-    """The sum of squares of one block x, through out, a buffer of x's
-    size: numpy's pairwise sum, which no BLAS thread count changes."""
-    return float(np.multiply(x, x, out=out).sum())
+def _sq(x) -> float:
+    """The sum of squares of one block x: np.dot(v, v) over consecutive
+    slices v of at most _DOT entries, added in sequence."""
+    s = 0.0
+    for i in range(0, x.size, _DOT):
+        v = x[i : i + _DOT]
+        s += float(np.dot(v, v))
+    return s
 
 
 def _blocks(*ts):
@@ -80,8 +93,8 @@ def _sum_sq(t: np.ndarray) -> Tuple[np.ndarray, float, int]:
     most its size."""
     s = 0.0
     with np.errstate(over="ignore"):  # an overflow is rescaled below
-        for d, x in _blocks(t):
-            s += _sq(x, d)
+        for _, x in _blocks(t):
+            s += _sq(x)
     e = _exponent(t, s)
     # t 2^-e is in range, so the second call stops there
     return (*_sum_sq(np.ldexp(t, -e))[:2], e) if e else (t, s, 0)
@@ -142,8 +155,8 @@ def _blocked_pass(a, ahat, ref_sq=None) -> _Sums:
     peak = np.float64(0.0)
     for d, x, y in _blocks(a, ahat):
         if ref_sq is None:
-            sq += _sq(x, d)
-        err_sq += _sq(np.subtract(x, y, out=d), d)
+            sq += _sq(x)
+        err_sq += _sq(np.subtract(x, y, out=d))
         # np.maximum keeps a NaN once seen, as np.max(np.abs(ahat)) would
         peak = np.maximum(peak, max(y.max(), -y.min()))
     return _Sums(a.size, sq if ref_sq is None else ref_sq, err_sq, float(peak))

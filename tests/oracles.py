@@ -1,10 +1,17 @@
-"""Reference quantities the tests check the library against, and the
-check that a save replaced its output file."""
+"""Reference quantities the tests check the library against, the
+check that a save replaced its output file, and the runs of one script
+at 1 and 2 OpenBLAS threads."""
 
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+
+import ttapprox
 
 
 def tail_energy(A, j: int) -> float:
@@ -47,3 +54,26 @@ def assert_replaced(path, save):
     new = path.stat()
     assert new.st_ino != gone.st_ino
     assert stat.S_IMODE(new.st_mode) == 0o640
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return ""
+
+
+needs_openblas = pytest.mark.skipif(
+    "openblas" not in _blas_name(), reason="OPENBLAS_NUM_THREADS sets no other BLAS"
+)
+
+
+def at_blas_threads(argv, threads) -> subprocess.CompletedProcess:
+    """python argv run with this package on its path and OpenBLAS at the
+    given thread count.  OpenBLAS reads its thread count once, at load
+    time, so each count runs in its own interpreter."""
+    src = str(Path(ttapprox.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ttapprox import (
     power_function_tensor,
     run_bench,
     spectrum_decay_tensor,
+    tensor_load,
     tensor_save,
     tt_reconstruct,
     tt_svd,
@@ -182,7 +184,9 @@ def test_rows_are_their_cells_metrics_on_clean_and_rescaled_inputs(tmp_path):
     tensor_save(big, path)
     plan = small_plan(dataset={"kind": "file", "path": str(path)}, methods=methods, ranks=[2],
                       seeds=[0, 1], snr_db=[None, 5.0])
-    _assert_rows_are_their_cells(run_bench(plan), big)
+    # the tensor the bench reads back, column-major, which every sum walks
+    # in memory order: C-ordered big would sum its entries in another order
+    _assert_rows_are_their_cells(run_bench(plan), tensor_load(path))
 
 
 def test_a_plan_draws_one_gaussian_stream_per_seed(monkeypatch):
@@ -403,6 +407,20 @@ def test_load_records_raises_parse_error_on_an_empty_torn_or_undecodable_file(tm
         path.write_bytes(data)
         with pytest.raises(ParseError):
             load_records(path, fmt)
+
+
+@pytest.mark.parametrize("cut", [1, 5, 20])
+def test_load_records_refuses_a_csv_cut_inside_its_unquoted_last_field(tmp_path, cut):
+    # the last row ends in an error text with no comma, so csv leaves it
+    # unquoted and a cut there would load a shortened value
+    path = tmp_path / "out.csv"
+    failed = replace(gnarly_records()[1], error="singular matrix in step 0")
+    emit([*gnarly_records(), failed], "csv", path)
+    assert load_records(path)[-1].error == "singular matrix in step 0"
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ParseError, match="cut short") as info:
+        load_records(path)
+    assert info.value.offset == path.stat().st_size
 
 
 def test_round_trip_preserves_every_field(tmp_path):

@@ -179,12 +179,15 @@ def test_awgn_is_exactly_scale_equivariant(j):
 
 def test_awgn_in_range_keeps_its_formula():
     # in range the noise is sigma * N(0, 1) in column-major order, with
-    # sigma^2 = sum(t^2) / numel / 10^(snr / 10) summed by np.sum, bit for bit
+    # sigma^2 = sum(t^2) / numel / 10^(snr / 10), bit for bit; every t here
+    # is under metrics._DOT entries, so sum(t^2) is one np.dot of t's
+    # entries in memory order
     rng = np.random.default_rng(22)
     for t in (rng.standard_normal((6, 7, 8)), np.ascontiguousarray(power_function_tensor((9, 8, 7), 2.0)),
               1e-70 * np.ones((3, 4)), 1e70 * rng.standard_normal((5, 3))):
         for snr in (-3.0, 5.0, 20.0):
-            sigma = np.sqrt(float(np.sum(t**2)) / t.size / 10.0 ** (snr / 10.0))
+            v = np.ravel(t, order="K")
+            sigma = np.sqrt(float(np.dot(v, v)) / t.size / 10.0 ** (snr / 10.0))
             noise = np.random.default_rng(3).standard_normal(t.size).reshape(t.shape, order="F")
             assert np.array_equal(add_awgn(t, snr, 3), np.add(t, sigma * noise, order="F"))
 

@@ -1,10 +1,6 @@
 import csv
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +25,8 @@ from ttapprox import (
 from ttapprox import decompose, linalg
 from ttapprox.linalg import svd
 from ttapprox.tt import left_unfolding
+
+from oracles import at_blas_threads, needs_openblas
 
 ALGS = {
     "rsvd": tt_rsvd,
@@ -594,14 +592,7 @@ show(*run_method("svd", power_function_tensor((20,) * 5, 5.0), (8,) * 4), "svd",
 """
 
 
-def _blas_name():
-    try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
-        return ""
-
-
-@pytest.mark.skipif("openblas" not in _blas_name(), reason="OPENBLAS_NUM_THREADS sets no other BLAS")
+@needs_openblas
 def test_randomized_cores_do_not_depend_on_blas_threads():
     # pins behaviour of these shapes, not a property of the sweeps: on
     # a 5 dB noisy spectrum 100^3 and on powerfn 10^6 the randomized cores
@@ -609,30 +600,20 @@ def test_randomized_cores_do_not_depend_on_blas_threads():
     # spectrum, and whether 12^5 is spared rests on OpenBLAS's per-size
     # threading.  tt_svd on 20^5 at ranks 8 takes the Gram matrix on its
     # wide steps and its tall last one, and so passes through no threaded
-    # QR or SVD.  Given the same cores,
-    # the step residuals match too, because their norms call no BLAS.
-    # OpenBLAS reads its thread count once, at load time, so each count
-    # runs in its own interpreter
-    src = str(Path(decompose.__file__).resolve().parents[1])
-    out = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", _CORE_HASHES], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        out[threads] = proc.stdout.splitlines()
+    # QR or SVD.  Given the same cores, the step residuals match too,
+    # because their norms are single-threaded ddot (test_metrics pins it)
+    out = {t: at_blas_threads(["-c", _CORE_HASHES], t).stdout.splitlines() for t in ("1", "2")}
     assert len(out["1"]) == 13
     assert out["1"] == out["2"]
 
 
-@pytest.mark.skipif("openblas" not in _blas_name(), reason="OPENBLAS_NUM_THREADS sets no other BLAS")
+@needs_openblas
 def test_bench_rows_do_not_depend_on_blas_threads(tmp_path):
     # a ttapprox bench plan on the shape the core hashes above pin: all
     # four methods at ranks 4 and 8, q 1 and 2, seeds 0 and 1.  Every row,
     # svd's included, matches between 1 and 2 threads but for its wall
     # time; like the core hashes, this pins how OpenBLAS threads this
     # shape, not a property of the sweeps
-    src = str(Path(decompose.__file__).resolve().parents[1])
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "dataset": {"kind": "powerfn", "dims": [12] * 5, "h": 5.0},
@@ -642,11 +623,7 @@ def test_bench_rows_do_not_depend_on_blas_threads(tmp_path):
     rows = {}
     for threads in ("1", "2"):
         out = tmp_path / f"rows-{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        argv = ["bench", "--plan", str(plan), "-o", str(out), "--format", "csv"]
-        proc = subprocess.run([sys.executable, "-m", "ttapprox.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        at_blas_threads(["-m", "ttapprox.cli", "bench", "--plan", str(plan), "-o", str(out)], threads)
         with open(out, newline="") as f:
             rows[threads] = [{k: v for k, v in row.items() if k != "wall_time_s"}
                              for row in csv.DictReader(f)]

@@ -5,7 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
-from ttapprox import InvalidArgumentError, error_metrics, frobenius_norm, psnr, relative_error
+from ttapprox import (
+    InvalidArgumentError,
+    error_metrics,
+    frobenius_norm,
+    power_function_tensor,
+    psnr,
+    relative_error,
+)
+from ttapprox.metrics import _sum_sq
+
+from oracles import at_blas_threads, needs_openblas
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_frobenius_norm():
@@ -153,3 +165,53 @@ def test_psnr_where_the_peak_squared_leaves_float64():
     ahat[-1] = 1e153
     assert psnr(a, ahat) == pytest.approx(30.0, abs=1e-9)
     assert psnr(np.full((4, 4), 1e70), np.full((4, 4), 1e-200)) == pytest.approx(-5400.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["powerfn", "gaussian"])
+def test_sums_at_bench_size_stay_within_4_eps_of_the_exact_sum(kind):
+    # the property test's bound at 20^5 = 3.2M entries, 98 blocks: fsum
+    # takes the exact sum of the rounded squares, so only the kernel's
+    # summation order (and ddot's fused multiply-adds) can differ from it
+    rng = np.random.default_rng(26)
+    shape = (20,) * 5
+    if kind == "powerfn":
+        a = power_function_tensor(shape, 5.0)
+    else:
+        a = np.asfortranarray(rng.standard_normal(shape))
+    ahat = a + 1e-6 * rng.standard_normal(shape)
+    ref_sq = math.fsum((a * a).ravel().tolist())
+    want_rel = math.sqrt(math.fsum(((a - ahat) ** 2).ravel().tolist())) / math.sqrt(ref_sq)
+    rel, _ = error_metrics(a, ahat)
+    assert abs(rel - want_rel) <= 4 * EPS * want_rel
+    assert abs(_sum_sq(a)[1] - ref_sq) <= 4 * EPS * ref_sq
+
+
+# prints, for tensors of 10001 entries (one past the longest ddot that
+# OpenBLAS keeps on one thread), 3 _BLOCK + 7 and 20^5 in F and C layout,
+# the bits of frobenius_norm, _sum_sq and both metrics
+_SUM_BITS = """
+import numpy as np
+from ttapprox import error_metrics, frobenius_norm
+from ttapprox.metrics import _BLOCK, _sum_sq
+
+shapes = [(73, 137), (17, 5783), (20,) * 5]
+assert [int(np.prod(s)) for s in shapes] == [10001, 3 * _BLOCK + 7, 20**5]
+rng = np.random.default_rng(26)
+for shape in shapes:
+    a = rng.standard_normal(shape)
+    ahat = a + 1e-3 * rng.standard_normal(shape)
+    for layout in (np.asfortranarray, np.ascontiguousarray):
+        A, H = layout(a), layout(ahat)
+        sums = frobenius_norm(A), _sum_sq(A)[1], *error_metrics(A, H)
+        print(shape, layout.__name__, *(x.hex() for x in sums))
+"""
+
+
+@needs_openblas
+def test_sums_do_not_depend_on_blas_threads():
+    # every sum of squares is ddot over slices short enough that OpenBLAS
+    # runs each on one thread; a longer slice is split across threads and
+    # its last bits then change with the thread count
+    out = {t: at_blas_threads(["-c", _SUM_BITS], t).stdout.splitlines() for t in ("1", "2")}
+    assert len(out["1"]) == 6
+    assert out["1"] == out["2"]
