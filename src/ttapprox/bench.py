@@ -263,7 +263,6 @@ def _run_cell(cell: BenchRecord, inp, base, ref) -> BenchRecord:
         cell.rel_err, cell.psnr = _error_metrics(base, tt_reconstruct(tt), ref)
         cell.trace_sum_sq = trace.residual_sq_sum
     except (InvalidArgumentError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        cell.rel_err = cell.psnr = cell.trace_sum_sq = None
         cell.error = str(exc)
     return cell
 

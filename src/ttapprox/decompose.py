@@ -24,24 +24,21 @@ energy beyond r of at least 1e-10 ||A||^2, and only then.  A step the
 test refuses takes linalg.svd (the R-only QR on a wide unfolding,
 LAPACK's thin SVD on a tall one), having paid for the Gram as well.
 
-The randomized sweeps share their first step: each draws one Gaussian
-sketch Y (r + p columns, fewer on a short trailing side) and takes its
-left singular vectors Z_0 = svd(Y).U, min(rows, r + p) columns, before
-any range finder runs.  tt_rsvd keeps the first r columns of Z_0.
-tt_rsi takes S = Z_q from linalg.krylov_blocks, the power iteration
-Z_t = orth(A A^T Z_{t-1}) from Z_0; tt_rbki takes S from
+The randomized sweeps differ only in their range finder, and
+_randomized_sweep's docstring gives the step they share, in order: gate,
+sketch, Z_0, range finder, Ritz step, lift.  tt_rsvd has no range
+finder; tt_rsi's is linalg.krylov_blocks, the power iteration
+Z_t = orth(A A^T Z_{t-1}) from Z_0, of which it keeps Z_q; tt_rbki's is
 linalg.krylov_basis, which builds span([Z_0, ..., Z_q]) block by block
 (its docstring gives the drop and re-projection rules).  Both factor
-only blocks of r + p columns.
+only blocks of r + p columns.  Every core has exactly the requested
+rank.
 
-Once per step the sweep asks linalg._power_step_gram whether the step
-runs its range finder on the Gram factor M of the unfolding's short
-side in place of A: one gate for both orientations, by one cost rule for
-all three sweeps, asked with the power steps each runs (0 for tt_rsvd,
-q for tt_rsi and tt_rbki), so tt_rsvd's cores do not depend on q.  The
-step then works on M, A or that short x short factor: Y = M Omega for a
-Gaussian Omega with as many rows as M has columns, and the range finder
-and the Ritz step read M.
+The gate, linalg._power_step_gram, decides whether a step runs its range
+finder on the Gram factor M of the unfolding's short side in place of A:
+one gate for both orientations, by one cost rule for all three sweeps.
+Y = M Omega for a Gaussian Omega with as many rows as M has columns, and
+the range finder and the Ritz step read M.
 
 - On a wide step M = R, rows x rows, with R R^T = G = A A^T.  Every
   left-side quantity is the same through R as through A, and the sketch
@@ -61,12 +58,6 @@ and the Ritz step read M.
 
 After forming the Gram matrix, a step through the factor reads A only
 for the carry Q^T A and, on a tall step, the lift.
-
-Both keep Q = S V_r, V_r the top r eigenvectors of B B^T with
-B = S^T M: the best rank-r basis in span(S) (Rayleigh-Ritz), which needs
-nothing from the range finder but S.  So one tt_rbki step leaves no
-larger residual than tt_rsi or tt_rsvd would from the same Y, up to
-rounding.  Every core has exactly the requested rank.
 
 Per-step residuals rho_n = ||(I - Q Q^T) A_n||_F are recorded in the
 trace; their squares sum to the final squared approximation error.  The
@@ -312,17 +303,26 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
     return _scale_back(_sweep(t, norm, pick), e)
 
 
-def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, SweepTrace]:
-    """Shared randomized scaffold; basis(M, Z0, r) -> Q, r orthonormal
-    columns, with M the step's unfolding A or the R or T of
-    _power_step_gram, and Z0 = svd(Y).U the basis of the step's sketch
-    Y = M Omega.  q is the number of power steps basis runs.  The sketch
-    is drawn and applied here and nowhere else, and _power_step_gram
-    decides here, once per step, whether M is A; a T step's basis is
-    lifted here.  _sweep forms the carry Q^T A from the Q this returns."""
+def _randomized_sweep(t, cfg: SketchConfig, finder) -> Tuple[TTTensor, SweepTrace]:
+    """The randomized step, shared by all three sweeps, which differ only
+    in finder(M, Z0, q), the orthonormal basis S of their range finder.
+    In order, each step
+      1. asks the gate, _power_step_gram, once which operand M it works
+         on: the unfolding A, or the R or T of its Gram factor;
+      2. draws the Gaussian sketch Y = M Omega, r + p columns (fewer on a
+         short trailing side), here and nowhere else;
+      3. takes Z0 = svd(Y).U, min(rows, r + p) columns;
+      4. runs the range finder, S = finder(M, Z0, q);
+      5. keeps the top r Ritz vectors of M in span(S), Q = _ritz(M, S, r);
+      6. on a T step lifts Q from T's coordinates to A's rows with one QR.
+    finder None, tt_rsvd, states both facts that define that sweep: it
+    runs no power step, so the gate is asked with q = 0 and its cores do
+    not depend on cfg.q, and it takes no Ritz step, Q = Z0[:, :r].
+    _sweep forms the carry Q^T A from the Q this returns."""
     t, norm, e = _as_input(t)
     ranks = _check_ranks(t.shape, cfg.ranks)
     rng = np.random.default_rng(cfg.seed)
+    q = 0 if finder is None else cfg.q
 
     def pick(A, n):
         r = ranks[n]
@@ -334,7 +334,7 @@ def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, Sw
         Z0 = svd(M @ gaussian_matrix(M.shape[1], width, rng)).U
         # Q has exactly r columns: r <= min(rows, width) (_check_ranks), and
         # Z0 and every Krylov block have that many
-        Q = basis(M, Z0, r)
+        Q = Z0[:, :r] if finder is None else _ritz(M, finder(M, Z0, q), r)
         if lift is not None:  # T's coordinates Q_T to orth(U Q_T)
             Q = np.linalg.qr(A @ (lift @ Q))[0]
         return _Basis(Q, None, width, clamped)
@@ -344,38 +344,29 @@ def _randomized_sweep(t, cfg: SketchConfig, basis, q: int) -> Tuple[TTTensor, Sw
 
 def _ritz(M, S, r):
     """The top r Ritz vectors Q = S V_r of M in span(S), S orthonormal,
-    V_r the top r eigenvectors of B B^T, B = S^T M."""
+    V_r the top r eigenvectors of B B^T, B = S^T M: the best rank-r
+    basis in span(S) (Rayleigh-Ritz), which needs nothing from the range
+    finder but S.  So one tt_rbki step leaves no larger residual than
+    tt_rsi or tt_rsvd would from the same Y, up to rounding."""
     return S @ _gram_eigh(S.T @ M)[1][:, :r]
 
 
 def tt_rsvd(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition from a plain Gaussian sketch, keeping
     the top r left singular vectors of A Omega."""
-
-    def basis(M, Z0, r):
-        return Z0[:, :r]
-
-    return _randomized_sweep(t, cfg, basis, 0)
+    return _randomized_sweep(t, cfg, None)
 
 
 def tt_rsi(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition with q rounds of subspace power
     iteration: Ritz vectors from the last Krylov block alone."""
-
-    def basis(M, Z0, r):
-        return _ritz(M, krylov_blocks(M, Z0, cfg.q)[-1], r)
-
-    return _randomized_sweep(t, cfg, basis, cfg.q)
+    return _randomized_sweep(t, cfg, lambda M, Z0, q: krylov_blocks(M, Z0, q)[-1])
 
 
 def tt_rbki(t, cfg: SketchConfig) -> Tuple[TTTensor, SweepTrace]:
     """Randomized TT decomposition through a depth-q block Krylov basis:
     Ritz vectors from all q + 1 blocks."""
-
-    def basis(M, Z0, r):
-        return _ritz(M, krylov_basis(M, Z0, cfg.q), r)
-
-    return _randomized_sweep(t, cfg, basis, cfg.q)
+    return _randomized_sweep(t, cfg, krylov_basis)
 
 
 # method name -> name of its sweep in this module.  run_method looks the

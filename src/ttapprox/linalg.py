@@ -3,31 +3,24 @@
 Thin wrappers around LAPACK via numpy plus the pieces numpy does not
 ship: seeded Gaussian test matrices with a stable column layout, the
 left power iteration behind tt_rsi and the block Krylov basis behind
-tt_rbki.  No sweep factors an unfolding on its long side: tt_svd takes
-every step through the Gram matrix of the short side, and the randomized
-sweeps, wherever _power_step_gram's cost rule and energy test say so,
-run their range finder on that Gram matrix's factor M, short x short,
-while the Krylov routines start from the sweep's sketch basis Z_0 and
-factor only blocks with as many rows as their operand, multiplying the
-long side.  That leaves svd the sketches Y, rows x (r + p), which are
-wide only where r + p exceeds the rows, and the steps the energy test
-refuses; its R-only QR of a wide matrix sees little else.
+tt_rbki.  The Krylov routines start from the sweep's sketch basis Z_0
+and factor only blocks with as many rows as their operand, multiplying
+the long side.  The decompose module docstring says how tt_svd's steps
+use these kernels, and decompose._randomized_sweep's docstring the order
+in which a randomized step calls them.  No sweep factors an unfolding on
+its long side, save where the energy test refuses one of tt_svd's
+steps: svd otherwise sees only the sketches Y, rows x (r + p), which
+are wide only where r + p exceeds the rows.
 
 Every Gram matrix in the sweeps, A A^T of a wide step, A^T A of a tall
 one and the Ritz step's B B^T, is formed with its descending
 eigendecomposition in _gram_eigh, and _gram_resolves, the one energy
-test, says whether it serves a step that keeps k directions.
-_power_step_gram is the one short-side gate of the randomized sweeps:
-once per step, by one cost rule for both orientations and all three
-sweeps, it asks the test at the sketch width w and hands back
-M = R = U Sigma on a wide step (R R^T = A A^T), or M = T = Sigma V^T =
-U^T A with the lift V Sigma^+ on a tall one, whose basis Q_T the sweep
-lifts to orth(A V Sigma^+ Q_T) with one Householder QR.  tt_svd asks the
-test at its rank r on every step, of _gram_eigh(A) on a wide step and
-_gram_eigh(A^T), H = A^T A, on a tall one.  Where it passes, the step
-keeps the top r eigenvectors of G, or orthonormalizes A V_r from those
-of H; where it fails, the step has formed the Gram matrix for nothing
-and takes svd.
+test, says whether it serves a step that keeps k directions.  tt_svd
+asks it at its rank r on every step.  _power_step_gram is the one
+short-side gate of the randomized sweeps: by one cost rule for both
+orientations and all three sweeps, it asks the test at the sketch width
+w and hands back M = R = U Sigma on a wide step (R R^T = A A^T), or
+M = T = Sigma V^T = U^T A with the lift V Sigma^+ on a tall one.
 """
 
 from __future__ import annotations

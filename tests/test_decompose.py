@@ -403,6 +403,66 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
         assert np.array_equal(Q, seen["rsvd"][n][3][:, :2])
 
 
+def test_each_core_is_its_range_finders_ritz_vectors_on_every_operand_path(monkeypatch):
+    # with the cost test passed, the three steps of an 8 x 40 x 5 x 2
+    # tensor at ranks (3, 3, 2), p 1, take the three operands of
+    # _power_step_gram: step 0 (8 x 400, w 4) R, step 1 (120 x 10, w 4)
+    # T with its lift, step 2 (15 x 2, w clamped to 2, A's short side)
+    # the products.  Every core is, bit for bit, Z_0[:, :r] for tt_rsvd
+    # and the Ritz vectors _ritz(M, S, r) of the spied range finder's S for
+    # tt_rsi and tt_rbki, lifted on the T step to qr(A @ (lift @ Q)); the
+    # last core is the carry Q^T A
+    t = np.random.default_rng(16).standard_normal((8, 40, 5, 2))
+    cfg = SketchConfig(ranks=(3, 3, 2), p=1, q=2, seed=5)
+    seen = []  # per step: [A, gram, Z0, S]
+    rule, factor = decompose._power_step_gram, decompose.svd
+    blocks, basis = decompose.krylov_blocks, decompose.krylov_basis
+
+    def spy_rule(A, w, q):
+        gram = rule(A, w, q)
+        seen.append([A.copy(order="K"), gram])
+        return gram
+
+    def spy_factor(Y):
+        U = factor(Y)
+        seen[-1].append(U.U.copy())
+        return U
+
+    def spy_blocks(M, Z0, q):
+        Z = blocks(M, Z0, q)
+        seen[-1].append(Z[-1].copy())
+        return Z
+
+    def spy_basis(M, Z0, q):
+        S = basis(M, Z0, q)
+        seen[-1].append(S.copy())
+        return S
+
+    monkeypatch.setattr(linalg, "_gram_is_cheaper", lambda rows, cols, w, q: True)
+    monkeypatch.setattr(decompose, "_power_step_gram", spy_rule)
+    monkeypatch.setattr(decompose, "svd", spy_factor)
+    monkeypatch.setattr(decompose, "krylov_blocks", spy_blocks)
+    monkeypatch.setattr(decompose, "krylov_basis", spy_basis)
+    for method, sweep in ALGS.items():
+        seen.clear()
+        cores = sweep(t, cfg)[0].cores
+        assert len(seen) == 3, method
+        for n, (A, gram, Z0, *S) in enumerate(seen):
+            r = cfg.ranks[n]
+            M, lift = (A, None) if gram is None else gram
+            # R on step 0, T and its lift on step 1, A itself on step 2
+            assert [gram is None, lift is None] == [[False, True], [False, False], [True, True]][n], (method, n)
+            if method == "rsvd":
+                assert S == []
+                Q = Z0[:, :r]
+            else:
+                Q = decompose._ritz(M, S[0], r)
+            if lift is not None:
+                Q = np.linalg.qr(A @ (lift @ Q))[0]
+            assert np.array_equal(np.reshape(cores[n], (-1, r), order="F"), Q), (method, n)
+        assert np.array_equal(np.reshape(cores[3], (r, -1), order="F"), (A.T @ Q).T), method
+
+
 def test_rbki_krylov_stack_column_cap(monkeypatch):
     # the stack of q + 1 blocks keeps at most min(rows, cols, (q+1) w)
     # orthonormal columns, and always all of its first block
