@@ -2,18 +2,20 @@
 dataset, time the decompositions and emit machine-readable records.
 
 The clean tensor is summed once per plan (metrics._sum_sq).  That sum
-sets the signal power of every noise level and is the reference of
-every cell's metrics pass, which then reads only the error and the
-reconstruction's peak.  Noise takes one Gaussian draw per seed, scaled
-to each SNR level (datagen._awgn_levels), and each noisy input is
-shared by every method in its cells so comparisons are paired; metrics
-are always computed against the clean tensor.  Every noisy input is
-made before the first cell runs, so a noise level that add_awgn would
-refuse, or a clean tensor with a NaN or Inf entry, fails a noisy plan
-before any cell has.  Wall time covers the decomposition call only, also in
-rows whose decomposition or metrics fail.  The deterministic
-svd sweep runs once per (ranks, input), and every svd row of that input
-reports its one measured wall time (see run_bench).
+sets the signal power of every noise level and is the ||a||^2 of every
+cell's metrics, the sum error_metrics takes from _sum_sq too: a cell's
+pass reads only the error and the reconstruction's peak, and its row
+equals error_metrics of its pair bit for bit.  Noise takes one Gaussian
+draw per seed, scaled to each SNR level (datagen._awgn_levels), and
+each noisy input is shared by every method in its cells so comparisons
+are paired; metrics are always computed against the clean tensor.
+Every noisy input is made before the first cell runs, so a noise level
+that add_awgn would refuse, or a clean tensor with a NaN or Inf entry,
+fails a noisy plan before any cell has.  Wall time covers the
+decomposition call only, also in rows whose decomposition or metrics
+fail.  The deterministic svd sweep runs once per (ranks, input), and
+every svd row of that input reports its one measured wall time (see
+run_bench).
 
 A plan names a dataset, methods, ranks and seeds, and may set p, q and
 snr_db.  Its values go through the package's one integer and one number
@@ -216,9 +218,6 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     """
     spec = dict(plan.dataset)
     base, dataset_id = _DATASETS[spec.pop("kind")][1](**spec)
-    # every kind is built column-major, so this copies nothing; it makes
-    # each metrics pass walk base in the blocks that _sum_sq summed
-    base = np.asfortranarray(base)
     _, sum_sq, e = _sum_sq(base)
     rank_tuples = [_normalize_ranks(r, base.ndim) for r in plan.ranks]
     snr_list = plan.snr_db if plan.snr_db is not None else [None]

@@ -162,8 +162,8 @@ class SweepTrace:
 
 
 def _as_input(t) -> Tuple[np.ndarray, float, int]:
-    """t as a float64 array, ||t||_F and a binary exponent e; NaN or Inf
-    entries raise.
+    """t as a float64 array, ||t||_F and a binary exponent e; a zero-size
+    mode, which no TT core can hold, and NaN or Inf entries raise.
 
     The sweeps square norms and multiply A by A^T, so a tensor whose norm
     is out of range comes back as t 2^-e (and its norm), for _scale_back
@@ -172,6 +172,8 @@ def _as_input(t) -> Tuple[np.ndarray, float, int]:
     t = np.asarray(t, dtype=np.float64)
     if t.ndim < 1:
         raise InvalidArgumentError("input tensor must have order >= 1")
+    if 0 in t.shape:
+        raise InvalidArgumentError(f"input tensor has a zero-size mode: shape {t.shape}")
     t, sum_sq, e = _sum_sq(t)
     return t, math.sqrt(_finite(sum_sq)), e
 

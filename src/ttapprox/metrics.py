@@ -10,24 +10,23 @@ of up to 10000 entries on one thread, so with it norms, step residuals,
 noise levels and the metrics do not depend on the BLAS thread count.
 OpenBLAS picks its ddot kernel for the CPU it runs on, so their last
 bits may differ between machines; other BLAS builds are not covered.  No
-temporary the size of the tensor is formed.  One range rule (_exponent)
-keeps the squares in float64: a tensor whose squared norm lies outside
-[2^-512, 2^512] is summed again as t 2^-e, e the binary exponent of
-max|t|.  A power of two scales exactly, so results scale back by 2^e
+temporary the size of the tensor is formed.  One range rule, in
+_sum_sq, keeps the squares in float64: a tensor whose squared norm lies
+outside [2^-512, 2^512] is summed again as t 2^-e, e the binary exponent
+of max|t|.  A power of two scales exactly, so results scale back by 2^e
 without rounding; in range there is one pass and no copy.
 
-relative_error and psnr come out of one pass over a and ahat
-(error_metrics returns both), which accumulates ||a||^2, ||a - ahat||^2
+relative_error and psnr (error_metrics returns both) have one path:
+||a 2^-e||^2 and e come from _sum_sq(a), read in a's memory order, then
+one blocked pass over a 2^-e and ahat 2^-e accumulates ||a - ahat||^2
 and max|ahat| through one block-sized scratch buffer.  A pair with one
 memory layout is walked in that order, so an F- or C-contiguous pair is
 read in place; a pair whose layouts differ is walked in column-major
-order, and np.ravel copies whichever tensor is not F-contiguous.  Out of
-range both tensors are scaled by the reference's 2^-e, which leaves the
-two ratios exact.  A caller that scores many tensors against one
-column-major reference (bench) hands the pass the reference's _sum_sq,
-taken once: the pass then reads only ||a - ahat||^2 and max|ahat|, and
-since _sum_sq walks a column-major a in the same blocks, the metrics are
-bit-identical to the fused pass.
+order, and np.ravel copies whichever tensor is not F-contiguous.  The
+exact scaling by the reference's 2^-e leaves both ratios as they are.  A
+caller that scores many tensors against one reference (bench) takes its
+_sum_sq once and hands it over as ref, so its cells and error_metrics of
+the same pair give the same bits.
 """
 
 from __future__ import annotations
@@ -72,30 +71,22 @@ def _blocks(*ts):
         yield (buf[: blocks[0].size], *blocks)
 
 
-def _exponent(t, sum_sq: float) -> int:
-    """The binary exponent e that brings t, of squared norm sum_sq, into
-    the range whose squares float64 holds.
+def _sum_sq(t: np.ndarray) -> Tuple[np.ndarray, float, int]:
+    """(t 2^-e, ||t 2^-e||_F^2, e) for a float64 array t.
 
     Squares of t's entries and the Gram products A A^T of its unfoldings
-    overflow or underflow unless sum_sq lies in [2^-512, 2^512].  Inside
-    that range e = 0; outside it e is the binary exponent of max|t|, so
-    max|t 2^-e| lies in [1/2, 1) and ||t 2^-e||^2 in [1/4, t.size].  A
-    NaN or Inf entry gives e = 0, as does a zero tensor."""
-    in_range = 2.0**-512 <= sum_sq <= 2.0**512
-    return 0 if in_range else math.frexp(np.max(np.abs(t), initial=0.0))[1]
-
-
-def _sum_sq(t: np.ndarray) -> Tuple[np.ndarray, float, int]:
-    """(t 2^-e, ||t 2^-e||_F^2, e) for a float64 array t, e by _exponent.
-
-    In range e = 0 and t comes back itself, not copied.  A sum that is
-    not finite then proves a NaN or Inf entry: a finite t 2^-e sums to at
-    most its size."""
+    overflow or underflow unless ||t||^2 lies in [2^-512, 2^512].  Inside
+    that range e = 0 and t comes back itself, not copied; outside it e is
+    the binary exponent of max|t|, so max|t 2^-e| lies in [1/2, 1) and
+    ||t 2^-e||^2 in [1/4, t.size].  A NaN or Inf entry gives e = 0, as
+    does a zero tensor; a sum that is not finite then proves a NaN or Inf
+    entry, since a finite t 2^-e sums to at most its size."""
     s = 0.0
     with np.errstate(over="ignore"):  # an overflow is rescaled below
         for _, x in _blocks(t):
             s += _sq(x)
-    e = _exponent(t, s)
+    in_range = 2.0**-512 <= s <= 2.0**512
+    e = 0 if in_range else math.frexp(np.max(np.abs(t), initial=0.0))[1]
     # t 2^-e is in range, so the second call stops there
     return (*_sum_sq(np.ldexp(t, -e))[:2], e) if e else (t, s, 0)
 
@@ -125,41 +116,27 @@ class _Sums(NamedTuple):
 
 
 def _sums(a, ahat, ref=None) -> _Sums:
-    """The sums behind every metric, from one blocked pass over a and ahat
-    or, when ||a|| is out of range, over a 2^-e and ahat 2^-e: the sums
-    then overflow or underflow, while relative_error and psnr are ratios
-    that the exact scaling leaves bit-identical.
-
-    ref, when given, is a's (||a 2^-e||^2, e) from _sum_sq: the pass
-    then skips the ||a||^2 term and goes straight to the scaled pair."""
+    """The sums behind every metric: a's (||a 2^-e||^2, e), ref when
+    given, else from _sum_sq(a), then one blocked pass over a 2^-e and
+    ahat 2^-e for ||a - ahat||^2 and max|ahat|.  Out of range the sums
+    are those of the scaled pair, while relative_error and psnr are
+    ratios that the exact scaling leaves bit-identical."""
     a = np.asarray(a, dtype=np.float64)
     ahat = np.asarray(ahat, dtype=np.float64)
     if a.shape != ahat.shape:
         raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {ahat.shape}")
-    # a's overflow is rescaled below; an error or peak past float64, in
-    # either pass, sums to inf
+    ref_sq, e = ref or _sum_sq(a)[1:]
+    err_sq = 0.0
+    peak = np.float64(0.0)
+    # an error or peak past float64, scaled or not, sums to inf
     with np.errstate(over="ignore"):
-        if ref is None:
-            s = _blocked_pass(a, ahat)
-            e = _exponent(a, s.ref_sq)
-            return _blocked_pass(np.ldexp(a, -e), np.ldexp(ahat, -e)) if e else s
-        ref_sq, e = ref
         if e:
             a, ahat = np.ldexp(a, -e), np.ldexp(ahat, -e)
-        return _blocked_pass(a, ahat, ref_sq)
-
-
-def _blocked_pass(a, ahat, ref_sq=None) -> _Sums:
-    """_Sums of a and ahat; a given ref_sq stands for ||a||^2, unsummed."""
-    sq = err_sq = 0.0
-    peak = np.float64(0.0)
-    for d, x, y in _blocks(a, ahat):
-        if ref_sq is None:
-            sq += _sq(x)
-        err_sq += _sq(np.subtract(x, y, out=d))
-        # np.maximum keeps a NaN once seen, as np.max(np.abs(ahat)) would
-        peak = np.maximum(peak, max(y.max(), -y.min()))
-    return _Sums(a.size, sq if ref_sq is None else ref_sq, err_sq, float(peak))
+        for d, x, y in _blocks(a, ahat):
+            err_sq += _sq(np.subtract(x, y, out=d))
+            # np.maximum keeps a NaN once seen, as np.max(np.abs(ahat)) would
+            peak = np.maximum(peak, max(y.max(), -y.min()))
+    return _Sums(a.size, ref_sq, err_sq, float(peak))
 
 
 def _relative_error(s: _Sums) -> float:
@@ -182,8 +159,9 @@ def _psnr(s: _Sums) -> float:
 
 
 def error_metrics(a, ahat) -> Tuple[float, float]:
-    """(relative_error(a, ahat), psnr(a, ahat)) from one pass over both
-    tensors; raises InvalidArgumentError when a has zero norm."""
+    """(relative_error(a, ahat), psnr(a, ahat)) from one sum of a's
+    squares and one pass over both tensors; raises InvalidArgumentError
+    when a has zero norm."""
     return _error_metrics(a, ahat)
 
 

@@ -112,6 +112,21 @@ def test_tt_svd_argument_errors():
         tt_svd(np.zeros(5), TruncationSpec(epsilon=0.1))  # order 1 has no sweep
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 3)])
+def test_a_zero_size_mode_is_refused_by_every_sweep(shape):
+    # no TT core holds a zero-size mode: the sweeps' one input check refuses
+    # it before a rank is checked or an unfolding reshaped
+    t = np.zeros(shape)
+    ranks = (1,) * (len(shape) - 1)
+    sweeps = [
+        lambda: tt_svd(t, TruncationSpec(ranks=ranks)),
+        lambda: tt_svd(t, TruncationSpec(epsilon=0.1)),
+    ] + [lambda f=f: f(t, SketchConfig(ranks=ranks, p=2, q=2, seed=0)) for f in (tt_rsvd, tt_rsi, tt_rbki)]
+    for sweep in sweeps:
+        with pytest.raises(InvalidArgumentError, match="zero-size mode"):
+            sweep()
+
+
 def test_tt_svd_order_one_rank_mode():
     v = np.arange(1.0, 6.0)
     tt, trace = tt_svd(v, TruncationSpec(ranks=()))

@@ -7,13 +7,17 @@ import pytest
 
 from ttapprox import (
     InvalidArgumentError,
+    SketchConfig,
+    add_awgn,
     error_metrics,
     frobenius_norm,
     power_function_tensor,
     psnr,
     relative_error,
+    tt_rbki,
+    tt_reconstruct,
 )
-from ttapprox.metrics import _sum_sq
+from ttapprox.metrics import _error_metrics, _sum_sq
 
 from oracles import at_blas_threads, needs_openblas
 
@@ -165,6 +169,29 @@ def test_psnr_where_the_peak_squared_leaves_float64():
     ahat[-1] = 1e153
     assert psnr(a, ahat) == pytest.approx(30.0, abs=1e-9)
     assert psnr(np.full((4, 4), 1e70), np.full((4, 4), 1e-200)) == pytest.approx(-5400.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("j", [0, 600, -600])
+@pytest.mark.parametrize("layouts", ["FF", "CC", "CF"])
+def test_every_caller_scores_with_the_bench_cells_computation(layouts, j):
+    # error_metrics, relative_error and psnr take ||a||^2 and its exponent
+    # from _sum_sq(a), as a bench cell does through ref, so every caller
+    # gets the same bits whatever the layouts; a C-ordered reference summed
+    # in the pair's column-major walk would differ in the last bit here
+    clean = power_function_tensor((4, 5, 5, 5, 8), 5)
+    tt, _ = tt_rbki(add_awgn(clean, 20.0, 1), SketchConfig(ranks=(3, 3, 3, 3), p=2, q=2, seed=0))
+    order = {"F": np.asfortranarray, "C": np.ascontiguousarray}
+    a = order[layouts[0]](np.ldexp(clean, j))
+    ahat = order[layouts[1]](np.ldexp(tt_reconstruct(tt), j))
+    want = _error_metrics(a, ahat, _sum_sq(a)[1:])
+    assert error_metrics(a, ahat) == want
+    assert (relative_error(a, ahat), psnr(a, ahat)) == want
+    # a reference whose squares underflow and an error past float64: the
+    # rescaled pair overflows to inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = error_metrics(np.full(10, 1e-200), np.full(10, 1e300))
+    assert got == (math.inf, -math.inf)
 
 
 @pytest.mark.parametrize("kind", ["powerfn", "gaussian"])
