@@ -218,7 +218,7 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     """
     spec = dict(plan.dataset)
     base, dataset_id = _DATASETS[spec.pop("kind")][1](**spec)
-    _, sum_sq, e = _sum_sq(base)
+    sum_sq, e = _sum_sq(base)
     rank_tuples = [_normalize_ranks(r, base.ndim) for r in plan.ranks]
     snr_list = plan.snr_db if plan.snr_db is not None else [None]
     levels = [snr for snr in snr_list if snr is not None]

@@ -3,7 +3,12 @@ use of the container in _container.
 
 Every tensor this module returns is column-major (F-contiguous), the
 layout the sweeps unfold and the ".dten" payload is stored in, so none
-of them is copied on its way into a decomposition.
+of them is copied on its way into a decomposition.  Each is built in the
+array it is returned in: spectrum_decay_tensor fills its zeros,
+power_function_tensor raises its summed grid to -1/h in place,
+tensor_load reads the values straight into its array, and the last SNR
+level of _awgn_levels is made in the Gaussian draw's own buffer, so
+none of them holds a second array of the tensor's size.
 
 add_awgn measures the signal power with the package's one sum of
 squares (metrics), so the noise of a given seed does not depend on the
@@ -65,7 +70,8 @@ def power_function_tensor(dims, h: float) -> np.ndarray:
         grid = np.arange(1, d + 1, dtype=np.float64) ** h
         grid = grid.reshape([-1 if a == n_modes - 1 - k else 1 for a in range(n_modes)])
         total = grid if total is None else total + grid
-    return (total ** (-1.0 / h)).T
+    # in place: the sum is the one array of the tensor's size
+    return np.power(total, -1.0 / h, out=total).T
 
 
 def add_awgn(t, snr_db: float, seed: int) -> np.ndarray:
@@ -84,7 +90,7 @@ def add_awgn(t, snr_db: float, seed: int) -> np.ndarray:
     range raises InvalidArgumentError.
     """
     t = np.asarray(t, dtype=np.float64)
-    _, sum_sq, e = _sum_sq(t)
+    sum_sq, e = _sum_sq(t)
     return _awgn_levels(t, [snr_db], seed, sum_sq, e)[0]
 
 
@@ -92,18 +98,21 @@ def _awgn_levels(t, snrs, seed, sum_sq: float, e: int) -> List[np.ndarray]:
     """add_awgn(t, snr_db, seed) for every snr_db in snrs, from one draw.
 
     t is a float64 array and (sum_sq, e) its metrics._sum_sq.  Each level
-    scales the draw into its own column-major output and adds t there, so
-    the draw and the outputs are the only arrays of t's size."""
+    but the last scales the draw into its own column-major output and
+    adds t there; the last does the same in the draw's buffer, itself
+    column-major, so the outputs are the only arrays of t's size that
+    this makes (add_awgn holds its input and one output)."""
     snrs, seed = [_number(v, "snr_db") for v in snrs], _int(seed, "seed", 0)
     if _finite(sum_sq) == 0.0:
         raise InvalidArgumentError("signal power is zero, SNR undefined")
     power = sum_sq / t.size
     noise = np.random.default_rng(seed).standard_normal(t.size).reshape(t.shape, order="F")
     levels = []
-    for snr_db in snrs:
+    for i, snr_db in enumerate(snrs):
         with np.errstate(over="ignore"):  # 10^(snr_db/10) past float64: sigma is 0
             ratio = np.float64(10.0) ** (snr_db / 10.0)
-        y = np.empty(t.shape, order="F")  # F whatever t's layout
+        # F whatever t's layout; the draw is read for the last time here
+        y = noise if i == len(snrs) - 1 else np.empty(t.shape, order="F")
         with np.errstate(over="raise", divide="raise"):
             try:
                 # sigma of t 2^-e scaled back by 2^e: exact, so the noise is

@@ -174,8 +174,8 @@ def _as_input(t) -> Tuple[np.ndarray, float, int]:
         raise InvalidArgumentError("input tensor must have order >= 1")
     if 0 in t.shape:
         raise InvalidArgumentError(f"input tensor has a zero-size mode: shape {t.shape}")
-    t, sum_sq, e = _sum_sq(t)
-    return t, math.sqrt(_finite(sum_sq)), e
+    sum_sq, e = _sum_sq(t)
+    return (np.ldexp(t, -e) if e else t), math.sqrt(_finite(sum_sq)), e
 
 
 def _scale_back(result, e: int) -> Tuple[TTTensor, SweepTrace]:

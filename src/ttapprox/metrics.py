@@ -13,13 +13,15 @@ bits may differ between machines; other BLAS builds are not covered.  No
 temporary the size of the tensor is formed.  One range rule, in
 _sum_sq, keeps the squares in float64: a tensor whose squared norm lies
 outside [2^-512, 2^512] is summed again as t 2^-e, e the binary exponent
-of max|t|.  A power of two scales exactly, so results scale back by 2^e
-without rounding; in range there is one pass and no copy.
+of max|t|, each block scaled into the scratch buffer.  A power of two
+scales exactly, so results scale back by 2^e without rounding; in range
+there is one pass.
 
 relative_error and psnr (error_metrics returns both) have one path:
 ||a 2^-e||^2 and e come from _sum_sq(a), read in a's memory order, then
 one blocked pass over a 2^-e and ahat 2^-e accumulates ||a - ahat||^2
-and max|ahat| through one block-sized scratch buffer.  A pair with one
+and max|ahat| through block-sized scratch buffers, into which an out of
+range pair is scaled block by block.  A pair with one
 memory layout is walked in that order, so an F- or C-contiguous pair is
 read in place; a pair whose layouts differ is walked in column-major
 order, and np.ravel copies whichever tensor is not F-contiguous.  The
@@ -71,24 +73,41 @@ def _blocks(*ts):
         yield (buf[: blocks[0].size], *blocks)
 
 
-def _sum_sq(t: np.ndarray) -> Tuple[np.ndarray, float, int]:
-    """(t 2^-e, ||t 2^-e||_F^2, e) for a float64 array t.
+def _peak(x) -> np.float64:
+    """max|x| of a nonempty block, NaN if x holds one."""
+    return max(x.max(), -x.min())
+
+
+def _sum_sq(t: np.ndarray) -> Tuple[float, int]:
+    """(||t 2^-e||_F^2, e) for a float64 array t.
 
     Squares of t's entries and the Gram products A A^T of its unfoldings
     overflow or underflow unless ||t||^2 lies in [2^-512, 2^512].  Inside
-    that range e = 0 and t comes back itself, not copied; outside it e is
-    the binary exponent of max|t|, so max|t 2^-e| lies in [1/2, 1) and
-    ||t 2^-e||^2 in [1/4, t.size].  A NaN or Inf entry gives e = 0, as
-    does a zero tensor; a sum that is not finite then proves a NaN or Inf
-    entry, since a finite t 2^-e sums to at most its size."""
+    that range e = 0; outside it e is the binary exponent of max|t|, so
+    max|t 2^-e| lies in [1/2, 1) and ||t 2^-e||^2 in [1/4, t.size].  Both
+    the peak and the scaled sum are taken block by block, each block of
+    t 2^-e made in the scratch buffer, so t is never copied; a caller
+    that needs t 2^-e itself makes it (decompose._as_input).  A NaN or Inf
+    entry gives e = 0, as does a zero tensor; a sum that is not finite
+    then proves a NaN or Inf entry, since a finite t 2^-e sums to at most
+    its size."""
     s = 0.0
     with np.errstate(over="ignore"):  # an overflow is rescaled below
         for _, x in _blocks(t):
             s += _sq(x)
-    in_range = 2.0**-512 <= s <= 2.0**512
-    e = 0 if in_range else math.frexp(np.max(np.abs(t), initial=0.0))[1]
-    # t 2^-e is in range, so the second call stops there
-    return (*_sum_sq(np.ldexp(t, -e))[:2], e) if e else (t, s, 0)
+    if 2.0**-512 <= s <= 2.0**512:
+        return s, 0
+    # np.maximum keeps a NaN once seen, and frexp gives NaN and Inf e = 0
+    peak = np.float64(0.0)
+    for _, x in _blocks(t):
+        peak = np.maximum(peak, _peak(x))
+    e = math.frexp(peak)[1]
+    if not e:
+        return s, 0
+    s = 0.0
+    for d, x in _blocks(t):
+        s += _sq(np.ldexp(x, -e, out=d))
+    return s, e
 
 
 def _finite(sum_sq: float) -> float:
@@ -104,7 +123,7 @@ def frobenius_norm(t) -> float:
     any scale: frobenius_norm(t 2^j) is 2^j frobenius_norm(t) exactly.
 
     The entries are read in memory order, so no layout is copied."""
-    _, s, e = _sum_sq(np.asarray(t, dtype=np.float64))
+    s, e = _sum_sq(np.asarray(t, dtype=np.float64))
     return math.ldexp(math.sqrt(s), e)
 
 
@@ -125,17 +144,18 @@ def _sums(a, ahat, ref=None) -> _Sums:
     ahat = np.asarray(ahat, dtype=np.float64)
     if a.shape != ahat.shape:
         raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {ahat.shape}")
-    ref_sq, e = ref or _sum_sq(a)[1:]
+    ref_sq, e = ref or _sum_sq(a)
     err_sq = 0.0
     peak = np.float64(0.0)
+    scaled = np.empty(min(a.size, _BLOCK)) if e else None
     # an error or peak past float64, scaled or not, sums to inf
     with np.errstate(over="ignore"):
-        if e:
-            a, ahat = np.ldexp(a, -e), np.ldexp(ahat, -e)
         for d, x, y in _blocks(a, ahat):
+            if e:  # the block of the scaled pair: x 2^-e in d, y 2^-e in scaled
+                x, y = np.ldexp(x, -e, out=d), np.ldexp(y, -e, out=scaled[: y.size])
             err_sq += _sq(np.subtract(x, y, out=d))
             # np.maximum keeps a NaN once seen, as np.max(np.abs(ahat)) would
-            peak = np.maximum(peak, max(y.max(), -y.min()))
+            peak = np.maximum(peak, _peak(y))
     return _Sums(a.size, ref_sq, err_sq, float(peak))
 
 

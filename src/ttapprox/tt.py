@@ -8,6 +8,7 @@ outputs additionally keep cores 1..N-1 left-orthogonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -68,14 +69,35 @@ class TTTensor:
 
 def tt_reconstruct(tt: TTTensor) -> np.ndarray:
     """Contract the chain back into a dense, column-major (I_1, ..., I_N)
-    tensor."""
+    tensor.
+
+    The output is built by one product, in the array that is returned.
+    With k the first mode where I_1 ... I_k >= sqrt(N), N the entry
+    count, cores 1..k contract into L, (I_1 ... I_k) x r_k, cores k+1..N
+    into R, r_k x (I_{k+1} ... I_N), and the tensor is (R^T L^T)^T,
+    F-contiguous, so reshaping it is a view.  L and R hold fewer than
+    sqrt(N) I_k r_k entries each, not the N / I_N x r_{N-1} carry of a
+    left-to-right contraction.  Where k = N, L is the tensor, and its
+    last carry is smaller than sqrt(N) x r_{N-1}."""
     _check_chain(tt)
-    out = left_unfolding(tt.cores[0])  # I_1 x r_1
-    for core in tt.cores[1:]:
+    cores, dims = tt.cores, tt.dims
+    size, k, rows = math.prod(dims), 1, dims[0]
+    while rows * rows < size:
+        rows *= dims[k]
+        k += 1
+    L = left_unfolding(cores[0])  # I_1 x r_1
+    for core in cores[1:k]:
         G = np.reshape(core, (core.shape[0], -1), order="F")  # r_{n-1} x I_n r_n
-        # (G^T out^T)^T keeps out F-contiguous, so reshaping it is a view
-        out = np.reshape((G.T @ out.T).T, (-1, core.shape[2]), order="F")
-    return np.reshape(out, tt.dims, order="F")
+        # (G^T L^T)^T keeps L F-contiguous, so reshaping it is a view
+        L = np.reshape((G.T @ L.T).T, (-1, core.shape[2]), order="F")
+    if k == len(cores):
+        return np.reshape(L, dims, order="F")
+    R = np.reshape(cores[-1], (cores[-1].shape[0], -1), order="F")  # r_{N-1} x I_N
+    for core in reversed(cores[k:-1]):
+        # (R^T U^T)^T = U R, with U the left unfolding, is F-contiguous,
+        # so its reshape to r_{n-1} x I_n ... I_N is a view
+        R = np.reshape((R.T @ left_unfolding(core).T).T, (core.shape[0], -1), order="F")
+    return np.reshape((R.T @ L.T).T, dims, order="F")
 
 
 def left_unfolding(core: np.ndarray) -> np.ndarray:

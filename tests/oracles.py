@@ -1,11 +1,12 @@
 """Reference quantities the tests check the library against, the
-check that a save replaced its output file, and the runs of one script
-at 1 and 2 OpenBLAS threads."""
+check that a save replaced its output file, the peak memory of one call,
+and the runs of one script at 1 and 2 OpenBLAS threads."""
 
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,17 @@ def tail_energy(A, j: int) -> float:
     if j > len(s):
         return 0.0
     return float(np.sqrt(np.sum(s[j - 1 :] ** 2)))
+
+
+def reconstruct_left_to_right(tt) -> np.ndarray:
+    """The dense tensor of a TT chain, contracted core by core from the
+    left: each step multiplies the (I_1 ... I_{n-1}) x r_{n-1} carry by
+    core n's r_{n-1} x I_n r_n unfolding."""
+    out = np.reshape(tt.cores[0], (-1, tt.cores[0].shape[2]), order="F")
+    for core in tt.cores[1:]:
+        G = np.reshape(core, (core.shape[0], -1), order="F")
+        out = np.reshape((G.T @ out.T).T, (-1, core.shape[2]), order="F")
+    return np.reshape(out, tt.dims, order="F")
 
 
 def stack_krylov_basis(M, Z0, q):
@@ -54,6 +66,17 @@ def assert_replaced(path, save):
     new = path.stat()
     assert new.st_ino != gone.st_ino
     assert stat.S_IMODE(new.st_mode) == 0o640
+
+
+def traced_peak(f, *args):
+    """(f(*args), the peak of the memory tracemalloc saw during the call);
+    numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        got = f(*args)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _blas_name():

@@ -1,11 +1,13 @@
-"""The memory-layout contract: producers return column-major arrays and,
-on column-major input, no sweep step copies the tensor; every step
-carries (A^T Q)^T, whatever matrix its basis Q was found on."""
+"""The memory-layout contract: producers return column-major arrays,
+each built in the array it returns, and, on column-major input, no sweep
+step copies the tensor; every step carries (A^T Q)^T, whatever matrix
+its basis Q was found on."""
 
 import numpy as np
 import pytest
 
 from ttapprox import (
+    TTTensor,
     add_awgn,
     power_function_tensor,
     spectrum_decay_tensor,
@@ -15,6 +17,8 @@ from ttapprox import (
 )
 from ttapprox import decompose
 from ttapprox.decompose import METHODS, run_method
+
+from oracles import traced_peak
 
 
 def test_producers_return_column_major(tmp_path):
@@ -43,6 +47,25 @@ def test_power_function_values_match_the_c_ordered_build():
         shape = [-1 if a == k else 1 for a in range(len(dims))]
         total = total + (np.arange(1, d + 1, dtype=np.float64) ** h).reshape(shape)
     assert np.array_equal(power_function_tensor(dims, h), total ** (-1.0 / h))
+
+
+def test_each_producer_builds_its_output_in_place():
+    # the traced peak of one call, its input made beforehand, is the output
+    # and small temporaries: no second array of the tensor's size (the
+    # grid's sum and its power, the draw and the noisy sum, or the
+    # N / I_N x r_{N-1} left contraction beside its product)
+    rng = np.random.default_rng(31)
+    ranks = (1, 8, 8, 8, 8, 1)
+    chain = TTTensor([rng.standard_normal((ranks[k], 20, ranks[k + 1])) for k in range(5)])
+    calls = {
+        "power_function_tensor": (power_function_tensor, (20,) * 5, 5.0),
+        "add_awgn": (add_awgn, rng.random(10**6), 10.0, 1),
+        "tt_reconstruct": (tt_reconstruct, chain),
+    }
+    for name, (f, *args) in calls.items():
+        out, peak = traced_peak(f, *args)
+        assert out.size >= 10**6, name
+        assert peak <= 1.1 * out.nbytes, (name, peak / out.nbytes)
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +18,7 @@ from ttapprox import (
 )
 from ttapprox.metrics import _error_metrics, _sum_sq
 
-from oracles import at_blas_threads, needs_openblas
+from oracles import at_blas_threads, needs_openblas, traced_peak
 
 EPS = np.finfo(np.float64).eps
 
@@ -126,15 +125,17 @@ def test_error_metrics_is_both_metrics_from_one_pass(layout):
     rng = np.random.default_rng(7)
     a = layout(rng.standard_normal((64, 128, 128)))  # 2^20 entries
     ahat = layout(a + 0.01 * rng.standard_normal(a.shape))
-    tracemalloc.start()
-    try:
-        got = error_metrics(a, ahat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one block of scratch, no temporary the size of the tensor
-    assert peak < a.nbytes / 8
-    assert got == (relative_error(a, ahat), psnr(a, ahat))
+    # at 2^600 the squares overflow, so the sums are taken again on the
+    # pair scaled by 2^-600, block by block
+    for j in (0, 600):
+        A, H = np.ldexp(a, j), np.ldexp(ahat, j)
+        got, peak = traced_peak(error_metrics, A, H)
+        norm, norm_peak = traced_peak(frobenius_norm, A)
+        # block-sized scratch, no temporary the size of the tensor
+        assert peak < a.nbytes / 8, j
+        assert norm_peak < a.nbytes / 8, j
+        assert got == (relative_error(A, H), psnr(A, H))
+        assert norm == np.ldexp(frobenius_norm(a), j)
     with pytest.raises(InvalidArgumentError, match="zero norm"):
         error_metrics(np.zeros((2, 2)), np.ones((2, 2)))
 
@@ -183,7 +184,7 @@ def test_every_caller_scores_with_the_bench_cells_computation(layouts, j):
     order = {"F": np.asfortranarray, "C": np.ascontiguousarray}
     a = order[layouts[0]](np.ldexp(clean, j))
     ahat = order[layouts[1]](np.ldexp(tt_reconstruct(tt), j))
-    want = _error_metrics(a, ahat, _sum_sq(a)[1:])
+    want = _error_metrics(a, ahat, _sum_sq(a))
     assert error_metrics(a, ahat) == want
     assert (relative_error(a, ahat), psnr(a, ahat)) == want
     # a reference whose squares underflow and an error past float64: the
@@ -210,7 +211,7 @@ def test_sums_at_bench_size_stay_within_4_eps_of_the_exact_sum(kind):
     want_rel = math.sqrt(math.fsum(((a - ahat) ** 2).ravel().tolist())) / math.sqrt(ref_sq)
     rel, _ = error_metrics(a, ahat)
     assert abs(rel - want_rel) <= 4 * EPS * want_rel
-    assert abs(_sum_sq(a)[1] - ref_sq) <= 4 * EPS * ref_sq
+    assert abs(_sum_sq(a)[0] - ref_sq) <= 4 * EPS * ref_sq
 
 
 # prints, for tensors of 10001 entries (one past the longest ddot that
@@ -229,7 +230,7 @@ for shape in shapes:
     ahat = a + 1e-3 * rng.standard_normal(shape)
     for layout in (np.asfortranarray, np.ascontiguousarray):
         A, H = layout(a), layout(ahat)
-        sums = frobenius_norm(A), _sum_sq(A)[1], *error_metrics(A, H)
+        sums = frobenius_norm(A), _sum_sq(A)[0], *error_metrics(A, H)
         print(shape, layout.__name__, *(x.hex() for x in sums))
 """
 

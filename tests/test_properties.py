@@ -12,8 +12,9 @@ rank-deficient matrices, both file formats must round-trip bit for bit
 from either layout into owned column-major arrays, the
 memory layout of the input must not change any result, the blocked
 metric pass must agree with the unblocked formulas on sizes around its
-block, and the noise levels drawn once per seed must be add_awgn's, bit
-for bit.
+block, the noise levels drawn once per seed must be add_awgn's, bit
+for bit, and tt_reconstruct, which meets in the middle, must agree with
+the left-to-right contraction on chains with unit modes and links.
 """
 
 import math
@@ -43,6 +44,8 @@ from ttapprox.datagen import _awgn_levels
 from ttapprox.decompose import METHODS, run_method
 from ttapprox.linalg import svd
 from ttapprox.metrics import _BLOCK, _error_metrics, _sum_sq
+
+from oracles import reconstruct_left_to_right
 
 EPS = np.finfo(np.float64).eps
 
@@ -325,7 +328,7 @@ def test_blocked_metrics_match_unblocked_formulas(n, layouts, log_mag, log_err, 
     assert abs(rel - want_rel) <= 4 * EPS * want_rel
     # the reference's own sum, taken once, gives error_metrics bit for bit
     # in any layout, also on the rescaled path (|a| near 1e100)
-    assert _error_metrics(A, H, _sum_sq(A)[1:]) == error_metrics(A, H)
+    assert _error_metrics(A, H, _sum_sq(A)) == error_metrics(A, H)
     # 4 ulp of the ratio inside the log, and of the result
     assert abs(db - want_psnr) <= 4 * EPS * (10.0 / math.log(10.0) + abs(want_psnr))
     assert (relative_error(A, H), psnr(A, H)) == (rel, db)
@@ -358,7 +361,7 @@ def test_shared_draw_levels_are_add_awgn(dims, seed, layout, j, snrs):
     # scales 2^+-600 (sums rescaled) and from either layout; a level
     # add_awgn refuses fails the whole call with the same error
     t = layout(np.ldexp(np.random.default_rng(seed).standard_normal(dims), j))
-    _, sum_sq, e = _sum_sq(t)
+    sum_sq, e = _sum_sq(t)
     want = {}
     for snr in snrs:
         try:
@@ -373,3 +376,27 @@ def test_shared_draw_levels_are_add_awgn(dims, seed, layout, j, snrs):
         assert y.flags.f_contiguous and y.tobytes(order="F") == want[snr].tobytes(order="F")
     if 4000.0 in kept:
         assert np.array_equal(want[4000.0], t)
+
+
+@st.composite
+def tt_chains(draw):
+    """Chains of order 1-6: modes of 1-4 with unit ones, links of rank
+    1-5 drawn independently, so rank-1 links and uneven ranks occur."""
+    n = draw(st.integers(1, 6))
+    dims = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    ranks = [1] + draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1)) + [1]
+    rng = np.random.default_rng(draw(seed_st))
+    return TTTensor([rng.standard_normal((ranks[k], d, ranks[k + 1])) for k, d in enumerate(dims)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tt=tt_chains())
+def test_reconstruct_matches_the_left_to_right_contraction(tt):
+    # every entry is a sum of products of one entry per core, so both
+    # contraction orders round it by a few eps of the cores' norms
+    got = tt_reconstruct(tt)
+    want = reconstruct_left_to_right(tt)
+    assert got.shape == want.shape == tt.dims
+    assert got.flags.f_contiguous
+    scale = math.prod(float(np.linalg.norm(c)) for c in tt.cores)
+    assert np.max(np.abs(got - want)) <= 4 * tt.order * EPS * scale
