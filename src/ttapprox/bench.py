@@ -9,9 +9,12 @@ equals error_metrics of its pair bit for bit.  Noise takes one Gaussian
 draw per seed, scaled to each SNR level (datagen._awgn_levels), and
 each noisy input is shared by every method in its cells so comparisons
 are paired; metrics are always computed against the clean tensor.
-Every noisy input is made before the first cell runs, so a noise level
-that add_awgn would refuse, or a clean tensor with a NaN or Inf entry,
-fails a noisy plan before any cell has.  Wall time covers the
+A plan runs one input at a time, and holds the clean tensor, one seed's
+noisy inputs and one reconstruction.  The first seed's levels are made
+before the first cell runs, so a noise level that add_awgn would
+refuse, or a clean tensor with a NaN or Inf entry, fails a noisy plan
+before any cell has; a refusal that depends on a later seed's draw
+fails the plan after the earlier seeds' cells.  Wall time covers the
 decomposition call only, also in rows whose decomposition or metrics
 fail.  The deterministic svd sweep runs once per (ranks, input), and
 every svd row of that input reports its one measured wall time (see
@@ -211,10 +214,13 @@ def _normalize_ranks(entry, n_modes: int) -> Tuple[int, ...]:
 def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     """One BenchRecord per (method, rank, q, snr, seed) cell, sorted.
 
-    tt_svd ignores q and the sketch seed, so it runs once per (ranks,
-    input): once per rank entry on the clean tensor, once per (ranks,
-    snr, seed) on noisy input.  The other svd rows of that input copy its
-    metrics, error and measured wall_time_s.
+    The cells run one input at a time: first each seed's noisy inputs,
+    one per SNR level from that seed's one draw, made when the seed's
+    first cell is due, so the first seed's levels are made before any
+    cell runs; then the clean tensor, which serves every seed.  tt_svd
+    ignores q and the sketch seed, so within an input it runs for the
+    first (q, seed) of each rank entry, and the other svd rows of that
+    input copy its metrics, error and measured wall_time_s.
     """
     spec = dict(plan.dataset)
     base, dataset_id = _DATASETS[spec.pop("kind")][1](**spec)
@@ -222,25 +228,24 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     rank_tuples = [_normalize_ranks(r, base.ndim) for r in plan.ranks]
     snr_list = plan.snr_db if plan.snr_db is not None else [None]
     levels = [snr for snr in snr_list if snr is not None]
-    # every noisy input before the first cell, so a refused SNR fails the
-    # plan before any cell has run; one draw per seed, alive for its levels
-    noisy = {}
-    if levels:
-        for seed in plan.seeds:
-            for snr, t in zip(levels, _awgn_levels(base, levels, seed, sum_sq, e)):
-                noisy[snr, seed] = t
-    svd_rows = {}  # (ranks, input key) -> the svd record measured on that input
+    # (snr, the seeds it serves, the input): each seed's one draw is made
+    # when its first cell is due, and nothing holds its levels once its
+    # last cell has run (del t), so they are freed before the next draw
+    noisy = itertools.chain.from_iterable(
+        zip(levels, itertools.repeat([seed]), _awgn_levels(base, levels, seed, sum_sq, e))
+        for seed in (plan.seeds if levels else [])
+    )
+    clean = [(None, plan.seeds, base)] * snr_list.count(None)
     records = []
-    cells = itertools.product(plan.methods, rank_tuples, plan.q, snr_list, plan.seeds)
-    for method, ranks, q, snr, seed in cells:
-        key = None if snr is None else (snr, seed)
-        if method == "svd" and (ranks, key) in svd_rows:
-            records.append(replace(svd_rows[ranks, key], q=q, seed=seed))
-            continue
-        cell = BenchRecord(method, dataset_id, ranks, plan.p, q, seed, snr)
-        records.append(_run_cell(cell, noisy.get(key, base), base, (sum_sq, e)))
-        if method == "svd":
-            svd_rows[ranks, key] = records[-1]
+    for snr, seeds, t in itertools.chain(noisy, clean):
+        for method, ranks in itertools.product(plan.methods, rank_tuples):
+            for i, (q, seed) in enumerate(itertools.product(plan.q, seeds)):
+                if method == "svd" and i:  # records[-1]: this input's svd row
+                    records.append(replace(records[-1], q=q, seed=seed))
+                    continue
+                cell = BenchRecord(method, dataset_id, ranks, plan.p, q, seed, snr)
+                records.append(_run_cell(cell, t, base, (sum_sq, e)))
+        del t
     records.sort(
         key=lambda r: (r.dataset, r.method, r.ranks, r.q, (r.snr_db is not None, r.snr_db or 0.0), r.seed)
     )

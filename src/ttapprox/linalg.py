@@ -14,9 +14,12 @@ are wide only where r + p exceeds the rows.
 
 Every Gram matrix in the sweeps, A A^T of a wide step, A^T A of a tall
 one and the Ritz step's B B^T, is formed with its descending
-eigendecomposition in _gram_eigh, and _gram_resolves, the one energy
-test, says whether it serves a step that keeps k directions.  tt_svd
-asks it at its rank r on every step.  _power_step_gram is the one
+eigendecomposition in _gram_eigh.  _gram_resolves, the one energy test,
+says whether one of the first two serves a step that keeps k
+directions; tt_svd asks it at its rank r on every step.  The Ritz
+step's B B^T is the one Gram matrix the test does not guard: _ritz
+keeps its top eigenvectors without asking (ROADMAP item 2, "The Ritz
+step obeys the one energy test").  _power_step_gram is the one
 short-side gate of the randomized sweeps: by one cost rule for both
 orientations and all three sweeps, it asks the test at the sketch width
 w and hands back M = R = U Sigma on a wide step (R R^T = A A^T), or

@@ -289,6 +289,36 @@ def test_a_refused_noise_level_fails_the_plan_before_any_cell(monkeypatch, tmp_p
     assert not out.exists()
 
 
+def test_a_refusal_at_a_later_seed_fails_the_plan(monkeypatch, tmp_path):
+    # a seed's levels are made when its first cell is due, so a refusal
+    # that depends on the draw comes after the earlier seeds' cells; the
+    # plan still fails as a whole and writes nothing
+    real = bench._awgn_levels
+    draws = []
+
+    def refuse_second(*args):
+        draws.append(args[2])
+        if len(draws) == 2:
+            raise InvalidArgumentError("refused")
+        return real(*args)
+
+    monkeypatch.setattr(bench, "_awgn_levels", refuse_second)
+    plan = dict(
+        dataset={"kind": "powerfn", "dims": [4, 5, 6], "h": 2.0},
+        methods=["svd", "rsvd"], ranks=[2], seeds=[0, 1], snr_db=[5, 20],
+    )
+    with pytest.raises(InvalidArgumentError):
+        run_bench(BenchPlan.from_dict(plan))
+    assert draws == [0, 1]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    out = tmp_path / "out.csv"
+    draws.clear()
+    assert cli_main(["bench", "--plan", str(path), "-o", str(out)]) == 2
+    assert draws == [0, 1]
+    assert not out.exists()
+
+
 def test_wall_time_measures_decomposition_only(monkeypatch, tmp_path):
     t = spectrum_decay_tensor(8, 2, 1.0)
     canned = tt_svd(t, TruncationSpec(ranks=(2, 2)))

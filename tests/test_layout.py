@@ -1,7 +1,8 @@
 """The memory-layout contract: producers return column-major arrays,
-each built in the array it returns, and, on column-major input, no sweep
-step copies the tensor; every step carries (A^T Q)^T, whatever matrix
-its basis Q was found on."""
+each built in the array it returns, a bench plan holds one seed's noisy
+inputs at a time, and, on column-major input, no sweep step copies the
+tensor; every step carries (A^T Q)^T, whatever matrix its basis Q was
+found on."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ttapprox import (
     tt_reconstruct,
 )
 from ttapprox import decompose
+from ttapprox.bench import BenchPlan, run_bench
 from ttapprox.decompose import METHODS, run_method
 
 from oracles import traced_peak
@@ -66,6 +68,23 @@ def test_each_producer_builds_its_output_in_place():
         out, peak = traced_peak(f, *args)
         assert out.size >= 10**6, name
         assert peak <= 1.1 * out.nbytes, (name, peak / out.nbytes)
+
+
+def test_a_bench_plan_holds_one_seeds_inputs_at_a_time():
+    # the clean tensor, one seed's two noisy levels and one reconstruction,
+    # whatever the seed count: a plan that made every (SNR, seed) input up
+    # front would hold 6.3 tensors at 2 seeds and 18.3 at 8
+    def plan(n_seeds):
+        return BenchPlan(
+            dataset={"kind": "spectrum", "n": 50, "T": 5, "D": 1.0}, methods=["rsvd"],
+            ranks=[5], seeds=list(range(n_seeds)), snr_db=[5, 20],
+        )
+
+    run_bench(plan(1))  # untraced: the modules a first plan imports
+    tensor = 50**3 * 8
+    peaks = [traced_peak(run_bench, plan(n))[1] / tensor for n in (2, 8)]
+    assert abs(peaks[0] - peaks[1]) <= 0.1, peaks
+    assert max(peaks) < 5.0, peaks
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
