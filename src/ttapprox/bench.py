@@ -3,22 +3,25 @@ dataset, time the decompositions and emit machine-readable records.
 
 The clean tensor is summed once per plan (metrics._sum_sq).  That sum
 sets the signal power of every noise level and is the ||a||^2 of every
-cell's metrics, the sum error_metrics takes from _sum_sq too: a cell's
-pass reads only the error and the reconstruction's peak, and its row
-equals error_metrics of its pair bit for bit.  Noise takes one Gaussian
-draw per seed, scaled to each SNR level (datagen._awgn_levels), and
-each noisy input is shared by every method in its cells so comparisons
-are paired; metrics are always computed against the clean tensor.
-A plan runs one input at a time, and holds the clean tensor, one seed's
-noisy inputs and one reconstruction.  The first seed's levels are made
-before the first cell runs, so a noise level that add_awgn would
-refuse, or a clean tensor with a NaN or Inf entry, fails a noisy plan
-before any cell has; a refusal that depends on a later seed's draw
-fails the plan after the earlier seeds' cells.  Wall time covers the
-decomposition call only, also in rows whose decomposition or metrics
-fail.  The deterministic svd sweep runs once per (ranks, input), and
-every svd row of that input reports its one measured wall time (see
-run_bench).
+cell's metrics, the sum error_metrics takes from _sum_sq too.  A cell
+scores its TT itself, with no dense reconstruction: the metrics pass
+reads it chunk by chunk from the product tt_reconstruct writes, so its
+row equals error_metrics(clean, tt_reconstruct(tt)) bit for bit.  Noise
+takes one Gaussian draw per seed, scaled to each SNR level
+(datagen._awgn_levels), and each noisy input is shared by every method
+in its cells so comparisons are paired; metrics are always computed
+against the clean tensor.  A plan runs one input at a time, and holds
+the clean tensor, one seed's noisy inputs and one scoring chunk of at
+most 4 MiB.  A plan that lists a method, rank entry, q, seed or SNR
+level twice, or two rank entries that mean the same ranks, is refused
+before any draw or cell.  The first seed's levels are made before the
+first cell runs, so a noise level that add_awgn would refuse, or a clean
+tensor with a NaN or Inf entry, fails a noisy plan before any cell has;
+a refusal that depends on a later seed's draw fails the plan after the
+earlier seeds' cells.  Wall time covers the decomposition call only,
+also in rows whose decomposition or metrics fail.  The deterministic svd
+sweep runs once per (ranks, input), and every svd row of that input
+reports its one measured wall time (see run_bench).
 
 A plan names a dataset, methods, ranks and seeds, and may set p, q and
 snr_db.  Its values go through the package's one integer and one number
@@ -47,7 +50,6 @@ from .datagen import _awgn_levels, power_function_tensor, spectrum_decay_tensor,
 from .decompose import SketchConfig
 from .errors import InvalidArgumentError, ParseError, _int, _number
 from .metrics import _error_metrics, _sum_sq
-from .tt import tt_reconstruct
 
 
 @dataclass
@@ -109,6 +111,15 @@ def _list(v, what: str, item, scalar: bool = False) -> list:
     if not isinstance(v, (list, tuple)) or not v:
         raise InvalidArgumentError(f"{what} must be a non-empty list, got {v!r}")
     return [item(x) for x in v]
+
+
+def _distinct(v: list, what: str) -> list:
+    """v, after the check that no entry of it repeats: a repeated entry
+    would run its cells again and emit their rows twice."""
+    for i, x in enumerate(v):
+        if x in v[:i]:
+            raise InvalidArgumentError(f"{what} lists {x!r} twice")
+    return v
 
 
 def _dims(v, what: str) -> Tuple[int, ...]:
@@ -184,6 +195,8 @@ class BenchPlan:
             self.snr_db = _list(
                 self.snr_db, "snr_db", lambda v: None if v is None else _number(v, "snr_db"), scalar=True
             )
+        for name in ("methods", "ranks", "q", "seeds", "snr_db"):
+            _distinct(getattr(self, name) or [], name)
 
     @staticmethod
     def from_dict(d: dict) -> "BenchPlan":
@@ -220,12 +233,13 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
     cell runs; then the clean tensor, which serves every seed.  tt_svd
     ignores q and the sketch seed, so within an input it runs for the
     first (q, seed) of each rank entry, and the other svd rows of that
-    input copy its metrics, error and measured wall_time_s.
+    input copy its metrics, error and measured wall_time_s.  Two rank
+    entries that normalize to the same ranks are refused before any draw.
     """
     spec = dict(plan.dataset)
     base, dataset_id = _DATASETS[spec.pop("kind")][1](**spec)
     sum_sq, e = _sum_sq(base)
-    rank_tuples = [_normalize_ranks(r, base.ndim) for r in plan.ranks]
+    rank_tuples = _distinct([_normalize_ranks(r, base.ndim) for r in plan.ranks], "ranks")
     snr_list = plan.snr_db if plan.snr_db is not None else [None]
     levels = [snr for snr in snr_list if snr is not None]
     # (snr, the seeds it serves, the input): each seed's one draw is made
@@ -253,8 +267,9 @@ def run_bench(plan: BenchPlan) -> List[BenchRecord]:
 
 
 def _run_cell(cell: BenchRecord, inp, base, ref) -> BenchRecord:
-    """Fill in cell's metrics against base, whose _sum_sq is ref, or its
-    error when the decomposition or the metrics fail."""
+    """Fill in cell's metrics, its TT scored against base, whose _sum_sq
+    is ref, with no dense reconstruction, or its error when the
+    decomposition or the metrics fail."""
     t0 = time.perf_counter()
     try:
         try:
@@ -264,7 +279,7 @@ def _run_cell(cell: BenchRecord, inp, base, ref) -> BenchRecord:
         finally:
             # the decomposition only, also when it or the metrics fail
             cell.wall_time_s = time.perf_counter() - t0
-        cell.rel_err, cell.psnr = _error_metrics(base, tt_reconstruct(tt), ref)
+        cell.rel_err, cell.psnr = _error_metrics(base, tt, ref)
         cell.trace_sum_sq = trace.residual_sq_sum
     except (InvalidArgumentError, np.linalg.LinAlgError, FloatingPointError) as exc:
         cell.error = str(exc)

@@ -28,7 +28,11 @@ order, and np.ravel copies whichever tensor is not F-contiguous.  The
 exact scaling by the reference's 2^-e leaves both ratios as they are.  A
 caller that scores many tensors against one reference (bench) takes its
 _sum_sq once and hands it over as ref, so its cells and error_metrics of
-the same pair give the same bits.
+the same pair give the same bits.  ahat may also be a TTTensor: the pass
+then reads its blocks from the column chunks of the product that
+tt_reconstruct writes (tt._chunks), made one at a time in one buffer of
+at most 4 MiB, so a chain scores as error_metrics(a, tt_reconstruct(ahat))
+bit for bit without a tensor-sized reconstruction.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .tt import TTTensor, _chunks, _factors
 
 # entries per block of every sum of squares: the scratch buffer (256 KB)
 # and the input blocks stay in cache between the sweeps over the block
@@ -134,23 +139,69 @@ class _Sums(NamedTuple):
     peak: float  # max |ahat|, 0 for empty tensors
 
 
+def _pairs(a: np.ndarray, ahat):
+    """The blocks (scratch, a, ahat) of the metrics pass, ahat a tensor
+    or a TTTensor, after the check that the shapes agree.
+
+    A chain is read from the chunks of the product that tt_reconstruct
+    writes (tt._chunks), in column-major order, so a's blocks come from
+    np.ravel(a, "F") and the pair has the walk, the block partition and
+    the values of a and tt_reconstruct(ahat), an F-contiguous tensor.
+    Where the chain's factor L is its tensor (k = N), L is read as a
+    dense ahat."""
+    shape = ahat.dims if isinstance(ahat, TTTensor) else np.shape(ahat)
+    if a.shape != shape:
+        raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {shape}")
+    if isinstance(ahat, TTTensor):
+        L, R = _factors(ahat)
+        if R is not None:
+            blocks = zip(_blocks(np.ravel(a, order="F")), _reblock(_chunks(L, R), a.size))
+            return ((d, x, y) for (d, x), y in blocks)
+        ahat = np.reshape(L, shape, order="F")
+    return _blocks(a, np.asarray(ahat, dtype=np.float64))
+
+
+def _reblock(chunks, size: int):
+    """Consecutive blocks of at most _BLOCK entries of the flat arrays
+    chunks laid end to end, size entries in all: a view of the chunk
+    where a block lies inside one, else assembled in a scratch buffer
+    from the chunks it straddles.  A chunk may be overwritten by the
+    next, so each block is used before the next is asked for."""
+    scratch = np.empty(min(size, _BLOCK))
+    chunk, at = scratch[:0], 0  # the current chunk, and its next unread entry
+    for i in range(0, size, _BLOCK):
+        n = min(_BLOCK, size - i)
+        if at == chunk.size:
+            chunk, at = next(chunks), 0
+        if at + n <= chunk.size:
+            yield chunk[at : at + n]
+            at += n
+            continue
+        block, got = scratch[:n], 0
+        while got < n:
+            if at == chunk.size:
+                chunk, at = next(chunks), 0
+            m = min(n - got, chunk.size - at)
+            block[got : got + m] = chunk[at : at + m]
+            got, at = got + m, at + m
+        yield block
+
+
 def _sums(a, ahat, ref=None) -> _Sums:
     """The sums behind every metric: a's (||a 2^-e||^2, e), ref when
     given, else from _sum_sq(a), then one blocked pass over a 2^-e and
-    ahat 2^-e for ||a - ahat||^2 and max|ahat|.  Out of range the sums
-    are those of the scaled pair, while relative_error and psnr are
-    ratios that the exact scaling leaves bit-identical."""
+    ahat 2^-e (_pairs) for ||a - ahat||^2 and max|ahat|.  Out of range
+    the sums are those of the scaled pair, while relative_error and psnr
+    are ratios that the exact scaling leaves bit-identical."""
     a = np.asarray(a, dtype=np.float64)
-    ahat = np.asarray(ahat, dtype=np.float64)
-    if a.shape != ahat.shape:
-        raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {ahat.shape}")
+    pairs = _pairs(a, ahat)
     ref_sq, e = ref or _sum_sq(a)
     err_sq = 0.0
     peak = np.float64(0.0)
     scaled = np.empty(min(a.size, _BLOCK)) if e else None
     # an error or peak past float64, scaled or not, sums to inf
     with np.errstate(over="ignore"):
-        for d, x, y in _blocks(a, ahat):
+        for d, x, y in pairs:
             if e:  # the block of the scaled pair: x 2^-e in d, y 2^-e in scaled
                 x, y = np.ldexp(x, -e, out=d), np.ldexp(y, -e, out=scaled[: y.size])
             err_sq += _sq(np.subtract(x, y, out=d))

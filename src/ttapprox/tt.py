@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,10 @@ _TTC = Format(
     entry=lambda i, n: "rank" if i <= n else "mode size",
 )
 _ORTH_TOL = 1e-10
+# entries per column chunk of the product that forms a dense tensor
+# (_chunks): 4 MiB, small enough that scoring a chain holds no tensor-sized
+# array, and large enough that each chunk's GEMM runs at full speed
+_CHUNK = 1 << 19
 
 
 class TTTensor:
@@ -71,14 +75,28 @@ def tt_reconstruct(tt: TTTensor) -> np.ndarray:
     """Contract the chain back into a dense, column-major (I_1, ..., I_N)
     tensor.
 
-    The output is built by one product, in the array that is returned.
-    With k the first mode where I_1 ... I_k >= sqrt(N), N the entry
-    count, cores 1..k contract into L, (I_1 ... I_k) x r_k, cores k+1..N
-    into R, r_k x (I_{k+1} ... I_N), and the tensor is (R^T L^T)^T,
-    F-contiguous, so reshaping it is a view.  L and R hold fewer than
+    The cores contract into the factors L and R of one product
+    (_factors), whose column chunks (_chunks) are written straight into
+    the array that is returned; error_metrics of a chain (metrics) reads
+    the same chunks, so its sums equal those of this tensor bit for bit.
+    Where k = N, L is the tensor."""
+    L, R = _factors(tt)
+    if R is None:
+        return np.reshape(L, tt.dims, order="F")
+    out = np.empty(L.shape[0] * R.shape[1])
+    for _ in _chunks(L, R, out):
+        pass
+    return np.reshape(out, tt.dims, order="F")
+
+
+def _factors(tt: TTTensor) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """(L, R), the tensor's two factors: with k the first mode where
+    I_1 ... I_k >= sqrt(N), N the entry count, cores 1..k contract into
+    L, (I_1 ... I_k) x r_k, cores k+1..N into R, r_k x (I_{k+1} ... I_N),
+    and the tensor is (R^T L^T)^T, column-major.  L and R hold fewer than
     sqrt(N) I_k r_k entries each, not the N / I_N x r_{N-1} carry of a
     left-to-right contraction.  Where k = N, L is the tensor, and its
-    last carry is smaller than sqrt(N) x r_{N-1}."""
+    last carry is smaller than sqrt(N) x r_{N-1}; R is then None."""
     _check_chain(tt)
     cores, dims = tt.cores, tt.dims
     size, k, rows = math.prod(dims), 1, dims[0]
@@ -91,13 +109,30 @@ def tt_reconstruct(tt: TTTensor) -> np.ndarray:
         # (G^T L^T)^T keeps L F-contiguous, so reshaping it is a view
         L = np.reshape((G.T @ L.T).T, (-1, core.shape[2]), order="F")
     if k == len(cores):
-        return np.reshape(L, dims, order="F")
+        return L, None
     R = np.reshape(cores[-1], (cores[-1].shape[0], -1), order="F")  # r_{N-1} x I_N
     for core in reversed(cores[k:-1]):
         # (R^T U^T)^T = U R, with U the left unfolding, is F-contiguous,
         # so its reshape to r_{n-1} x I_n ... I_N is a view
         R = np.reshape((R.T @ left_unfolding(core).T).T, (core.shape[0], -1), order="F")
-    return np.reshape((R.T @ L.T).T, dims, order="F")
+    return L, R
+
+
+def _chunks(L: np.ndarray, R: np.ndarray, out: Optional[np.ndarray] = None):
+    """The product (R^T L^T)^T of _factors, column-major and flat, in
+    chunks of whole columns: max(1, _CHUNK // rows) columns each, the
+    last one shorter.  Each chunk is one np.matmul of R^T's rows by L^T
+    into the chunk's slice of out, or, without out, into one buffer that
+    every chunk reuses, so a chunk is overwritten by the next."""
+    rows, cols = L.shape[0], R.shape[1]
+    step = min(max(1, _CHUNK // rows), cols)
+    buf = np.empty(step * rows) if out is None else out
+    for j in range(0, cols, step):
+        n = min(step, cols - j)
+        at = 0 if out is None else j * rows
+        chunk = buf[at : at + n * rows]
+        np.matmul(R.T[j : j + n], L.T, out=np.reshape(chunk, (n, rows)))
+        yield chunk
 
 
 def left_unfolding(core: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from ttapprox import (
 )
 from ttapprox import bench, decompose
 from ttapprox.cli import main as cli_main
+from ttapprox.metrics import _error_metrics
 
 SPECTRUM8 = {"kind": "spectrum", "n": 8, "T": 2, "D": 1.0}
 
@@ -122,6 +123,39 @@ def test_plan_validation_errors():
         small_plan(dataset={"kind": "powerfn", "dims": [4, 4], "h": math.inf})
     with pytest.raises(InvalidArgumentError, match="D must be a finite number"):
         small_plan(dataset={"kind": "spectrum", "n": 8, "T": 2, "D": 10**400})
+
+
+@pytest.mark.parametrize(
+    "key, entries",
+    [
+        ("methods", ["svd", "rbki", "svd"]),
+        ("ranks", [2, 2]),
+        ("ranks", [[2, 3], (2, 3)]),
+        ("q", [1, 1]),
+        ("seeds", [0, 1, 0]),
+        ("snr_db", [5, 20, 5.0]),
+        ("snr_db", [None, 5, None]),
+        # the entries differ, and run_bench finds that both are ranks (2, 2)
+        ("ranks", [2, [2, 2]]),
+    ],
+)
+def test_a_plan_that_lists_an_entry_twice_is_refused(monkeypatch, tmp_path, key, entries):
+    # a repeated entry would run its cells again and emit their rows twice:
+    # refused before any noise is drawn or any cell runs, and the CLI exits
+    # 2 and writes nothing
+    calls = []
+    draws = []
+    real_run, real_rng = decompose.run_method, np.random.default_rng
+    monkeypatch.setattr(decompose, "run_method", lambda *a, **k: calls.append(a[0]) or real_run(*a, **k))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: draws.append(seed) or real_rng(seed))
+    plan = {**dict(dataset=SPECTRUM8, methods=["svd"], ranks=[2], seeds=[0], snr_db=[5]), key: entries}
+    with pytest.raises(InvalidArgumentError, match=f"{key} lists .* twice"):
+        run_bench(BenchPlan.from_dict(plan))
+    path, out = tmp_path / "plan.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(plan))
+    assert cli_main(["bench", "--plan", str(path), "-o", str(out)]) == 2
+    assert not out.exists()
+    assert calls == [] and draws == []
 
 
 def test_rank_entry_must_fit_tensor_order():
@@ -329,16 +363,20 @@ def test_wall_time_measures_decomposition_only(monkeypatch, tmp_path):
     assert len(records) == 1
     assert 0.0 < records[0].wall_time_s < 0.02
 
-    # a slow reconstruction followed by failing metrics (zero reference)
-    # must not leak into the decomposition time
-    def slow_reconstruct(tt):
-        time.sleep(0.3)
-        return tt_reconstruct(tt)
+    # slow scoring that then fails (zero reference) must not leak into the
+    # decomposition time; the cell scores its chain with _error_metrics
+    scored = []
 
-    monkeypatch.setattr(bench, "tt_reconstruct", slow_reconstruct)
+    def slow_error_metrics(a, tt, ref):
+        scored.append(tt)
+        time.sleep(0.3)
+        return _error_metrics(a, tt, ref)
+
+    monkeypatch.setattr(bench, "_error_metrics", slow_error_metrics)
     zero = tmp_path / "zero.dten"
     tensor_save(np.zeros((8, 8, 8)), zero)
     records = run_bench(small_plan(dataset={"kind": "file", "path": str(zero)}, ranks=[[2, 2]]))
+    assert scored == [canned[0]]
     assert len(records) == 1 and "zero norm" in records[0].error
     assert 0.0 < records[0].wall_time_s < 0.02
 

@@ -76,8 +76,8 @@ PARAMS = {
     "plan h": Param(lambda v: powerfn(h=v), "number", 0, True),
     "plan p": Param(lambda v: plan(p=v), "int", 0),
     "plan q": Param(lambda v: plan(q=v), "int", 1),
-    "plan q entry": Param(lambda v: plan(q=[1, v]), "int", 1),
-    "plan seeds entry": Param(lambda v: plan(seeds=[0, v]), "int", 0),
+    "plan q entry": Param(lambda v: plan(q=[9, v]), "int", 1),
+    "plan seeds entry": Param(lambda v: plan(seeds=[9, v]), "int", 0),
     "plan snr_db": Param(lambda v: plan(snr_db=v), "number", -math.inf, none_ok=True),
     "plan snr_db entry": Param(lambda v: plan(snr_db=[5.0, v]), "number", -math.inf, none_ok=True),
     "plan rank entry": Param(lambda v: plan(ranks=[v]), "int", 1),

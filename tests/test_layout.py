@@ -71,7 +71,7 @@ def test_each_producer_builds_its_output_in_place():
 
 
 def test_a_bench_plan_holds_one_seeds_inputs_at_a_time():
-    # the clean tensor, one seed's two noisy levels and one reconstruction,
+    # the clean tensor, one seed's two noisy levels and one scoring chunk,
     # whatever the seed count: a plan that made every (SNR, seed) input up
     # front would hold 6.3 tensors at 2 seeds and 18.3 at 8
     def plan(n_seeds):
@@ -85,6 +85,18 @@ def test_a_bench_plan_holds_one_seeds_inputs_at_a_time():
     peaks = [traced_peak(run_bench, plan(n))[1] / tensor for n in (2, 8)]
     assert abs(peaks[0] - peaks[1]) <= 0.1, peaks
     assert max(peaks) < 5.0, peaks
+
+
+def test_a_bench_cell_scores_its_chain_without_a_dense_reconstruction():
+    # a clean plan holds the clean tensor, the cell's sweep and one scoring
+    # chunk (4 MiB, half a tensor here); a dense reconstruction per cell
+    # would add a whole tensor, 2.1 tensors in all
+    plan = BenchPlan(
+        dataset={"kind": "spectrum", "n": 100, "T": 20, "D": 1.0}, methods=["rsvd"], ranks=[10], seeds=[0]
+    )
+    run_bench(plan)  # untraced: the modules a first plan imports
+    _, peak = traced_peak(run_bench, plan)
+    assert peak / (100**3 * 8) < 1.8
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

@@ -1,12 +1,16 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttapprox import (
     InvalidArgumentError,
     SketchConfig,
+    TTTensor,
     add_awgn,
     error_metrics,
     frobenius_norm,
@@ -16,7 +20,8 @@ from ttapprox import (
     tt_rbki,
     tt_reconstruct,
 )
-from ttapprox.metrics import _error_metrics, _sum_sq
+from ttapprox import tt
+from ttapprox.metrics import _BLOCK, _error_metrics, _sum_sq
 
 from oracles import at_blas_threads, needs_openblas, traced_peak
 
@@ -243,3 +248,77 @@ def test_sums_do_not_depend_on_blas_threads():
     out = {t: at_blas_threads(["-c", _SUM_BITS], t).stdout.splitlines() for t in ("1", "2")}
     assert len(out["1"]) == 6
     assert out["1"] == out["2"]
+
+
+@st.composite
+def _scored_chains(draw):
+    """(chain, chunk constant): order 2-6, modes 1-40, ranks 1-8, at most
+    2^17 entries, so a few 2^15-entry blocks; chunks from one entry (every
+    chunk one column) to past the tensor's size (one chunk)."""
+    order = draw(st.integers(2, 6))
+    dims, size = [], 1
+    for _ in range(order):
+        dims.append(draw(st.integers(1, min(40, 2**17 // size))))
+        size *= dims[-1]
+    ranks = [1] + [draw(st.integers(1, 8)) for _ in range(order - 1)] + [1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chain = TTTensor([rng.standard_normal((ranks[n], dims[n], ranks[n + 1])) for n in range(order)])
+    return chain, draw(st.integers(1, 64) | st.integers(1, 3 * _BLOCK))
+
+
+def _chain(dims, rank):
+    rng = np.random.default_rng(33)
+    ranks = [1] + [rank] * (len(dims) - 1) + [1]
+    return TTTensor([rng.standard_normal((ranks[n], d, ranks[n + 1])) for n, d in enumerate(dims)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drawn=_scored_chains())
+# 1600 x 80 in chunks of 3 columns: 4800 entries, so blocks straddle them
+@example(drawn=(_chain((40, 40, 40, 2), 5), 5000))
+# 900 x 900 in one-column chunks, each longer than the chunk constant
+@example(drawn=(_chain((30, 30, 30), 3), 7))
+# 80 x 1: a single right column
+@example(drawn=(_chain((2, 40, 1), 4), 3))
+# k = N: the left product is the tensor, read as a dense pair
+@example(drawn=(_chain((2, 40), 2), 5))
+def test_a_chain_scores_as_its_reconstruction_bit_for_bit(drawn):
+    # the cell's scoring reads the chunks that tt_reconstruct writes, so a
+    # block that straddles chunks, assembled in its scratch, must hold the
+    # same values in the same order as the dense tensor's block
+    chain, chunk = drawn
+    rng = np.random.default_rng(34)
+    with mock.patch.object(tt, "_CHUNK", chunk):
+        dense = tt_reconstruct(chain)
+        for layout in (np.asfortranarray, np.ascontiguousarray):
+            base = layout(dense + 0.1 * rng.standard_normal(dense.shape))
+            for j in (0, 600, -600):
+                # cores scaled by 2^j scale the product exactly
+                scaled = TTTensor([np.ldexp(chain.cores[0], j), *chain.cores[1:]])
+                a = np.ldexp(base, j)
+                want = error_metrics(a, tt_reconstruct(scaled))
+                assert _error_metrics(a, scaled, _sum_sq(a)) == want, (layout.__name__, j)
+
+
+# powerfn 20^5 at ranks 8: an 8000 x 400 product in 7 chunks of at most
+# 65 columns; prints the chunk count and the bits of both scorings
+_CHUNK_BITS = """
+import numpy as np
+from ttapprox import error_metrics, power_function_tensor, tt_rbki, tt_reconstruct, SketchConfig
+from ttapprox.metrics import _error_metrics, _sum_sq
+from ttapprox.tt import _chunks, _factors
+
+a = power_function_tensor((20,) * 5, 5.0)
+chain, _ = tt_rbki(a, SketchConfig(ranks=(8,) * 4, p=2, q=2, seed=1))
+print(sum(1 for _ in _chunks(*_factors(chain))))
+print(*(x.hex() for x in _error_metrics(a, chain, _sum_sq(a))))
+print(*(x.hex() for x in error_metrics(a, tt_reconstruct(chain))))
+"""
+
+
+@needs_openblas
+def test_a_chain_scores_as_its_reconstruction_at_1_and_2_blas_threads():
+    for threads in ("1", "2"):
+        chunks, got, want = at_blas_threads(["-c", _CHUNK_BITS], threads).stdout.splitlines()
+        assert chunks == "7"
+        assert got == want, threads
