@@ -323,9 +323,10 @@ def load_records(path, format: str = "csv") -> List[BenchRecord]:
     """Read back what emit wrote.  A value that is missing or does not
     decode raises ParseError naming its row (1 for the first record) and
     its column; so does a file that does not decode as text or, in
-    format json, does not parse, with the decoder's message.  A CSV that
-    does not end in a line terminator, as every row emit writes does,
-    was cut short: ParseError at its byte length."""
+    format json, does not parse or nests too deeply to parse, with the
+    decoder's message.  A CSV that does not end in a line terminator, as
+    every row emit writes does, was cut short: ParseError at its byte
+    length."""
     try:
         if format == "csv":
             with open(path, newline="") as f:
@@ -346,7 +347,8 @@ def load_records(path, format: str = "csv") -> List[BenchRecord]:
                 raise ParseError(f"expected a list of records, got {type(objs).__name__}")
         else:
             raise InvalidArgumentError(f"unknown format {format!r}")
-    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
+    # a RecursionError is json nested deeper than the interpreter's stack
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, csv.Error) as exc:
         # no byte offset: JSONDecodeError.pos counts characters, not bytes
         raise ParseError(f"{format} file does not parse: {exc}") from None
     return [_decode(o, row) for row, o in enumerate(objs, 1)]

@@ -74,7 +74,11 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.plan, encoding="utf-8") as f:
-        plan = BenchPlan.from_dict(json.load(f))
+        try:
+            spec = json.load(f)
+        except RecursionError as exc:  # nested deeper than the interpreter's stack
+            raise ParseError(f"invalid JSON: {exc}") from None
+    plan = BenchPlan.from_dict(spec)
     emit(run_bench(plan), args.format, args.output)
     return 0
 

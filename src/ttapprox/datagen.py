@@ -57,7 +57,9 @@ def spectrum_decay_tensor(n: int, T: int, D: float) -> np.ndarray:
 
 
 def power_function_tensor(dims, h: float) -> np.ndarray:
-    """Entry (i_1,...,i_N) = (i_1^h + ... + i_N^h)^(-1/h), 1-based indices."""
+    """Entry (i_1,...,i_N) = (i_1^h + ... + i_N^h)^(-1/h), 1-based indices.
+
+    An h whose sums leave float64's range raises InvalidArgumentError."""
     dims, h = _ints(dims, "dims", 1), _number(h, "h", 0, strict=True)
     if not dims:
         raise InvalidArgumentError("dims must be non-empty")
@@ -65,11 +67,17 @@ def power_function_tensor(dims, h: float) -> np.ndarray:
     n_modes = len(dims)
     total = None
     # mode k sits on axis N-1-k, so the C-ordered sum is the transpose of
-    # the column-major tensor; the sums still run in mode order
-    for k, d in enumerate(dims):
-        grid = np.arange(1, d + 1, dtype=np.float64) ** h
-        grid = grid.reshape([-1 if a == n_modes - 1 - k else 1 for a in range(n_modes)])
-        total = grid if total is None else total + grid
+    # the column-major tensor; the sums still run in mode order.  A power
+    # or a sum past float64 would read inf and its entries 0, not about
+    # 1 / max(i); one that underflows is the limit of a tiny h, and stays
+    with np.errstate(over="raise"):
+        try:
+            for k, d in enumerate(dims):
+                grid = np.arange(1, d + 1, dtype=np.float64) ** h
+                grid = grid.reshape([-1 if a == n_modes - 1 - k else 1 for a in range(n_modes)])
+                total = grid if total is None else total + grid
+        except FloatingPointError:
+            raise InvalidArgumentError(f"h = {h} takes i_1^h + ... + i_N^h past float64's range") from None
     # in place: the sum is the one array of the tensor's size
     return np.power(total, -1.0 / h, out=total).T
 

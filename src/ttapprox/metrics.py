@@ -19,20 +19,23 @@ there is one pass.
 
 relative_error and psnr (error_metrics returns both) have one path:
 ||a 2^-e||^2 and e come from _sum_sq(a), read in a's memory order, then
-one blocked pass over a 2^-e and ahat 2^-e accumulates ||a - ahat||^2
-and max|ahat| through block-sized scratch buffers, into which an out of
-range pair is scaled block by block.  A pair with one
-memory layout is walked in that order, so an F- or C-contiguous pair is
-read in place; a pair whose layouts differ is walked in column-major
-order, and np.ravel copies whichever tensor is not F-contiguous.  The
-exact scaling by the reference's 2^-e leaves both ratios as they are.  A
-caller that scores many tensors against one reference (bench) takes its
-_sum_sq once and hands it over as ref, so its cells and error_metrics of
-the same pair give the same bits.  ahat may also be a TTTensor: the pass
-then reads its blocks from the column chunks of the product that
-tt_reconstruct writes (tt._chunks), made one at a time in one buffer of
-at most 4 MiB, so a chain scores as error_metrics(a, tt_reconstruct(ahat))
-bit for bit without a tensor-sized reconstruction.
+one pass over a 2^-e and ahat 2^-e accumulates ||a - ahat||^2 and
+max|ahat| through block-sized scratch buffers, into which an out of
+range pair is scaled block by block.  The pass has one partition for
+every pair: the column chunks of at most 4 MiB of the product that
+forms a tensor of the pair's shape (tt._split, tt._width), each cut into
+blocks of at most _BLOCK entries.  ahat may be a tensor or a TTTensor.
+A chain's chunks are those that tt_reconstruct writes (tt._chunks),
+made one at a time in one buffer, in column-major order.  A dense
+pair's are slices of its flat walk at the same bounds: in memory order
+when both tensors share a layout, so an F- or C-contiguous pair is read
+in place, else in column-major order, and np.ravel copies whichever
+tensor is not F-contiguous.  So a chain scores as error_metrics(a,
+tt_reconstruct(ahat)) bit for bit without a tensor-sized array.  The
+exact scaling by the reference's 2^-e leaves both ratios as they are.
+A caller that scores many tensors against one reference (bench) takes
+its _sum_sq once and hands it over as ref, so its cells and
+error_metrics of the same pair give the same bits.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .tt import TTTensor, _chunks, _factors
+from .tt import TTTensor, _chunks, _factors, _split, _width
 
 # entries per block of every sum of squares: the scratch buffer (256 KB)
 # and the input blocks stay in cache between the sweeps over the block
@@ -65,17 +68,15 @@ def _sq(x) -> float:
     return s
 
 
-def _blocks(*ts):
-    """Aligned blocks of at most _BLOCK values of the same-shape arrays
-    ts, each yielded after one scratch buffer cut to the block's size.
-    The walk is in memory order when all share a layout (so the ravels of
-    C- or F-contiguous arrays are views), else column-major."""
-    order = "K" if len({t.strides for t in ts}) == 1 else "F"
-    vs = [np.ravel(t, order=order) for t in ts]
-    buf = np.empty(min(vs[0].size, _BLOCK))
-    for i in range(0, vs[0].size, _BLOCK):
-        blocks = [v[i : i + _BLOCK] for v in vs]
-        yield (buf[: blocks[0].size], *blocks)
+def _blocks(t):
+    """Blocks of at most _BLOCK values of the array t, in memory order
+    (so the ravel of a C- or F-contiguous t is a view), each yielded
+    after one scratch buffer cut to the block's size."""
+    v = np.ravel(t, order="K")
+    buf = np.empty(min(v.size, _BLOCK))
+    for i in range(0, v.size, _BLOCK):
+        x = v[i : i + _BLOCK]
+        yield buf[: x.size], x
 
 
 def _peak(x) -> np.float64:
@@ -143,48 +144,30 @@ def _pairs(a: np.ndarray, ahat):
     """The blocks (scratch, a, ahat) of the metrics pass, ahat a tensor
     or a TTTensor, after the check that the shapes agree.
 
-    A chain is read from the chunks of the product that tt_reconstruct
-    writes (tt._chunks), in column-major order, so a's blocks come from
-    np.ravel(a, "F") and the pair has the walk, the block partition and
-    the values of a and tt_reconstruct(ahat), an F-contiguous tensor.
-    Where the chain's factor L is its tensor (k = N), L is read as a
-    dense ahat."""
+    The pair is walked in the chunks of the product that forms a tensor
+    of its shape (tt._split, tt._width), each cut into blocks of at most
+    _BLOCK entries.  A chain's chunks are those that tt_reconstruct
+    writes (tt._chunks), in column-major order, so a's come from
+    np.ravel(a, "F"); a dense pair's are slices of its flat walk, in
+    memory order when the layouts match, else column-major.  So a chain
+    and tt_reconstruct of it, an F-contiguous tensor, have one walk, one
+    partition and the same values."""
     shape = ahat.dims if isinstance(ahat, TTTensor) else np.shape(ahat)
     if a.shape != shape:
         raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {shape}")
+    _, rows = _split(shape)
+    step = rows * _width(rows)
+    starts = range(0, a.size, step)
     if isinstance(ahat, TTTensor):
-        L, R = _factors(ahat)
-        if R is not None:
-            blocks = zip(_blocks(np.ravel(a, order="F")), _reblock(_chunks(L, R), a.size))
-            return ((d, x, y) for (d, x), y in blocks)
-        ahat = np.reshape(L, shape, order="F")
-    return _blocks(a, np.asarray(ahat, dtype=np.float64))
-
-
-def _reblock(chunks, size: int):
-    """Consecutive blocks of at most _BLOCK entries of the flat arrays
-    chunks laid end to end, size entries in all: a view of the chunk
-    where a block lies inside one, else assembled in a scratch buffer
-    from the chunks it straddles.  A chunk may be overwritten by the
-    next, so each block is used before the next is asked for."""
-    scratch = np.empty(min(size, _BLOCK))
-    chunk, at = scratch[:0], 0  # the current chunk, and its next unread entry
-    for i in range(0, size, _BLOCK):
-        n = min(_BLOCK, size - i)
-        if at == chunk.size:
-            chunk, at = next(chunks), 0
-        if at + n <= chunk.size:
-            yield chunk[at : at + n]
-            at += n
-            continue
-        block, got = scratch[:n], 0
-        while got < n:
-            if at == chunk.size:
-                chunk, at = next(chunks), 0
-            m = min(n - got, chunk.size - at)
-            block[got : got + m] = chunk[at : at + m]
-            got, at = got + m, at + m
-        yield block
+        flat_a, chunks = np.ravel(a, order="F"), _chunks(*_factors(ahat))
+    else:
+        ahat = np.asarray(ahat, dtype=np.float64)
+        order = "K" if a.strides == ahat.strides else "F"
+        flat_a, flat_ahat = np.ravel(a, order=order), np.ravel(ahat, order=order)
+        chunks = (flat_ahat[i : i + step] for i in starts)
+    blocks = ((i + j, y[j : j + _BLOCK]) for i, y in zip(starts, chunks) for j in range(0, y.size, _BLOCK))
+    buf = np.empty(min(a.size, _BLOCK))
+    return ((buf[: y.size], flat_a[i : i + y.size], y) for i, y in blocks)
 
 
 def _sums(a, ahat, ref=None) -> _Sums:

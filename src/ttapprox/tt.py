@@ -4,6 +4,13 @@ and the ".ttc" file, one use of the container in _container.
 A TT tensor is an ordered list of order-3 cores, core n of shape
 (r_{n-1}, I_n, r_n) with r_0 = r_N = 1 at the ends.  Decomposition
 outputs additionally keep cores 1..N-1 left-orthogonal.
+
+A chain's dense tensor is the product of two factors, L of the cores up
+to the mode where I_1 ... I_k first reaches sqrt(N) and R of the rest,
+the last mode always in R (_split, _factors), formed in column chunks
+of at most 4 MiB (_width, _chunks).  tt_reconstruct writes the chunks
+into the tensor it returns; the metrics pass walks every pair, a chain
+or a dense tensor, in the chunks of its shape.
 """
 
 from __future__ import annotations
@@ -78,38 +85,48 @@ def tt_reconstruct(tt: TTTensor) -> np.ndarray:
     The cores contract into the factors L and R of one product
     (_factors), whose column chunks (_chunks) are written straight into
     the array that is returned; error_metrics of a chain (metrics) reads
-    the same chunks, so its sums equal those of this tensor bit for bit.
-    Where k = N, L is the tensor."""
+    the same chunks, so its sums equal those of this tensor bit for bit."""
     L, R = _factors(tt)
-    if R is None:
-        return np.reshape(L, tt.dims, order="F")
     out = np.empty(L.shape[0] * R.shape[1])
     for _ in _chunks(L, R, out):
         pass
     return np.reshape(out, tt.dims, order="F")
 
 
-def _factors(tt: TTTensor) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """(L, R), the tensor's two factors: with k the first mode where
-    I_1 ... I_k >= sqrt(N), N the entry count, cores 1..k contract into
-    L, (I_1 ... I_k) x r_k, cores k+1..N into R, r_k x (I_{k+1} ... I_N),
-    and the tensor is (R^T L^T)^T, column-major.  L and R hold fewer than
-    sqrt(N) I_k r_k entries each, not the N / I_N x r_{N-1} carry of a
-    left-to-right contraction.  Where k = N, L is the tensor, and its
-    last carry is smaller than sqrt(N) x r_{N-1}; R is then None."""
-    _check_chain(tt)
-    cores, dims = tt.cores, tt.dims
-    size, k, rows = math.prod(dims), 1, dims[0]
-    while rows * rows < size:
+def _split(dims) -> Tuple[int, int]:
+    """(k, I_1 ... I_k) of the product that forms a tensor of mode sizes
+    dims (_factors): k the first mode where I_1 ... I_k >= sqrt(N), N the
+    entry count, but at most the order less one, so that R always holds
+    the last mode."""
+    size, k, rows = math.prod(dims), 0, 1
+    while k < len(dims) - 1 and rows * rows < size:
         rows *= dims[k]
         k += 1
-    L = left_unfolding(cores[0])  # I_1 x r_1
-    for core in cores[1:k]:
+    return k, rows
+
+
+def _width(rows: int) -> int:
+    """Columns per chunk of a product of rows rows (_chunks): _CHUNK
+    entries, and at least one column."""
+    return max(1, _CHUNK // rows)
+
+
+def _factors(tt: TTTensor) -> Tuple[np.ndarray, np.ndarray]:
+    """(L, R), the tensor's two factors: with k from _split, cores 1..k
+    contract into L, (I_1 ... I_k) x r_k, cores k+1..N into R,
+    r_k x (I_{k+1} ... I_N), and the tensor is (R^T L^T)^T, column-major.
+    L holds fewer than sqrt(N) I_k r_k entries, and R at most sqrt(N) r_k,
+    or a core's r_{N-1} I_N where the last mode outweighs the rest, not
+    the N / I_N x r_{N-1} carry of a left-to-right contraction.  An
+    order-1 chain has k = 0 and L = [[1]]."""
+    _check_chain(tt)
+    cores = tt.cores
+    k, _ = _split(tt.dims)
+    L = np.ones((1, 1))
+    for core in cores[:k]:
         G = np.reshape(core, (core.shape[0], -1), order="F")  # r_{n-1} x I_n r_n
         # (G^T L^T)^T keeps L F-contiguous, so reshaping it is a view
         L = np.reshape((G.T @ L.T).T, (-1, core.shape[2]), order="F")
-    if k == len(cores):
-        return L, None
     R = np.reshape(cores[-1], (cores[-1].shape[0], -1), order="F")  # r_{N-1} x I_N
     for core in reversed(cores[k:-1]):
         # (R^T U^T)^T = U R, with U the left unfolding, is F-contiguous,
@@ -120,12 +137,12 @@ def _factors(tt: TTTensor) -> Tuple[np.ndarray, Optional[np.ndarray]]:
 
 def _chunks(L: np.ndarray, R: np.ndarray, out: Optional[np.ndarray] = None):
     """The product (R^T L^T)^T of _factors, column-major and flat, in
-    chunks of whole columns: max(1, _CHUNK // rows) columns each, the
-    last one shorter.  Each chunk is one np.matmul of R^T's rows by L^T
-    into the chunk's slice of out, or, without out, into one buffer that
-    every chunk reuses, so a chunk is overwritten by the next."""
+    chunks of whole columns: _width(rows) columns each, the last one
+    shorter.  Each chunk is one np.matmul of R^T's rows by L^T into the
+    chunk's slice of out, or, without out, into one buffer that every
+    chunk reuses, so a chunk is overwritten by the next."""
     rows, cols = L.shape[0], R.shape[1]
-    step = min(max(1, _CHUNK // rows), cols)
+    step = min(_width(rows), cols)
     buf = np.empty(step * rows) if out is None else out
     for j in range(0, cols, step):
         n = min(step, cols - j)

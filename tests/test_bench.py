@@ -470,8 +470,9 @@ def test_load_records_raises_parse_error_on_an_empty_torn_or_undecodable_file(tm
     whole = path.read_bytes()
     # zero bytes and a save cut short, as a crash can leave them (the
     # last cut lands inside the quoted error text of the last record),
-    # and a file that is not UTF-8 text
-    for data in (b"", whole[: len(whole) // 2], whole[:-3], b"\xff" + whole):
+    # a file that is not UTF-8 text, and one nested past the
+    # interpreter's stack
+    for data in (b"", whole[: len(whole) // 2], whole[:-3], b"\xff" + whole, b"[" * 200000):
         path.write_bytes(data)
         with pytest.raises(ParseError):
             load_records(path, fmt)

@@ -282,6 +282,12 @@ def test_non_finite_arguments_exit_2(tmp_path):
     assert not dst.exists() and not (tmp_path / "o.ttc").exists()
 
 
+def test_synth_powerfn_with_an_overflowing_h_exits_2(tmp_path):
+    dst = tmp_path / "t.dten"
+    assert run("synth", "powerfn", "--dims", "20,20", "--h", 300.0, "-o", dst) == 2
+    assert not dst.exists()
+
+
 def test_negative_seed_exits_2(tmp_path):
     src, dst = tmp_path / "a.dten", tmp_path / "b.dten"
     tensor_save(np.ones((4, 4, 4)), src)
@@ -319,6 +325,9 @@ def test_bad_plan_exits(tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00{")
     assert run("bench", "--plan", binary, "-o", tmp_path / "o.csv") == 3
+    deep = tmp_path / "deep.json"  # nested past the interpreter's stack
+    deep.write_text("[" * 200000)
+    assert run("bench", "--plan", deep, "-o", tmp_path / "o.csv") == 3
     good = {
         "dataset": {"kind": "spectrum", "n": 4, "T": 1, "D": 1.0},
         "methods": ["svd"], "ranks": [2], "seeds": [0],

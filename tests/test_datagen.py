@@ -134,6 +134,18 @@ def test_powerfn_argument_errors():
             power_function_tensor((3, 3), h)
 
 
+def test_powerfn_refuses_an_h_whose_sums_overflow():
+    # 11^300 and 2^1023.5 + 2^1023.5 pass float64's range, which would
+    # read inf and make those entries 0, not about 1 / max(i)
+    for dims, h in (((20, 20), 300.0), ((2, 2), 1023.5)):
+        with pytest.raises(InvalidArgumentError, match=f"h = {h}"):
+            power_function_tensor(dims, h)
+    t = power_function_tensor((20, 20), 236.0)
+    assert t[-1, -1] == pytest.approx(2.0 ** (-1 / 236.0) / 20)
+    # a tiny h underflows to 0, the limit of N^(-1/h) as h goes to 0
+    assert not power_function_tensor((20, 20, 20), 1e-4).any()
+
+
 def test_powerfn_dims_must_be_integers():
     # int() truncated 2.7 to a mode of size 2
     with pytest.raises(InvalidArgumentError, match="dims must be an integer >= 1"):

@@ -1,8 +1,8 @@
 """The memory-layout contract: producers return column-major arrays,
 each built in the array it returns, a bench plan holds one seed's noisy
-inputs at a time, and, on column-major input, no sweep step copies the
-tensor; every step carries (A^T Q)^T, whatever matrix its basis Q was
-found on."""
+inputs at a time, a chain scores one chunk of its product at a time,
+and, on column-major input, no sweep step copies the tensor; every step
+carries (A^T Q)^T, whatever matrix its basis Q was found on."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from ttapprox import (
     TTTensor,
     add_awgn,
+    error_metrics,
     power_function_tensor,
     spectrum_decay_tensor,
     tensor_load,
@@ -97,6 +98,16 @@ def test_a_bench_cell_scores_its_chain_without_a_dense_reconstruction():
     run_bench(plan)  # untraced: the modules a first plan imports
     _, peak = traced_peak(run_bench, plan)
     assert peak / (100**3 * 8) < 1.8
+
+
+def test_a_chain_whose_last_mode_outweighs_the_rest_scores_in_chunks():
+    # 3 x 3 x 200000 at ranks 1: a 9 x 200000 product in chunks of 4 MiB,
+    # 0.29 tensors; contracting cores 1..N into L would make it the tensor
+    rng = np.random.default_rng(34)
+    chain = TTTensor([rng.standard_normal((1, d, 1)) for d in (3, 3, 200000)])
+    a = np.asfortranarray(rng.standard_normal(chain.dims))
+    _, peak = traced_peak(error_metrics, a, chain)
+    assert peak / a.nbytes < 0.5
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

@@ -274,18 +274,20 @@ def _chain(dims, rank):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(drawn=_scored_chains())
-# 1600 x 80 in chunks of 3 columns: 4800 entries, so blocks straddle them
+# 1600 x 80 in chunks of 3 columns: 4800 entries, a block each
 @example(drawn=(_chain((40, 40, 40, 2), 5), 5000))
 # 900 x 900 in one-column chunks, each longer than the chunk constant
 @example(drawn=(_chain((30, 30, 30), 3), 7))
 # 80 x 1: a single right column
 @example(drawn=(_chain((2, 40, 1), 4), 3))
-# k = N: the left product is the tensor, read as a dense pair
-@example(drawn=(_chain((2, 40), 2), 5))
+# order 1: L is [[1]] and R the one core, in chunks of 5 columns
+@example(drawn=(_chain((40,), 1), 5))
+# the last mode outweighs the rest: k stops at N - 1, a 6 x 1000 product
+@example(drawn=(_chain((2, 3, 1000), 2), 50))
 def test_a_chain_scores_as_its_reconstruction_bit_for_bit(drawn):
-    # the cell's scoring reads the chunks that tt_reconstruct writes, so a
-    # block that straddles chunks, assembled in its scratch, must hold the
-    # same values in the same order as the dense tensor's block
+    # the cell's scoring reads the chunks that tt_reconstruct writes, and
+    # the dense pair is sliced at the same chunk bounds, so each block must
+    # hold the same values in the same order on both sides
     chain, chunk = drawn
     rng = np.random.default_rng(34)
     with mock.patch.object(tt, "_CHUNK", chunk):
