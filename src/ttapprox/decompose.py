@@ -11,28 +11,33 @@ how Q is found:
   tt_rsi   top r Ritz vectors of A in span(Z_q)
   tt_rbki  top r Ritz vectors of A in span([Z_0, ..., Z_q])
 
-tt_svd takes its truncated SVD of every unfolding from the Gram matrix
-of its short side: G = A A^T on a wide (or square) step, H = A^T A on a
-tall one.  It picks r from the eigenvalues (linalg._gram_eigh) and,
-where linalg._gram_resolves(lam, r) holds, the energy test the
-randomized sweeps apply at the sketch width, keeps the top r
-eigenvectors U_r of G, or Q = orth(A V_r) from those V_r of H, since
-A V_r = U_r Sigma_r.  The test sits at r because a Gram matrix rounds to
-about eps ||A||^2 in every direction, which moves the truncation
-residual^2 by about eps^2 ||A||^4 / sigma_r^2: negligible against an
-energy beyond r of at least 1e-10 ||A||^2, and only then.  A step the
-test refuses takes linalg.svd (the R-only QR on a wide unfolding,
-LAPACK's thin SVD on a tall one), having paid for the Gram as well.
+tt_svd takes its truncated SVD of every unfolding, in _exact_step,
+from the Gram matrix of its short side: G = A A^T on a wide (or
+square) step, H = A^T A on a tall one.  It picks r from the eigenvalues
+(linalg._gram_eigh) and, where linalg._gram_resolves(lam, r) holds,
+the energy test the randomized sweeps apply at the sketch width, keeps
+the top r eigenvectors U_r of G, or Q = orth(A V_r) from those V_r of
+H, since A V_r = U_r Sigma_r.  The test sits at r because a Gram
+matrix rounds to about eps ||A||^2 in every direction, which moves the
+truncation residual^2 by about eps^2 ||A||^4 / sigma_r^2: negligible
+against an energy beyond r of at least 1e-10 ||A||^2, and only then.
+A step the test refuses takes linalg.svd (the R-only QR on a wide
+unfolding, LAPACK's thin SVD on a tall one), having paid for the Gram
+as well.
 
-The randomized sweeps differ only in their range finder, and
-_randomized_sweep's docstring gives the step they share, in order: gate,
-sketch, Z_0, range finder, Ritz step, lift.  tt_rsvd has no range
-finder; tt_rsi's is linalg.krylov_blocks, the power iteration
-Z_t = orth(A A^T Z_{t-1}) from Z_0, of which it keeps Z_q; tt_rbki's is
-linalg.krylov_basis, which builds span([Z_0, ..., Z_q]) block by block
-(its docstring gives the drop and re-projection rules).  Both factor
-only blocks of r + p columns.  Every core has exactly the requested
-rank.
+The randomized sweeps take the same exact step wherever r + p reaches
+the unfolding's short side: a Gaussian sketch that wide spans the whole
+range, and every range finder reduces to the SVD (Halko, Martinsson &
+Tropp, SIAM Review 2011, sections 4-5).  Every sketch they draw is
+narrower than the short side.  They differ only in their range finder,
+and _randomized_sweep's docstring gives the step they share, in order:
+exact step, gate, sketch, Z_0, range finder, Ritz step, lift.  tt_rsvd
+has no range finder; tt_rsi's is linalg.krylov_blocks, the power
+iteration Z_t = orth(A A^T Z_{t-1}) from Z_0, of which it keeps Z_q;
+tt_rbki's is linalg.krylov_basis, which builds span([Z_0, ..., Z_q])
+block by block (its docstring gives the drop and re-projection rules).
+Both factor only blocks of r + p columns.  Every core has exactly the
+requested rank.
 
 The gate, linalg._power_step_gram, decides whether a step runs its range
 finder on the Gram factor M of the unfolding's short side in place of A:
@@ -146,7 +151,6 @@ class SweepStep:
     residual: float
     elapsed_s: float
     sketch_width: Optional[int] = None
-    clamped: bool = False
 
 
 @dataclass
@@ -212,8 +216,7 @@ class _Basis(NamedTuple):
 
     Q: np.ndarray
     residual: Optional[float]  # None: taken by _sweep from the carried norms
-    sketch_width: Optional[int] = None
-    clamped: bool = False
+    sketch_width: Optional[int] = None  # None: no sketch drawn
 
 
 def _sweep(t: np.ndarray, norm: float, pick_basis) -> Tuple[TTTensor, SweepTrace]:
@@ -248,7 +251,7 @@ def _sweep(t: np.ndarray, norm: float, pick_basis) -> Tuple[TTTensor, SweepTrace
         elapsed = time.perf_counter() - t0
         r_n = b.Q.shape[1]
         cores.append(np.reshape(b.Q, (r_prev, dims[n], r_n), order="F"))
-        trace.steps.append(SweepStep(n, r_n, residual, elapsed, b.sketch_width, b.clamped))
+        trace.steps.append(SweepStep(n, r_n, residual, elapsed, b.sketch_width))
         r_prev = r_n
     cores.append(np.reshape(C, (r_prev, dims[-1], 1), order="F"))
     return TTTensor(cores), trace
@@ -286,37 +289,49 @@ def tt_svd(t, trunc: TruncationSpec) -> Tuple[TTTensor, SweepTrace]:
         ranks = None
         delta = trunc.epsilon * norm / math.sqrt(t.ndim - 1)
 
-    def rank(s, n):
-        return ranks[n] if ranks is not None else rank_from_tail(s, delta)
-
     def pick(A, n):
-        wide = A.shape[0] <= A.shape[1]
-        # the Gram of the short side: A A^T (eigenvectors U), or A^T A
-        # (eigenvectors V, with A V_r = U_r Sigma_r)
-        lam, W = _gram_eigh(A if wide else A.T)
-        r = rank(np.sqrt(np.maximum(lam, 0.0)), n)
-        if _gram_resolves(lam, r):  # residual from the carried norms
-            Q = W[:, :r].copy(order="F") if wide else np.linalg.qr(A @ W[:, :r])[0]
-            return _Basis(_fix_signs(Q), None)
-        U, s = svd(A)
-        r = rank(s, n)
-        return _Basis(U[:, :r], frobenius_norm(s[r:]))
+        return _exact_step(A, lambda s: ranks[n] if ranks is not None else rank_from_tail(s, delta))
 
     return _scale_back(_sweep(t, norm, pick), e)
+
+
+def _exact_step(A, rank) -> _Basis:
+    """tt_svd's basis of the unfolding A, r = rank(s) columns from A's
+    singular values s; the randomized sweeps take it on every step whose
+    sketch would span A's short side.
+
+    The Gram matrix of the short side, A A^T (eigenvectors U) or A^T A
+    (eigenvectors V, with A V_r = U_r Sigma_r), serves where it passes
+    the energy test at r, and the residual comes from the norms _sweep
+    carries; otherwise linalg.svd and the tail of its singular values."""
+    wide = A.shape[0] <= A.shape[1]
+    lam, W = _gram_eigh(A if wide else A.T)
+    r = rank(np.sqrt(np.maximum(lam, 0.0)))
+    if _gram_resolves(lam, r):
+        Q = W[:, :r].copy(order="F") if wide else np.linalg.qr(A @ W[:, :r])[0]
+        return _Basis(_fix_signs(Q), None)
+    U, s = svd(A)
+    r = rank(s)
+    return _Basis(U[:, :r], frobenius_norm(s[r:]))
 
 
 def _randomized_sweep(t, cfg: SketchConfig, finder) -> Tuple[TTTensor, SweepTrace]:
     """The randomized step, shared by all three sweeps, which differ only
     in finder(M, Z0, q), the orthonormal basis S of their range finder.
     In order, each step
-      1. asks the gate, _power_step_gram, once which operand M it works
+      1. where w = r + p >= min(rows, cols), so that the sketch would
+         span A's short side, takes tt_svd's step at rank r, _exact_step,
+         and stops there: it draws nothing, so every later step draws
+         from an earlier point of the rng stream, and it reports
+         sketch_width None;
+      2. asks the gate, _power_step_gram, once which operand M it works
          on: the unfolding A, or the R or T of its Gram factor;
-      2. draws the Gaussian sketch Y = M Omega, r + p columns (fewer on a
-         short trailing side), here and nowhere else;
-      3. takes Z0 = svd(Y).U, min(rows, r + p) columns;
-      4. runs the range finder, S = finder(M, Z0, q);
-      5. keeps the top r Ritz vectors of M in span(S), Q = _ritz(M, S, r);
-      6. on a T step lifts Q from T's coordinates to A's rows with one QR.
+      3. draws the Gaussian sketch Y = M Omega, w columns, fewer than M
+         has rows, here and nowhere else;
+      4. takes Z0 = svd(Y).U, w columns;
+      5. runs the range finder, S = finder(M, Z0, q);
+      6. keeps the top r Ritz vectors of M in span(S), Q = _ritz(M, S, r);
+      7. on a T step lifts Q from T's coordinates to A's rows with one QR.
     finder None, tt_rsvd, states both facts that define that sweep: it
     runs no power step, so the gate is asked with q = 0 and its cores do
     not depend on cfg.q, and it takes no Ritz step, Q = Z0[:, :r].
@@ -328,18 +343,16 @@ def _randomized_sweep(t, cfg: SketchConfig, finder) -> Tuple[TTTensor, SweepTrac
 
     def pick(A, n):
         r = ranks[n]
-        rows, cols = A.shape
-        width = min(r + cfg.p, cols)
-        clamped = width < r + cfg.p
-        gram = _power_step_gram(A, min(rows, width), q)
+        w = r + cfg.p
+        if w >= min(A.shape):
+            return _exact_step(A, lambda s: r)
+        gram = _power_step_gram(A, w, q)
         M, lift = (A, None) if gram is None else gram
-        Z0 = svd(M @ gaussian_matrix(M.shape[1], width, rng)).U
-        # Q has exactly r columns: r <= min(rows, width) (_check_ranks), and
-        # Z0 and every Krylov block have that many
+        Z0 = svd(M @ gaussian_matrix(M.shape[1], w, rng)).U
         Q = Z0[:, :r] if finder is None else _ritz(M, finder(M, Z0, q), r)
         if lift is not None:  # T's coordinates Q_T to orth(U Q_T)
             Q = np.linalg.qr(A @ (lift @ Q))[0]
-        return _Basis(Q, None, width, clamped)
+        return _Basis(Q, None, w)
 
     return _scale_back(_sweep(t, norm, pick), e)
 
@@ -380,13 +393,15 @@ METHODS = {"svd": "tt_svd", "rsvd": "tt_rsvd", "rsi": "tt_rsi", "rbki": "tt_rbki
 def run_method(method: str, t, ranks=None, epsilon=None, **sketch) -> Tuple[TTTensor, SweepTrace]:
     """Run the sweep that METHODS names for method.
 
-    "svd" takes exactly one of ranks or epsilon and ignores the sketch
-    keywords; the randomized methods need ranks and take the other
-    SketchConfig fields (p, q, seed) as keywords.
+    Every method takes the other SketchConfig fields (p, q, seed) as
+    keywords and checks them by SketchConfig's rules.  "svd" takes
+    exactly one of ranks or epsilon and ignores the sketch values; the
+    randomized methods need ranks.
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")
     sweep = globals()[METHODS[method]]
+    SketchConfig(ranks=(), **sketch)  # p, q and seed: the same bounds for every method
     if method == "svd":
         return sweep(t, TruncationSpec(epsilon=epsilon, ranks=ranks))
     if epsilon is not None:

@@ -8,15 +8,17 @@ and factor only blocks with as many rows as their operand, multiplying
 the long side.  The decompose module docstring says how tt_svd's steps
 use these kernels, and decompose._randomized_sweep's docstring the order
 in which a randomized step calls them.  No sweep factors an unfolding on
-its long side, save where the energy test refuses one of tt_svd's
-steps: svd otherwise sees only the sketches Y, rows x (r + p), which
-are wide only where r + p exceeds the rows.
+its long side, save where the energy test refuses an exact step
+(decompose._exact_step: every step of tt_svd, and each randomized step
+whose r + p reaches the unfolding's short side): svd otherwise sees
+only the sketches Y, which are tall, since a randomized step draws only
+r + p < min(rows, cols) columns.
 
 Every Gram matrix in the sweeps, A A^T of a wide step, A^T A of a tall
 one and the Ritz step's B B^T, is formed with its descending
 eigendecomposition in _gram_eigh.  _gram_resolves, the one energy test,
 says whether one of the first two serves a step that keeps k
-directions; tt_svd asks it at its rank r on every step.  The Ritz
+directions; the exact step asks it at its rank r.  The Ritz
 step's B B^T is the one Gram matrix the test does not guard: _ritz
 keeps its top eigenvectors without asking (ROADMAP item 2, "The Ritz
 step obeys the one energy test").  _power_step_gram is the one
@@ -110,8 +112,9 @@ _GRAM_TAIL = 1e-10
 def _gram_resolves(lam, k: int) -> bool:
     """Whether G = A A^T, eigenvalues lam in descending order, serves a
     step that keeps the top k directions of A: the one energy test behind
-    both Gram paths, _power_step_gram at k = w and tt_svd at its rank.
-    A^T A has the same nonzero eigenvalues, so tt_svd asks it of either.
+    both Gram paths, _power_step_gram at k = w and the exact step
+    (tt_svd's) at its rank.  A^T A has the same nonzero eigenvalues, so
+    the exact step asks it of either.
 
     The energy of A beyond its top k singular directions, the sum of
     lam[k:], must be at least _GRAM_TAIL ||A||_F^2.  G rounds to about
@@ -212,15 +215,11 @@ def _power_step_gram(A, w: int, q: int):
 
     Either way the step reads the long side of A to form the Gram matrix
     and for the carry Q^T A, and, on a tall step, for the lift; every
-    factorization of the range finder is of a short x w block.  M is
-    taken when all hold:
+    factorization of the range finder is of a short x w block.  The
+    sweeps ask only with w < min(rows, cols): a sketch at least as wide
+    would span the short side, and such a step is tt_svd's
+    (decompose._exact_step).  M is taken when both hold:
 
-    - w < min(rows, cols).  A Z_0 as wide as the short side already spans
-      it, so the power steps cannot change the Ritz vectors, and with no
-      energy beyond w directions nothing bounds what the Gram matrix's
-      rounding costs: tt_rsvd, which keeps Z_0's leading columns with no
-      Ritz step, would carry it into exactly low-rank input (errors of
-      3e-9 to 1e-8 where the drawn sketch gives 1e-15).
     - _gram_is_cheaper(rows, cols, w, q).
     - _gram_resolves(lam, w), the energy test tt_svd shares: the energy
       of A beyond its top w singular directions is at least
@@ -237,7 +236,7 @@ def _power_step_gram(A, w: int, q: int):
     A Omega, and the sweep draws that one instead.
     """
     rows, cols = A.shape
-    if w >= min(rows, cols) or not _gram_is_cheaper(rows, cols, w, q):
+    if not _gram_is_cheaper(rows, cols, w, q):
         return None
     wide = rows < cols
     lam, W = _gram_eigh(A if wide else A.T)
@@ -262,21 +261,13 @@ def krylov_blocks(M, Z0, q: int):
     M is the step's unfolding A, or the M of _power_step_gram: R, which
     has M M^T = A A^T, or T = U^T A, whose blocks are A's in the
     coordinates of its left singular vectors.  Z0 is the sweep's
-    orthonormal sketch basis, spanning M Omega, and
-    Z_t = orth(M M^T Z_{t-1}) spans (M M^T)^t M Omega.
+    orthonormal sketch basis, spanning M Omega, narrower than M has rows,
+    and Z_t = orth(M M^T Z_{t-1}) spans (M M^T)^t M Omega.
     Every QR is of an m x w block, m the rows of M and w the width of
     Z0, so the long side of a wide M is never factored.  Without the QRs
     the higher powers would keep only the leading directions in float64.
-
-    M Z0 as wide as M has rows already spans them, so no power step can
-    change the Ritz vectors, and the blocks are [Z0] alone: no product
-    with M is taken.  The sweep still draws and factors the sketch on
-    such a step, so the rng stream, and with it every later step's draw,
-    is the one it would be with the power steps.
     """
     blocks = [Z0]
-    if Z0.shape[1] >= M.shape[0]:
-        return blocks
     for _ in range(q):
         blocks.append(np.linalg.qr(M @ (M.T @ blocks[-1]))[0])
     return blocks
@@ -317,7 +308,7 @@ def krylov_basis(M, Z0, q: int):
     """
     rows, cols = M.shape
     cap = min(rows, cols, (q + 1) * Z0.shape[1])
-    Z = S = Z0[:, :cap]
+    Z = S = Z0
     for _ in range(q):
         if S.shape[1] >= cap:
             break

@@ -292,10 +292,21 @@ def test_negative_seed_exits_2(tmp_path):
     src, dst = tmp_path / "a.dten", tmp_path / "b.dten"
     tensor_save(np.ones((4, 4, 4)), src)
     assert run("noise", "--snr", 10.0, "--seed", -3, "-i", src, "-o", dst) == 2
-    for method in ("rsvd", "rsi", "rbki"):
+    for method in ("svd", "rsvd", "rsi", "rbki"):
         assert run("decompose", "--method", method, "--ranks", "2,2", "--seed", -1,
                    "-i", src, "-o", tmp_path / "o.ttc") == 2, method
     assert not dst.exists() and not (tmp_path / "o.ttc").exists()
+
+
+def test_svd_holds_p_and_q_to_the_sketch_bounds(tmp_path):
+    # svd ignores p, q and seed, but the CLI's bounds on them hold for
+    # every method
+    src = tmp_path / "a.dten"
+    tensor_save(np.ones((4, 4, 4)), src)
+    for bad in (("--p", -5), ("--q", 0)):
+        assert run("decompose", "--method", "svd", "--ranks", "2,2", *bad,
+                   "-i", src, "-o", tmp_path / "o.ttc") == 2, bad
+    assert not (tmp_path / "o.ttc").exists()
 
 
 def test_numerical_failure_exits_4(tmp_path):

@@ -185,10 +185,10 @@ def test_tt_rsvd_exact_rank_recovery():
 
 
 def test_tt_rsvd_exact_rank_recovery_where_the_sketch_spans_the_rows():
-    # w >= rows: Z_0 spans the rows, and tt_rsvd keeps it with no Ritz
-    # step on A, so a sketch through G would carry G's rounding (about
-    # sqrt(eps) ||A|| per direction) into exactly low-rank input, errors of
-    # 3e-9 to 1e-8; the one G rule takes no G on such steps
+    # w >= rows: the step is tt_svd's.  A basis from G would carry G's
+    # rounding (about sqrt(eps) ||A|| per direction) into exactly low-rank
+    # input, errors of 3e-9 to 1e-8; with no energy beyond rank r the
+    # energy test refuses G, and the step takes linalg.svd
     for rows, cols, k, r, p in [(6, 2000, 3, 4, 2), (10, 5000, 2, 3, 8)]:
         rng = np.random.default_rng(rows)
         A = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
@@ -245,14 +245,13 @@ def test_tt_rsi_deterministic():
 
 def test_tt_rsi_takes_no_power_step_where_the_sketch_spans_the_rows(monkeypatch):
     # cli-files' 4 x 5 x 5 x 5 x 8 at ranks 3, p 2, q 2: step 0 is 4 x 1000
-    # at w 4, so Z_0 spans the rows and no power step could change the
-    # Ritz vectors.  That step takes no product with A, its core is the
-    # Ritz basis on Z_0, and it still draws its cols x w sketch, so later
-    # steps draw from the rng stream they always have; step 1 (15 x 200,
-    # w 5) runs its power steps
+    # at r + p = 5, a sketch that would span the rows, so the step is
+    # tt_svd's: it draws nothing, takes no product with A and its core is
+    # tt_svd's first core.  Step 1 (15 x 200, w 5) runs its power steps
+    # on the first draw of the seed's stream
     t = power_function_tensor((4, 5, 5, 5, 8), 5.0)
-    products, draws, starts = [], [], []  # products: per step, those with M
-    blocks, draw, factor = decompose.krylov_blocks, decompose.gaussian_matrix, decompose.svd
+    products, draws = [], []  # products: per drawn step, those with M
+    blocks, draw = decompose.krylov_blocks, decompose.gaussian_matrix
 
     class Counted(np.ndarray):
         def __matmul__(self, other):
@@ -264,23 +263,19 @@ def test_tt_rsi_takes_no_power_step_where_the_sketch_spans_the_rows(monkeypatch)
         return blocks(M.view(Counted), Z0, q)
 
     def spy_draw(*args):
-        draws.append(args[:2])
-        return draw(*args)
-
-    def spy_factor(Y):
-        result = factor(Y)
-        starts.append(result.U)
-        return result
+        draws.append(draw(*args))
+        return draws[-1]
 
     monkeypatch.setattr(decompose, "krylov_blocks", spy_blocks)
     monkeypatch.setattr(decompose, "gaussian_matrix", spy_draw)
-    monkeypatch.setattr(decompose, "svd", spy_factor)
-    tt, _ = tt_rsi(t, SketchConfig(ranks=(3, 3, 3, 3), p=2, q=2, seed=4))
-    assert draws[0] == (1000, 5) and len(draws) == 4
-    # M^T Z then M (M^T Z), twice per step but on step 0
-    assert products[0] == [] and products[1] == [(200, 15), (15, 200)] * 2
-    Q = decompose._ritz(np.reshape(t, (4, 1000), order="F"), starts[0], 3)
-    assert np.array_equal(np.reshape(tt.cores[0], (4, 3), order="F"), Q)
+    tt, trace = tt_rsi(t, SketchConfig(ranks=(3, 3, 3, 3), p=2, q=2, seed=4))
+    assert len(draws) == len(products) == 3  # steps 1 to 3
+    assert np.array_equal(draws[0], linalg.gaussian_matrix(200, 5, 4))
+    # M^T Z then M (M^T Z), twice
+    assert products[0] == [(200, 15), (15, 200)] * 2
+    want, _ = tt_svd(t, TruncationSpec(ranks=(3, 3, 3, 3)))
+    assert np.array_equal(tt.cores[0], want.cores[0])
+    assert [s.sketch_width for s in trace.steps] == [None, 5, 5, 5]
 
 
 def test_tt_rsi_q1_no_worse_than_rsvd():
@@ -355,11 +350,11 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
     # sketch once: Z_0 = svd(Y).U with Y = M Omega, M = A, or R where the
     # step goes through R R^T = A A^T, and the range finder reads the same
     # M.  tt_rsvd asks with no power steps, tt_rsi and tt_rbki with q.
-    # Step 0 (4 x 5000, w 3) takes R for all three, so they draw the same
-    # rows x w Omega'' and share Z_0; step 1 (5000 x 2, tall, the sketch
-    # clamped to 2 columns, so w is A's short side) takes no Gram factor,
-    # and they draw the same cols x 2 Omega
-    t = np.random.default_rng(15).standard_normal((4, 2500, 2))
+    # Step 0 (4 x 1200, w 3) takes R for all three, so they draw the same
+    # rows x w Omega'' and share Z_0; step 1 (60 x 40, w 3) costs less
+    # through the products, takes no Gram factor, and they draw the same
+    # cols x 3 Omega
+    t = np.random.default_rng(15).standard_normal((4, 30, 40))
     cfg = SketchConfig(ranks=(2, 2), p=1, q=2, seed=4)
     seen = {method: [] for method in ALGS}  # per step: [asked, draw, Y, Z0]
     starts = {"rsi": [], "rbki": []}
@@ -397,9 +392,9 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
         assert len(steps) == 2, method  # one rule, draw and factorization per step
         for n, ((A, w, q, gram), Om, Y, Z0) in enumerate(steps):
             assert q == (0 if method == "rsvd" else cfg.q)
-            assert (w, gram is None) == ((3, False) if n == 0 else (2, True)), (method, n)
+            assert (w, gram is None) == (3, n == 1), (method, n)
             if gram is None:
-                assert Om.shape == (A.shape[1], 2) and np.array_equal(Y, A @ Om)
+                assert Om.shape == (A.shape[1], 3) and np.array_equal(Y, A @ Om)
             else:
                 R, lift = gram
                 assert lift is None and R.shape == (4, 4)  # wide: no lift
@@ -419,15 +414,15 @@ def test_randomized_sweeps_share_one_sketch_basis_per_step(monkeypatch):
 
 
 def test_each_core_is_its_range_finders_ritz_vectors_on_every_operand_path(monkeypatch):
-    # with the cost test passed, the three steps of an 8 x 40 x 5 x 2
-    # tensor at ranks (3, 3, 2), p 1, take the three operands of
-    # _power_step_gram: step 0 (8 x 400, w 4) R, step 1 (120 x 10, w 4)
-    # T with its lift, step 2 (15 x 2, w clamped to 2, A's short side)
-    # the products.  Every core is, bit for bit, Z_0[:, :r] for tt_rsvd
+    # with the cost test passed on steps 0 and 1 and failed on step 2, the
+    # three steps of an 8 x 40 x 5 x 6 tensor at ranks (3, 3, 2), p 1, take
+    # the three operands of _power_step_gram: step 0 (8 x 1200, w 4) R,
+    # step 1 (120 x 30, w 4) T with its lift, step 2 (15 x 6, w 3) the
+    # products.  Every core is, bit for bit, Z_0[:, :r] for tt_rsvd
     # and the Ritz vectors _ritz(M, S, r) of the spied range finder's S for
     # tt_rsi and tt_rbki, lifted on the T step to qr(A @ (lift @ Q)); the
     # last core is the carry Q^T A
-    t = np.random.default_rng(16).standard_normal((8, 40, 5, 2))
+    t = np.random.default_rng(16).standard_normal((8, 40, 5, 6))
     cfg = SketchConfig(ranks=(3, 3, 2), p=1, q=2, seed=5)
     seen = []  # per step: [A, gram, Z0, S]
     rule, factor = decompose._power_step_gram, decompose.svd
@@ -453,7 +448,7 @@ def test_each_core_is_its_range_finders_ritz_vectors_on_every_operand_path(monke
         seen[-1].append(S.copy())
         return S
 
-    monkeypatch.setattr(linalg, "_gram_is_cheaper", lambda rows, cols, w, q: True)
+    monkeypatch.setattr(linalg, "_gram_is_cheaper", lambda rows, cols, w, q: (rows, cols) != (15, 6))
     monkeypatch.setattr(decompose, "_power_step_gram", spy_rule)
     monkeypatch.setattr(decompose, "svd", spy_factor)
     monkeypatch.setattr(decompose, "krylov_blocks", spy_blocks)
@@ -489,23 +484,27 @@ def test_rbki_krylov_stack_column_cap(monkeypatch):
         return ritz(A, S, r)
 
     monkeypatch.setattr(decompose, "_ritz", spy)
-    t = np.random.default_rng(14).standard_normal((6, 6, 3))
+    t = np.random.default_rng(14).standard_normal((6, 6, 8))
     tt_rbki(t, SketchConfig(ranks=(3, 3), p=2, q=3, seed=0))
-    widths = [5, 3]  # r + p, clamped to the 3 columns of step 1
-    assert [shape for shape, _ in seen] == [(6, 18), (18, 3)]
-    for (shape, S), w in zip(seen, widths):
+    w = 5  # r + p, below both sides of both steps
+    assert [shape for shape, _ in seen] == [(6, 48), (18, 8)]
+    for shape, S in seen:
         assert S.shape[1] <= min(*shape, 4 * w)
-        assert S.shape[1] >= min(shape[0], w)
+        assert S.shape[1] >= w
         assert np.max(np.abs(S.T @ S - np.eye(S.shape[1]))) <= 1e-12
-    assert seen[1][1].shape[1] == 3  # 12 stacked columns, A has rank 3
+    assert seen[1][1].shape[1] == 8  # 20 stacked columns, A has rank 8
 
 
-def test_sketch_width_clamped_on_short_trailing_modes():
+def test_a_step_whose_sketch_would_span_the_short_side_is_tt_svds_step():
+    # 6 x 6 x 6 at ranks (4, 2), p 2: step 0 (6 x 36) has r + p = 6, A's
+    # short side, so it draws nothing and keeps tt_svd's core and
+    # residual; step 1 (24 x 6, w 4) draws its sketch
     t = np.random.default_rng(13).standard_normal((6, 6, 6))
-    _, trace = tt_rsvd(t, SketchConfig(ranks=(4, 4), p=10, q=1, seed=0))
-    assert not trace.steps[0].clamped  # 36 columns is plenty
-    assert trace.steps[1].clamped and trace.steps[1].sketch_width == 6
-    assert trace.steps[1].rank == 4
+    tt, trace = tt_rsvd(t, SketchConfig(ranks=(4, 2), p=2, q=1, seed=0))
+    want, want_trace = tt_svd(t, TruncationSpec(ranks=(4, 2)))
+    assert [(s.rank, s.sketch_width) for s in trace.steps] == [(4, None), (2, 4)]
+    assert np.array_equal(tt.cores[0], want.cores[0])
+    assert trace.steps[0].residual == want_trace.steps[0].residual
 
 
 def test_randomized_feasibility_errors():
@@ -530,6 +529,18 @@ def test_randomized_feasibility_errors():
     cfg = SketchConfig(ranks=np.array([2, 2]), p=np.int64(1), q=np.uint8(2), seed=np.int32(3))
     assert (cfg.ranks, cfg.p, cfg.q, cfg.seed) == ((2, 2), 1, 2, 3)
     assert all(type(v) is int for v in (*cfg.ranks, cfg.p, cfg.q, cfg.seed))
+
+
+def test_run_method_checks_the_sketch_arguments_for_every_method():
+    # svd ignores p, q and seed, but run_method holds them to
+    # SketchConfig's bounds for every method, before any sweep runs
+    t = np.ones((4, 4, 4))
+    for method in decompose.METHODS:
+        for bad in ({"p": -1}, {"q": 0}, {"seed": -1}, {"p": 1.5}):
+            with pytest.raises(InvalidArgumentError):
+                decompose.run_method(method, t, ranks=(2, 2), **bad)
+        with pytest.raises(InvalidArgumentError):
+            decompose.run_method(method, t, epsilon=0.1, seed=-1)
 
 
 # ---------------- shared invariants ----------------

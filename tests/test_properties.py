@@ -5,9 +5,10 @@ The residual identity ||A - Ahat||^2 = sum_n rho_n^2 must hold for all
 four sweeps, the randomized sweeps must return exactly the requested
 ranks also on zero and rank-1 tensors, and keep them, the identity and
 left-orthonormal cores where their steps take the Gram factor of the
-short side, one tt_rbki step must leave no
-larger residual than tt_rsi or tt_rsvd with the same sketch, linalg.svd
-must agree with LAPACK's singular values on wide, zero and
+short side, draw a sketch only where it is narrower than the short side
+and equal tt_svd bit for bit where no step draws, one tt_rbki step must
+leave no larger residual than tt_rsi or tt_rsvd with the same sketch,
+linalg.svd must agree with LAPACK's singular values on wide, zero and
 rank-deficient matrices, both file formats must round-trip bit for bit
 from either layout into owned column-major arrays, the
 memory layout of the input must not change any result, the blocked
@@ -29,6 +30,7 @@ from ttapprox import (
     InvalidArgumentError,
     TTTensor,
     add_awgn,
+    decompose,
     error_metrics,
     linalg,
     psnr,
@@ -199,6 +201,52 @@ def test_gram_steps_keep_identity_and_orthonormal_cores(inputs, method, p, q, se
     assert validate(tt).ok
     err_sq = float(np.sum((t - tt_reconstruct(tt)) ** 2))
     assert abs(err_sq - trace.residual_sq_sum) <= 64 * EPS * float(np.sum(t * t))
+
+
+@st.composite
+def exact_step_inputs(draw):
+    """A Gaussian tensor of order 2 to 5 with modes of 1 to 6 and feasible
+    ranks, so that with p up to 8 many steps, and often all, have
+    r + p >= min(rows, cols)."""
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=5)))
+    t = np.random.default_rng(draw(seed_st)).standard_normal(dims)
+    return t, draw(feasible_ranks(dims))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    inputs=exact_step_inputs(),
+    method=st.sampled_from(["rsvd", "rsi", "rbki"]),
+    p=st.integers(0, 8),
+    q=st.integers(1, 2),
+    seed=seed_st,
+)
+def test_randomized_sweeps_draw_only_sketches_narrower_than_the_short_side(inputs, method, p, q, seed):
+    # a step with r + p >= min(rows, cols) is tt_svd's step: it draws
+    # nothing and reports no sketch width.  Every other step draws once,
+    # r + p columns.  A sweep with no drawn step returns tt_svd's cores
+    # and residuals bit for bit
+    t, ranks = inputs
+    widths = []
+    draw = decompose.gaussian_matrix
+
+    def spy(rows, cols, rng):
+        widths.append(cols)
+        return draw(rows, cols, rng)
+
+    with mock.patch.object(decompose, "gaussian_matrix", spy):
+        tt, trace = run_method(method, t, ranks, p=p, q=q, seed=seed)
+    chain = (1,) + ranks
+    drawn = [
+        r + p < min(chain[n] * t.shape[n], math.prod(t.shape[n + 1 :]))
+        for n, r in enumerate(ranks)
+    ]
+    assert widths == [r + p for r, d in zip(ranks, drawn) if d]
+    assert [s.sketch_width for s in trace.steps] == [r + p if d else None for r, d in zip(ranks, drawn)]
+    if not any(drawn):
+        want, want_trace = run_method("svd", t, ranks)
+        assert all(np.array_equal(a, b) for a, b in zip(tt.cores, want.cores))
+        assert [s.residual for s in trace.steps] == [s.residual for s in want_trace.steps]
 
 
 @st.composite
